@@ -84,7 +84,6 @@ from .sampling import (
     sample_mcmc,
 )
 from .specfun import (
-    LogValue,
     log_gamma,
     log_lower_gamma,
     log_reg_lower_gamma,
@@ -102,7 +101,7 @@ __all__ = [
     "NumericalError",
     # special functions
     "log_gamma", "reg_lower_gamma", "reg_upper_gamma", "log_reg_lower_gamma",
-    "log_lower_gamma", "log_sum_exp", "LogValue",
+    "log_lower_gamma", "log_sum_exp",
     # edge large deviations
     "left_rate", "right_rate", "lognn_correction", "invn_correction",
     "left_tail_prediction", "ConstrainedEdgeMeasure", "constrained_measure",

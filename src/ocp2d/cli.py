@@ -11,7 +11,9 @@ fig 1|2|3|4           canonical comparison data sets
 
 Every data-producing command writes CSV (17 significant digits, atomic
 rename) and optionally a small self-contained SVG chart.  Numeric output
-depends only on argv and the config file; threads only change wall time.
+depends only on argv and the config file.  --threads (or OCP_THREADS) is
+accepted and checked to be an integer >= 1, but has no effect: every
+command runs serially.
 Grids are given as min:max:steps (steps = number of points, inclusive
 endpoints); config files hold key=value lines overridden by flags.
 """
@@ -258,12 +260,24 @@ class _Resolver:
             raise DomainError(f"missing required option --{name}")
         return value
 
-    def threads(self) -> int | None:
+    def check_threads(self) -> None:
+        """--threads or OCP_THREADS must be an integer >= 1 when given.
+
+        Both are accepted for compatibility and change nothing.
+        """
         value = self.get("threads", int)
+        name = "--threads"
         if value is None:
             env = os.environ.get("OCP_THREADS")
-            value = int(env) if env else os.cpu_count()
-        return value
+            if not env:
+                return
+            name = "OCP_THREADS"
+            try:
+                value = int(env)
+            except ValueError:
+                raise DomainError(f"bad value for {name}: {env!r}") from None
+        if value < 1:
+            raise DomainError(f"{name} must be >= 1, got {value}")
 
 
 # --- subcommand handlers ------------------------------------------------------
@@ -329,21 +343,20 @@ def _cmd_exact(res: _Resolver) -> int:
     n = res.require("n", int)
     grid = res.require("grid", _grid)
     out = res.require("out", str)
-    threads = res.threads()
     if which == "edge-cdf":
         table = SimpleTable(["x", "log_cdf"])
-        values = harness._map_ordered(lambda x: edge_cdf_log(n, x), grid, threads)
+        values = harness._map_ordered(lambda x: edge_cdf_log(n, x), grid)
         for x, v in zip(grid, values):
             table.add(x, v)
     elif which == "edge-pdf":
         table = SimpleTable(["x", "log_pdf"])
-        values = harness._map_ordered(lambda x: edge_pdf_log(n, x), grid, threads)
+        values = harness._map_ordered(lambda x: edge_pdf_log(n, x), grid)
         for x, v in zip(grid, values):
             table.add(x, v)
     else:  # mgf
         p = res.require("p", float)
         table = SimpleTable(["s", "log_mgf", "estimated_relative_error"])
-        results = harness._map_ordered(lambda s: mgf_log(n, p, s), grid, threads)
+        results = harness._map_ordered(lambda s: mgf_log(n, p, s), grid)
         for s, r in zip(grid, results):
             table.add(s, r.log_value, r.estimated_relative_error)
     _emit(table, out, bool(res.args.svg))
@@ -384,14 +397,13 @@ def _cmd_verify(res: _Resolver) -> int:
     which = res.args.target
     out = res.require("out", str)
     svg = bool(res.args.svg)
-    threads = res.threads()
 
     if which == "left-tail":
         n = int(res.require("n", int))
         grid = res.require("grid", _grid)
         beta = res.get("beta", float, 2.0)
         if beta == 2.0:
-            table = harness.left_tail_table(n, grid, threads=threads)
+            table = harness.left_tail_table(n, grid)
         else:
             table = harness.left_tail_mcmc_table(
                 n, beta, grid,
@@ -408,7 +420,7 @@ def _cmd_verify(res: _Resolver) -> int:
     if which == "right-tail":
         n = int(res.require("n", int))
         grid = res.require("grid", _grid)
-        table = harness.right_tail_table(n, grid, threads=threads)
+        table = harness.right_tail_table(n, grid)
         _emit(_ldp_to_table(table), out, svg)
         worst = max(abs(r.residual) for r in table.rows)
         print(f"right tail n={n}: max |residual| {worst:.3e}")
@@ -433,7 +445,7 @@ def _cmd_verify(res: _Resolver) -> int:
             return (harness.extract_subleading(p, s, sizes),
                     harness.subleading_coefficient(p, s, beta))
 
-        results = harness._map_ordered(work, grid, threads)
+        results = harness._map_ordered(work, grid)
         for s, (extracted, predicted) in zip(grid, results):
             table.add(s, extracted, predicted, extracted - predicted, flag)
         _emit(table, out, svg)
@@ -492,12 +504,11 @@ def _cmd_fig(res: _Resolver) -> int:
     which = res.args.number
     out = res.require("out", str)
     svg = bool(res.args.svg)
-    threads = res.threads()
 
     if which == 1:
         n = res.get("n", int, 250)
-        left = harness.left_tail_table(n, _grid("0.30:0.99:70"), threads=threads)
-        right = harness.right_tail_table(n, _grid("1.05:2.5:60"), threads=threads)
+        left = harness.left_tail_table(n, _grid("0.30:0.99:70"))
+        right = harness.right_tail_table(n, _grid("1.05:2.5:60"))
         table = SimpleTable(["side", "x", "finite_n_value", "prediction",
                              "residual"])
         for row in left.rows:
@@ -508,7 +519,7 @@ def _cmd_fig(res: _Resolver) -> int:
                       row.residual)
     elif which == 2:
         n = res.get("n", int, 250)
-        t = harness.left_tail_table(n, _grid("0.1:0.99:90"), threads=threads)
+        t = harness.left_tail_table(n, _grid("0.1:0.99:90"))
         table = SimpleTable(["x", "scaled_gap", "scaled_gap_prediction"])
         for i, row in enumerate(t.rows):
             table.add(row.abscissa, t.extra_columns["scaled_gap"][i],
@@ -516,7 +527,7 @@ def _cmd_fig(res: _Resolver) -> int:
     else:
         n = res.get("n", int, 50)
         p, grid_text = (1.0, "-3:5:65") if which == 3 else (2.0, "-0.45:5:60")
-        t = harness.mgf_table(n, p, _grid(grid_text), threads=threads)
+        t = harness.mgf_table(n, p, _grid(grid_text))
         table = SimpleTable(["s", "finite_n_value", "prediction", "residual",
                              "subleading_gap", "subleading_prediction"])
         for i, row in enumerate(t.rows):
@@ -537,7 +548,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--svg", action="store_true",
                      help="also write an SVG chart next to the CSV")
     sub.add_argument("--threads", type=int,
-                     help="worker threads (or OCP_THREADS); never affects values")
+                     help="accepted for compatibility (as is OCP_THREADS); "
+                          "no effect, commands run serially")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -623,6 +635,7 @@ def run(argv: Sequence[str]) -> int:
         return int(exc.code or 0)
     try:
         res = _Resolver(args)
+        res.check_threads()
         return int(args.handler(res))
     except Ocp2dError as exc:
         print(f"error: {exc}", file=sys.stderr)

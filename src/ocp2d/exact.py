@@ -15,15 +15,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.special import gammaln
 
 from .equilibrium import stability_domain
 from .errors import DomainError, NumericalError
-from .specfun import (
-    LogValue,
-    log_lower_gamma,
-    log_reg_lower_gamma,
-    log_sum_exp,
-)
+from .specfun import log_reg_lower_gamma
 
 __all__ = [
     "edge_cdf_log",
@@ -49,32 +45,62 @@ def _check_x(x: float) -> float:
     return x
 
 
+def _edge_factors(n: int, y: float) -> tuple[np.ndarray, np.ndarray]:
+    """ln pmf_j(y) for j = 0..n-1 and ln P(k, y) for k = 1..n, at y > 0.
+
+    At integer shape P(k, y) = Pr[Poisson(y) >= k], so every factor comes
+    from one Poisson log-pmf array.  Factors with k <= y take log1p(-Q) with
+    Q the lower cumulative sum; the rest take the upper tail, summed from
+    the far end.  The upper tail is needed only when y < n, and its terms
+    past n + 40 sqrt(n) + 60 fall below e^{-800} pmf_k for every k <= n, so
+    the arrays stay O(n) whatever x is.
+    """
+    if not math.isfinite(y):
+        raise DomainError(f"n x^2 must be finite, got {y}")
+    lower = min(n, math.floor(y))
+    top = n if lower == n else n + int(40.0 * math.sqrt(n)) + 60
+    j = np.arange(top, dtype=float)
+    log_pmf = j * math.log(y) - y - gammaln(j + 1.0)
+    log_p = np.empty(n)
+    log_q = np.logaddexp.accumulate(log_pmf[:lower])
+    log_p[:lower] = np.log1p(-np.exp(log_q))
+    log_p[lower:] = np.logaddexp.accumulate(log_pmf[:lower:-1])[::-1][:n - lower]
+    return log_pmf[:n], log_p
+
+
 def edge_cdf_log(n: int, x: float) -> float:
     """ln Pr[farthest particle radius <= x] for the n-particle gas.
 
     The probability is a product of n regularized lower gamma factors with
     common argument n x^2; each factor and the product are carried in log
     space (the product underflows catastrophically long before any factor
-    does).
+    does).  Returns -inf where n x^2 underflows to 0.
     """
     n = _check_n(n)
     x = _check_x(x)
     y = n * x * x
-    acc = LogValue.one()
-    for k in range(1, n + 1):
-        acc = acc * LogValue.from_log(log_reg_lower_gamma(float(k), y))
-    return acc.log_magnitude
+    if y == 0.0:
+        return -math.inf
+    return float(_edge_factors(n, y)[1].sum())
 
 
 def edge_pdf_log(n: int, x: float) -> float:
-    """ln of the probability density of the farthest particle radius."""
+    """ln of the probability density of the farthest particle radius.
+
+    d/dy P(k, y) = pmf_{k-1}(y), so the density is 2 n x F(x) times
+    sum_k pmf_{k-1} / P(k, y), on the same factor arrays as the CDF.
+    Returns -inf where n x^2 underflows to 0.
+    """
     n = _check_n(n)
     x = _check_x(x)
     y = n * x * x
-    log_y = math.log(y)
-    cdf = edge_cdf_log(n, x)
-    terms = [(k - 1) * log_y - log_lower_gamma(float(k), y) for k in range(1, n + 1)]
-    return math.log(2.0 * n * x) - y + cdf + log_sum_exp(terms)
+    if y == 0.0:
+        return -math.inf
+    log_pmf, log_p = _edge_factors(n, y)
+    terms = log_pmf - log_p
+    peak = float(terms.max())
+    log_sum = peak + math.log(float(np.exp(terms - peak).sum()))
+    return math.log(2.0 * n * x) + float(log_p.sum()) + log_sum
 
 
 def exact_moment(n: int, p: float) -> float:
@@ -102,6 +128,14 @@ _GL_MAIN = np.polynomial.legendre.leggauss(32)
 _GL_CHECK = np.polynomial.legendre.leggauss(20)
 _PANEL_CUTOFF = 1e-18
 _MAX_PANELS = 5000
+# mgf_log: each factor's integrand is integrated over the window where it
+# stays within e^-60 of its peak, on 32 equal panels, 32 factors at a time.
+_WINDOW_DROP = 60.0
+_MGF_PANELS = 32
+_MGF_BLOCK = 32
+_MAX_DOUBLINGS = 20
+_MAX_BISECTIONS = 100
+_BRACKET_TOL = 1e-6
 
 
 def _panel(log_f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
@@ -153,40 +187,46 @@ def _log_integral_exp(log_f: Callable[[np.ndarray], np.ndarray], mode: float,
     return shift + math.log(total_main), rel
 
 
-def _tilted_mode(ell: float, c: float, q: float) -> tuple[float, float]:
-    """Maximizer of h(v) = ell v - e^v - c e^{q v} and the local width
-    1/sqrt(-h'') there.  h' has exactly one sign change (+ to -)."""
+def _crossing(inside: Callable[[np.ndarray], np.ndarray], start: np.ndarray,
+              direction: np.ndarray) -> np.ndarray:
+    """Per element, where inside(v) first turns false on the ray from start
+    in the given direction (+1 or -1); inside(start) must hold.
 
-    def dh(v: float) -> float:
-        return ell - math.exp(min(v, 700.0)) - c * q * math.exp(min(q * v, 700.0))
-
-    lo = hi = math.log(ell)
-    step = 1.0
-    if dh(lo) > 0.0:
-        hi = lo + step
-        while dh(hi) > 0.0:
-            lo, step = hi, step * 2.0
-            hi = lo + step
-            if step > 1e6:
-                raise NumericalError("tilted mode bracket failed (right)")
+    Doubling steps bracket the crossing and bisection on the distance
+    narrows the bracket to _BRACKET_TOL; the outside end is returned.
+    """
+    near = np.zeros_like(start)
+    far = np.ones_like(start)
+    for _ in range(_MAX_DOUBLINGS):
+        grow = inside(start + direction * far)
+        if not grow.any():
+            break
+        near = np.where(grow, far, near)
+        far = np.where(grow, 2.0 * far, far)
     else:
-        lo = hi - step
-        while dh(lo) <= 0.0:
-            hi, step = lo, step * 2.0
-            lo = hi - step
-            if step > 1e6:
-                raise NumericalError("tilted mode bracket failed (left)")
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if dh(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    mode = 0.5 * (lo + hi)
-    curv = math.exp(mode) + c * q * q * math.exp(q * mode)
-    if curv <= 0.0:
-        curv = max(ell, 1e-8)
-    return mode, 1.0 / math.sqrt(curv)
+        raise NumericalError("tilted integrand bracket failed")
+    for _ in range(_MAX_BISECTIONS):
+        if (far - near).max() <= _BRACKET_TOL:
+            break
+        mid = 0.5 * (near + far)
+        ok = inside(start + direction * mid)
+        near = np.where(ok, mid, near)
+        far = np.where(ok, far, mid)
+    return start + direction * far
+
+
+def _gl_block(log_g: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
+              hi: np.ndarray, rule: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """int_lo^hi e^{log_g(u)} du per row, on _MGF_PANELS equal panels.
+
+    log_g maps node arrays of shape (rows, panels, nodes) to the same shape.
+    """
+    nodes, weights = rule
+    half = 0.5 * (hi - lo) / _MGF_PANELS
+    centers = lo[:, None] + (2.0 * np.arange(_MGF_PANELS) + 1.0) * half[:, None]
+    u = centers[:, :, None] + half[:, None, None] * nodes
+    g = np.nan_to_num(np.exp(log_g(u)), nan=0.0, posinf=0.0)
+    return half * (g @ weights).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -219,22 +259,47 @@ def mgf_log(n: int, p: float, s: float) -> MgfResult:
 
     q = 0.5 * p
     c = 2.0 * s * n ** (1.0 - q)
-    log_terms = []
-    err_abs = 0.0
-    for ell in range(1, n + 1):
-        def log_f(v: np.ndarray, _l: float = float(ell)) -> np.ndarray:
-            ev = np.exp(np.minimum(v, 700.0))
-            ev = np.where(v > 700.0, np.inf, ev)
-            eqv = np.exp(np.minimum(q * v, 700.0))
-            eqv = np.where(q * v > 700.0, np.inf, eqv)
-            return _l * v - ev - c * eqv
+    ell = np.arange(1.0, n + 1.0)
 
-        mode, sigma = _tilted_mode(float(ell), c, q)
-        width = min(max(sigma, 1e-6), 10.0)
-        log_i, rel = _log_integral_exp(log_f, mode, width)
-        log_terms.append(log_i - math.lgamma(ell))
-        err_abs += rel
+    def h(v: np.ndarray, ell: np.ndarray = ell) -> np.ndarray:
+        return ell * v - np.exp(v) - c * np.exp(q * v)
 
+    with np.errstate(over="ignore", invalid="ignore"):
+        # h' = ell - e^v - c q e^{qv} changes sign once, from + to -, and
+        # h'(ln ell) = -c q ell^q: the mode lies right of ln ell iff c < 0.
+        up = c < 0.0
+        mode = _crossing(
+            lambda v: (ell - np.exp(v) - c * q * np.exp(q * v) > 0.0) == up,
+            np.log(ell), np.full(n, 1.0 if up else -1.0))
+        peak = h(mode)
+        if not np.isfinite(peak).all():
+            raise NumericalError("integrand is not finite at its mode")
+        # Window: where h stays within _WINDOW_DROP of its peak.
+        both = np.concatenate([ell, ell])
+        floor = np.concatenate([peak, peak]) - _WINDOW_DROP
+        ends = _crossing(lambda v: h(v, both) > floor,
+                         np.concatenate([mode, mode]),
+                         np.repeat([-1.0, 1.0], n))
+        lo, hi = ends[:n] - mode, ends[n:] - mode
+        # On the window, h(mode + u) - h(mode) in a form free of the
+        # cancellation between ell v and e^v.
+        e_mode = np.exp(mode)
+        c_mode = c * np.exp(q * mode)
+        main = np.empty(n)
+        check = np.empty(n)
+        for b in range(0, n, _MGF_BLOCK):
+            blk = slice(b, b + _MGF_BLOCK)
+            el, e, cm = (a[blk, None, None] for a in (ell, e_mode, c_mode))
+
+            def log_g(u: np.ndarray) -> np.ndarray:
+                return el * u - e * np.expm1(u) - cm * np.expm1(q * u)
+
+            main[blk] = _gl_block(log_g, lo[blk], hi[blk], _GL_MAIN)
+            check[blk] = _gl_block(log_g, lo[blk], hi[blk], _GL_CHECK)
+    if not (main > 0.0).all():
+        raise NumericalError("log-axis quadrature collapsed to zero")
+    log_terms = peak + np.log(main) - gammaln(ell)
+    err_abs = float((np.abs(main - check) / main).sum())
     log_value = math.fsum(log_terms)
     return MgfResult(n, p, s, log_value, err_abs / max(1.0, abs(log_value)))
 

@@ -2,14 +2,13 @@
 
 Each pipeline packs its comparison into an ``LdpTable`` (abscissa, finite-n
 value, prediction, residual) or a small typed report.  Grid points are
-independent and may be mapped over a thread pool; results are always
-assembled in grid order, so the numbers never depend on the thread count.
+evaluated serially, in grid order.  The ``threads`` arguments are accepted
+for compatibility and have no effect.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
@@ -56,16 +55,9 @@ _EPS = 2.220446049250313e-16
 _MAX_SCAN_ORDER = 6  # one-sided differences drown in roundoff beyond this
 
 
-def _map_ordered(fn: Callable, items: Sequence, threads: int | None) -> list:
-    """Apply fn to items, in order, optionally on a thread pool.
-
-    The reduction order is the grid order either way, so results are
-    independent of the degree of parallelism.
-    """
-    if threads is None or threads <= 1 or len(items) < 2:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
-        return list(pool.map(fn, items))
+def _map_ordered(fn: Callable, items: Sequence) -> list:
+    """Apply fn to items, in order."""
+    return [fn(item) for item in items]
 
 
 @dataclass(frozen=True)
@@ -144,7 +136,7 @@ def left_tail_table(n: int, x_grid: Sequence[float],
     def work(x: float) -> tuple[float, float]:
         return (-edge_cdf_log(n, x) / (2.0 * n * n), left_tail_prediction(x, n))
 
-    pairs = _map_ordered(work, xs, threads)
+    pairs = _map_ordered(work, xs)
     rows = _make_rows(xs, pairs)
     log_n = math.log(n)
     scaled_gap = tuple(
@@ -181,7 +173,7 @@ def right_tail_table(n: int, x_grid: Sequence[float],
     def work(x: float) -> tuple[float, float]:
         return (-edge_pdf_log(n, x) / (2.0 * n), right_rate(x))
 
-    rows = _make_rows(xs, _map_ordered(work, xs, threads))
+    rows = _make_rows(xs, _map_ordered(work, xs))
     return LdpTable(
         "x", rows,
         metadata={"n": n, "beta": 2.0, "p": math.inf,
@@ -260,7 +252,7 @@ def mgf_table(n: int, p: float, s_grid: Sequence[float],
         return (-res.log_value / (2.0 * n * n), energy_excess(p, s),
                 res.estimated_relative_error)
 
-    triples = _map_ordered(work, ss, threads)
+    triples = _map_ordered(work, ss)
     rows = _make_rows(ss, [(fin, pred) for fin, pred, _ in triples])
     gap = tuple(n * row.residual for row in rows)
     gap_pred = tuple(subleading_coefficient(p, s) for s in ss)

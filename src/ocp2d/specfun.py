@@ -1,21 +1,20 @@
-"""Log-space special functions and accumulation primitives.
+"""Log-space special functions.
 
-Everything downstream that multiplies long products of tiny probabilities
-(the edge distribution multiplies up to a few hundred factors, each possibly
-far below the double-precision underflow threshold) goes through the
-routines in this module, which never materialize the underflowing values.
+Scalar routines for the regularized incomplete gamma function, in linear
+and log form, and a stable log-sum-exp.  The log forms stay accurate where
+the values themselves underflow: ln P(a, y) below -1e5 is routine in the
+far left tail of the edge distribution.  The exact edge law at coupling 2
+(``ocp2d.exact``) evaluates its integer-shape factors as arrays instead.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DomainError, NumericalError
 
 __all__ = [
-    "LogValue",
     "log_gamma",
     "reg_lower_gamma",
     "reg_upper_gamma",
@@ -155,68 +154,3 @@ def log_sum_exp(terms: Iterable[float]) -> float:
     if math.isnan(m) or (math.isinf(m) and m > 0):
         raise DomainError(f"log_sum_exp term out of range: {m!r}")
     return m + math.log(math.fsum(math.exp(v - m) for v in values))
-
-
-@dataclass(frozen=True)
-class LogValue:
-    """A nonnegative real carried as (is_zero, log magnitude).
-
-    Multiplication adds logs and addition goes through a two-term
-    log-sum-exp, so products of hundreds of factors each near e^{-1e5}
-    stay representable.
-    """
-
-    log_magnitude: float
-    is_zero: bool = False
-
-    def __post_init__(self) -> None:
-        if self.is_zero:
-            object.__setattr__(self, "log_magnitude", -math.inf)
-        elif math.isnan(self.log_magnitude):
-            raise DomainError("LogValue log magnitude is NaN")
-
-    @classmethod
-    def zero(cls) -> "LogValue":
-        return cls(-math.inf, is_zero=True)
-
-    @classmethod
-    def one(cls) -> "LogValue":
-        return cls(0.0)
-
-    @classmethod
-    def from_log(cls, log_magnitude: float) -> "LogValue":
-        if math.isinf(log_magnitude) and log_magnitude < 0:
-            return cls.zero()
-        return cls(float(log_magnitude))
-
-    @classmethod
-    def from_value(cls, value: float) -> "LogValue":
-        value = _check_finite("value", value)
-        if value < 0.0:
-            raise DomainError(f"LogValue requires a nonnegative value, got {value}")
-        if value == 0.0:
-            return cls.zero()
-        return cls(math.log(value))
-
-    def value(self) -> float:
-        """Back to an ordinary float (0.0, or +inf on overflow)."""
-        if self.is_zero:
-            return 0.0
-        try:
-            return math.exp(self.log_magnitude)
-        except OverflowError:
-            return math.inf
-
-    def __mul__(self, other: "LogValue") -> "LogValue":
-        if self.is_zero or other.is_zero:
-            return LogValue.zero()
-        return LogValue(self.log_magnitude + other.log_magnitude)
-
-    def __add__(self, other: "LogValue") -> "LogValue":
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        hi = max(self.log_magnitude, other.log_magnitude)
-        lo = min(self.log_magnitude, other.log_magnitude)
-        return LogValue(hi + math.log1p(math.exp(lo - hi)))

@@ -264,6 +264,19 @@ def test_env_thread_default(tmp_path, capsys, monkeypatch):
     assert len(rows) == 3
 
 
+def test_malformed_thread_settings_are_domain_errors(tmp_path, capsys, monkeypatch):
+    args = ["exact", "edge-cdf", "--n", "30", "--grid", "0.8:1.2:3",
+            "--out", str(tmp_path / "t.csv")]
+    for env in ("abc", "0", "-2", "1.5"):
+        monkeypatch.setenv("OCP_THREADS", env)
+        assert run(args) == 1
+        assert "OCP_THREADS" in capsys.readouterr().err
+    monkeypatch.delenv("OCP_THREADS")
+    assert run(args + ["--threads", "0"]) == 1
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
 # --- figure recipes ---------------------------------------------------------------
 
 def test_fig1_writes_both_branches(tmp_path, capsys):

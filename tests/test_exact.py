@@ -29,7 +29,8 @@ def mp_edge_cdf_log(n, x):
 
 # --- edge CDF ---------------------------------------------------------------
 
-@pytest.mark.parametrize("n,x", [(5, 0.6), (30, 0.8), (30, 1.1), (100, 0.95)])
+@pytest.mark.parametrize("n,x", [(5, 0.6), (30, 0.8), (30, 1.1), (100, 0.95),
+                                 (2000, 0.3), (2000, 0.9), (250, 1.05)])
 def test_edge_cdf_log_against_mpmath(n, x):
     want = float(mp_edge_cdf_log(n, x))
     assert edge_cdf_log(n, x) == pytest.approx(want, rel=1e-11, abs=1e-11)
@@ -56,6 +57,18 @@ def test_edge_cdf_log_validation():
         edge_cdf_log(10, 0.0)
     with pytest.raises(DomainError):
         edge_cdf_log(10, -2.0)
+    with pytest.raises(DomainError):
+        edge_cdf_log(250, 1e200)  # n x^2 overflows
+
+
+def test_edge_cdf_log_far_right_is_zero():
+    # y = n x^2 = 2.5e14: the factor arrays are sized by n, not by y
+    assert edge_cdf_log(250, 1e6) == 0.0
+
+
+def test_edge_law_where_n_x2_underflows():
+    assert edge_cdf_log(10, 1e-200) == -math.inf
+    assert edge_pdf_log(10, 1e-200) == -math.inf
 
 
 # --- edge pdf ----------------------------------------------------------------
@@ -146,7 +159,8 @@ def test_mgf_log_single_particle_closed_form():
     assert res.log_value == pytest.approx(-0.788868438528426, abs=1e-10)
 
 
-@pytest.mark.parametrize("n,p,s", [(5, 1.0, 0.7), (8, 0.5, -0.3), (6, 3.0, 0.2)])
+@pytest.mark.parametrize("n,p,s", [(5, 1.0, 0.7), (8, 0.5, -0.3), (6, 3.0, 0.2),
+                                   (30, 0.5, 0.4), (12, 1.0, -1.5)])
 def test_mgf_log_against_mpmath_quadrature(n, p, s):
     q = mpmath.mpf(p) / 2
     c = 2 * mpmath.mpf(s) * mpmath.mpf(n) ** (1 - q)

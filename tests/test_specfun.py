@@ -7,7 +7,6 @@ import pytest
 
 from ocp2d import (
     DomainError,
-    LogValue,
     log_gamma,
     log_lower_gamma,
     log_reg_lower_gamma,
@@ -112,29 +111,3 @@ def test_log_sum_exp_with_neg_inf_terms():
 def test_log_sum_exp_rejects_empty_input():
     with pytest.raises(DomainError):
         log_sum_exp([])
-
-
-def test_log_value_round_trip():
-    v = LogValue.from_value(3.5e-200)
-    w = LogValue.from_value(2.0e-200)
-    assert (v * w).log_magnitude == pytest.approx(
-        math.log(3.5e-200) + math.log(2.0e-200), rel=1e-15
-    )
-    assert (v + w).value() == pytest.approx(5.5e-200, rel=1e-14)
-
-
-def test_log_value_identities():
-    one = LogValue.one()
-    zero = LogValue.zero()
-    v = LogValue.from_log(-700.0)
-    assert (v * one).log_magnitude == v.log_magnitude
-    assert (v + zero).log_magnitude == v.log_magnitude
-    assert zero.value() == 0.0
-
-
-def test_log_value_product_chain_never_underflows():
-    # 300 factors of 1e-30 each: product 1e-9000, far below double range
-    acc = LogValue.one()
-    for _ in range(300):
-        acc = acc * LogValue.from_value(1e-30)
-    assert acc.log_magnitude == pytest.approx(300 * math.log(1e-30), rel=1e-13)
