@@ -25,7 +25,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -87,23 +87,28 @@ def _format_cell(value: Any) -> str:
     return str(value)
 
 
-def emit_csv(table, path: str) -> None:
-    """Write the table as CSV: header, 17-significant-digit reals, atomic
-    replace (temp file + rename) so readers never see a partial file."""
-    lines = [",".join(table.column_names())]
-    for i in range(len(table)):
-        lines.append(",".join(_format_cell(v) for v in table.row_values(i)))
-    payload = "\n".join(lines) + "\n"
+def _write_atomic(path: str, lines: list[str]) -> None:
+    """Write newline-terminated lines via temp file + rename, so readers
+    never see a partial file."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload)
+            fh.write("\n".join(lines) + "\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def emit_csv(table, path: str) -> None:
+    """Write the table as CSV: header, 17-significant-digit reals, atomic
+    replace."""
+    lines = [",".join(table.column_names())]
+    for i in range(len(table)):
+        lines.append(",".join(_format_cell(v) for v in table.row_values(i)))
+    _write_atomic(path, lines)
 
 
 def _numeric_columns(table) -> tuple[list[str], list[list[float]]]:
@@ -169,17 +174,7 @@ def emit_svg(table, path: str) -> None:
             parts.append(f'<text x="8" y="{margin - 12}" font-size="12">'
                          f'{y0:.6g} .. {y1:.6g}</text>')
     parts.append("</svg>")
-    payload = "\n".join(parts) + "\n"
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _write_atomic(path, parts)
 
 
 def _emit(table, out: str, svg: bool) -> None:
@@ -188,11 +183,19 @@ def _emit(table, out: str, svg: bool) -> None:
         emit_svg(table, os.path.splitext(out)[0] + ".svg")
 
 
-def _ldp_to_table(t: harness.LdpTable) -> SimpleTable:
-    out = SimpleTable(t.column_names())
-    for i in range(len(t)):
-        out.add(*t.row_values(i))
-    return out
+def _select(table, names: Sequence[str]) -> SimpleTable:
+    """The named columns of any table, in the given order."""
+    header = table.column_names()
+    index = [header.index(name) for name in names]
+    rows = (table.row_values(i) for i in range(len(table)))
+    return SimpleTable(list(names), [[row[j] for j in index] for row in rows])
+
+
+def _rows_table(cls, rows: Sequence[Any]) -> SimpleTable:
+    """One column per field of the dataclass cls, one row per record."""
+    names = [f.name for f in fields(cls)]
+    return SimpleTable(names, [[getattr(row, name) for name in names]
+                               for row in rows])
 
 
 # --- option resolution --------------------------------------------------------
@@ -290,6 +293,8 @@ def _cmd_rate(res: _Resolver) -> int:
     svg = bool(res.args.svg)
     if which == "edge":
         side = res.get("side", str, "left")
+        if side not in ("left", "right"):
+            raise DomainError(f"--side must be left or right, got {side!r}")
         table = SimpleTable(["x", "psi"])
         fn = left_rate if side == "left" else right_rate
         for x in grid:
@@ -412,7 +417,7 @@ def _cmd_verify(res: _Resolver) -> int:
                 thinning=res.get("thinning", int, 2),
                 seed=res.get("seed", int, DEFAULT_SEED),
             )
-        _emit(_ldp_to_table(table), out, svg)
+        _emit(table, out, svg)
         worst = max(abs(r.residual) for r in table.rows)
         print(f"left tail n={n} beta={beta}: max |residual| {worst:.3e}")
         return 0
@@ -421,7 +426,7 @@ def _cmd_verify(res: _Resolver) -> int:
         n = int(res.require("n", int))
         grid = res.require("grid", _grid)
         table = harness.right_tail_table(n, grid)
-        _emit(_ldp_to_table(table), out, svg)
+        _emit(table, out, svg)
         worst = max(abs(r.residual) for r in table.rows)
         print(f"right tail n={n}: max |residual| {worst:.3e}")
         return 0
@@ -458,12 +463,7 @@ def _cmd_verify(res: _Resolver) -> int:
         beta = res.get("beta", float, 2.0)
         n = int(res.require("n", int))
         report = harness.cumulant_check(p, beta, n)
-        table = SimpleTable(["order", "numeric", "predicted",
-                             "relative_error", "passed"])
-        for row in report.rows:
-            table.add(row.order, row.numeric, row.predicted,
-                      row.relative_error, row.passed)
-        _emit(table, out, svg)
+        _emit(_rows_table(harness.CumulantRow, report.rows), out, svg)
         print(f"cumulants p={p} beta={beta}: "
               f"{'pass' if report.all_passed else 'FAIL'}")
         return 0
@@ -489,12 +489,7 @@ def _cmd_verify(res: _Resolver) -> int:
         s_window=res.get("window", float, 0.45),
         step=res.get("step", float),
     )
-    table = SimpleTable(["order", "step", "left", "right", "jump",
-                         "jump_refined", "noise_floor", "discontinuous"])
-    for row in report.rows:
-        table.add(row.order, row.step, row.left, row.right, row.jump,
-                  row.jump_refined, row.noise_floor, row.discontinuous)
-    _emit(table, out, svg)
+    _emit(_rows_table(harness.TransitionRow, report.rows), out, svg)
     print(f"transition scan p={p}: expected order {report.expected_order}, "
           f"detected {report.detected_order}")
     return 0
@@ -507,33 +502,22 @@ def _cmd_fig(res: _Resolver) -> int:
 
     if which == 1:
         n = res.get("n", int, 250)
-        left = harness.left_tail_table(n, _grid("0.30:0.99:70"))
-        right = harness.right_tail_table(n, _grid("1.05:2.5:60"))
-        table = SimpleTable(["side", "x", "finite_n_value", "prediction",
-                             "residual"])
-        for row in left.rows:
-            table.add("left", row.abscissa, row.finite_n_value, row.prediction,
-                      row.residual)
-        for row in right.rows:
-            table.add("right", row.abscissa, row.finite_n_value, row.prediction,
-                      row.residual)
+        cols = ["x", "finite_n_value", "prediction", "residual"]
+        table = SimpleTable(["side", *cols])
+        for side, t in (("left", harness.left_tail_table(n, _grid("0.30:0.99:70"))),
+                        ("right", harness.right_tail_table(n, _grid("1.05:2.5:60")))):
+            for row in _select(t, cols).data:
+                table.add(side, *row)
     elif which == 2:
         n = res.get("n", int, 250)
-        t = harness.left_tail_table(n, _grid("0.1:0.99:90"))
-        table = SimpleTable(["x", "scaled_gap", "scaled_gap_prediction"])
-        for i, row in enumerate(t.rows):
-            table.add(row.abscissa, t.extra_columns["scaled_gap"][i],
-                      t.extra_columns["scaled_gap_prediction"][i])
+        table = _select(harness.left_tail_table(n, _grid("0.1:0.99:90")),
+                        ["x", "scaled_gap", "scaled_gap_prediction"])
     else:
         n = res.get("n", int, 50)
         p, grid_text = (1.0, "-3:5:65") if which == 3 else (2.0, "-0.45:5:60")
-        t = harness.mgf_table(n, p, _grid(grid_text))
-        table = SimpleTable(["s", "finite_n_value", "prediction", "residual",
-                             "subleading_gap", "subleading_prediction"])
-        for i, row in enumerate(t.rows):
-            table.add(row.abscissa, row.finite_n_value, row.prediction,
-                      row.residual, t.extra_columns["subleading_gap"][i],
-                      t.extra_columns["subleading_prediction"][i])
+        table = _select(harness.mgf_table(n, p, _grid(grid_text)),
+                        ["s", "finite_n_value", "prediction", "residual",
+                         "subleading_gap", "subleading_prediction"])
     _emit(table, out, svg)
     print(f"figure {which}: wrote {len(table)} rows to {out}")
     return 0

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import Piece, RadialMeasure, RingMass
-from .errors import DomainError
+from .errors import DomainError, check_positive
 
 __all__ = [
     "left_rate",
@@ -34,20 +34,13 @@ __all__ = [
 ]
 
 
-def _check_x(x: float, what: str) -> float:
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"{what} requires x > 0, got {x}")
-    return x
-
-
 def left_rate(x: float) -> float:
     """Rate (at speed N^2) of pulling the farthest particle to x < 1.
 
     left_rate(x) = -(ln x^4 + x^4 - 4 x^2 + 3)/8; identically zero for
     x >= 1.  Vanishes cubically at the edge: (2/3)(1-x)^3 as x -> 1^-.
     """
-    x = _check_x(x, "left_rate")
+    x = check_positive(x, "left_rate: x")
     if x >= 1.0:
         return 0.0
     return -(4.0 * math.log(x) + x ** 4 - 4.0 * x * x + 3.0) / 8.0
@@ -59,7 +52,7 @@ def right_rate(x: float) -> float:
     right_rate(x) = -ln x + x^2/2 - 1/2, the single-particle energy cost
     of sitting at radius x against the mean field of the unit disk.
     """
-    x = _check_x(x, "right_rate")
+    x = check_positive(x, "right_rate: x")
     if x < 1.0:
         raise DomainError(f"right_rate requires x >= 1, got {x}")
     return -math.log(x) + 0.5 * x * x - 0.5
@@ -67,7 +60,7 @@ def right_rate(x: float) -> float:
 
 def lognn_correction(x: float) -> float:
     """Coefficient of (ln n)/n in the pulled-branch expansion: (1-x^2)/4."""
-    x = _check_x(x, "lognn_correction")
+    x = check_positive(x, "lognn_correction: x")
     if x > 1.0:
         raise DomainError(f"lognn_correction requires 0 < x <= 1, got {x}")
     return (1.0 - x * x) / 4.0
@@ -78,7 +71,7 @@ def invn_correction(x: float) -> float:
 
     ((1-x^2)/2) (ln(1-x^2) - ln x + ln sqrt(2 pi) - 1), for 0 < x < 1.
     """
-    x = _check_x(x, "invn_correction")
+    x = check_positive(x, "invn_correction: x")
     if x >= 1.0:
         raise DomainError(f"invn_correction requires 0 < x < 1, got {x}")
     w = 1.0 - x * x
@@ -91,7 +84,7 @@ def left_tail_prediction(x: float, n: int) -> float:
     n = int(n)
     if n < 2:
         raise DomainError(f"left_tail_prediction requires n >= 2, got {n}")
-    x = _check_x(x, "left_tail_prediction")
+    x = check_positive(x, "left_tail_prediction: x")
     if x >= 1.0:
         raise DomainError(f"left_tail_prediction requires 0 < x < 1, got {x}")
     return left_rate(x) + math.log(n) / n * lognn_correction(x) \
@@ -133,7 +126,7 @@ class ConstrainedEdgeMeasure:
 def constrained_measure(x: float) -> ConstrainedEdgeMeasure:
     """Measure of the gas conditioned on all particles having radius <= x.
     For x >= 1 the constraint is inactive and the circular law returns."""
-    x = _check_x(x, "constrained_measure")
+    x = check_positive(x, "constrained_measure: x")
     return ConstrainedEdgeMeasure(x)
 
 

@@ -22,7 +22,13 @@ from typing import Callable, Sequence
 
 from scipy.integrate import quad
 
-from .errors import DomainError, NumericalError, SingularityError, StabilityError
+from .errors import (
+    DomainError,
+    NumericalError,
+    SingularityError,
+    StabilityError,
+    check_positive,
+)
 
 __all__ = [
     "StabilityDomain",
@@ -52,13 +58,6 @@ _P2_GUARD = -0.5 + 1e-6
 
 _DISK_ENERGY = 0.375          # mean-field energy of the uniform unit disk
 _DISK_ENTROPY = math.log(math.pi)
-
-
-def _check_p(p: float) -> float:
-    p = float(p)
-    if not math.isfinite(p) or p <= 0.0:
-        raise DomainError(f"moment exponent must satisfy p > 0, got {p}")
-    return p
 
 
 @dataclass(frozen=True)
@@ -99,7 +98,7 @@ class StabilityDomain:
 
 def stability_domain(p: float) -> StabilityDomain:
     """Tilt values for which the tilted partition function exists."""
-    p = _check_p(p)
+    p = check_positive(p, "moment exponent p")
     if p < 2.0:
         return StabilityDomain(p, -math.inf, True)
     if p == 2.0:
@@ -119,7 +118,7 @@ def support_radii(p: float, s: float) -> tuple[float, float]:
     The outer radius solves R^2 + s p R^p = 1 on the branch beyond the
     inner radius; it is found by bracketed bisection with a Newton polish.
     """
-    p = _check_p(p)
+    p = check_positive(p, "moment exponent p")
     s = stability_domain(p).require(s)
     if s == 0.0:
         return 0.0, 1.0
@@ -209,7 +208,7 @@ def equilibrium_measure(p: float, s: float) -> EquilibriumMeasure:
 
 def typical_value(p: float, s: float) -> float:
     """Value of the radial p-moment under the tilted equilibrium measure."""
-    p = _check_p(p)
+    p = check_positive(p, "moment exponent p")
     r, radius = support_radii(p, s)
     s = float(s)
     return (2.0 / (2.0 + p)) * (radius ** (p + 2.0) - r ** (p + 2.0)) \
@@ -223,7 +222,7 @@ def energy_excess(p: float, s: float) -> float:
     grows linearly with slope ``typical_value`` (it is the Legendre-type
     integral of the typical value in the tilt).
     """
-    p = _check_p(p)
+    p = check_positive(p, "moment exponent p")
     r, radius = support_radii(p, s)
     s = float(s)
     return (radius ** 4 - r ** 4) / 8.0 \
@@ -264,7 +263,7 @@ def entropy_excess(p: float, s: float) -> float:
 
 def closed_form_energy(p: float, s: float) -> float:
     """Elementary closed forms of the energy excess at p = 1 and p = 2."""
-    p = _check_p(p)
+    p = check_positive(p, "moment exponent p")
     s = stability_domain(p).require(s)
     if p == 2.0:
         return 0.25 * math.log1p(2.0 * s)
@@ -281,7 +280,7 @@ def closed_form_entropy(p: float, s: float) -> float:
     route (`entropy_excess`) pins this sign, and the two routes are held to
     1e-10 agreement in the test suite.
     """
-    p = _check_p(p)
+    p = check_positive(p, "moment exponent p")
     s = stability_domain(p).require(s)
     if p == 2.0:
         return math.log1p(2.0 * s)
@@ -321,7 +320,7 @@ def transition_order(p: float) -> TransitionClass:
     derivative of order ceil(4/(2-p)) jump (exact integer ratios included);
     at p >= 2 the support stays a disk and the excess is analytic.
     """
-    p = _check_p(p)
+    p = check_positive(p, "moment exponent p")
     if p >= 2.0:
         return TransitionClass(p, None, one_sided_domain=p > 2.0)
     ratio = 4.0 / (2.0 - p)
@@ -338,7 +337,7 @@ def leading_cumulant(p: float, beta: float, n: int, order: int) -> float:
     tilt, E''(0) = -p/2 and E'''(0) = p^3/2.  Orders at or above the phase
     transition do not exist for p < 2 and raise.
     """
-    p = _check_p(p)
+    p = check_positive(p, "moment exponent p")
     beta = float(beta)
     if not math.isfinite(beta) or beta <= 0.0:
         raise DomainError(f"coupling must satisfy beta > 0, got {beta}")

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .equilibrium import stability_domain
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, check_positive
 from .specfun import log_reg_lower_gamma
 
 __all__ = [
@@ -36,13 +36,6 @@ def _check_n(n: int) -> int:
     if n < 1:
         raise DomainError(f"particle number must satisfy n >= 1, got {n}")
     return n
-
-
-def _check_x(x: float) -> float:
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"radius must satisfy x > 0, got {x}")
-    return x
 
 
 def _edge_factors(n: int, y: float) -> tuple[np.ndarray, np.ndarray]:
@@ -77,7 +70,7 @@ def edge_cdf_log(n: int, x: float) -> float:
     does).  Returns -inf where n x^2 underflows to 0.
     """
     n = _check_n(n)
-    x = _check_x(x)
+    x = check_positive(x, "radius x")
     y = n * x * x
     if y == 0.0:
         return -math.inf
@@ -92,7 +85,7 @@ def edge_pdf_log(n: int, x: float) -> float:
     Returns -inf where n x^2 underflows to 0.
     """
     n = _check_n(n)
-    x = _check_x(x)
+    x = check_positive(x, "radius x")
     y = n * x * x
     if y == 0.0:
         return -math.inf
@@ -109,9 +102,7 @@ def exact_moment(n: int, p: float) -> float:
     Tends to 2/(2+p) as n grows.
     """
     n = _check_n(n)
-    p = float(p)
-    if not math.isfinite(p) or p <= 0.0:
-        raise DomainError(f"moment exponent must satisfy 0 < p < inf, got {p}")
+    p = check_positive(p, "moment exponent p")
     total = math.fsum(
         math.exp(math.lgamma(k + 0.5 * p) - math.lgamma(k)) for k in range(1, n + 1)
     )
@@ -122,69 +113,22 @@ def exact_moment(n: int, p: float) -> float:
 #
 # Working on the log axis makes every integrand here smooth and unimodal:
 # the t-space cusp of t^{p/2} at the origin (p < 2) becomes a clean
-# exponential tail e^{l v} at v -> -inf.
+# exponential tail e^{l v} at v -> -inf.  One engine serves both mgf_log
+# and log_truncated_gamma_integral: _crossing brackets and bisects the
+# window where the integrand stays within e^-60 of its peak, and _gl_block
+# integrates it, written relative to the peak, on 32 equal panels of
+# 32-node Gauss-Legendre per row (a 20-node rule on the same panels gives
+# mgf_log's error estimate).  mgf_log takes one row per factor, 32 factors
+# at a time; log_truncated_gamma_integral one row per side of the peak.
 
 _GL_MAIN = np.polynomial.legendre.leggauss(32)
 _GL_CHECK = np.polynomial.legendre.leggauss(20)
-_PANEL_CUTOFF = 1e-18
-_MAX_PANELS = 5000
-# mgf_log: each factor's integrand is integrated over the window where it
-# stays within e^-60 of its peak, on 32 equal panels, 32 factors at a time.
 _WINDOW_DROP = 60.0
-_MGF_PANELS = 32
+_PANELS = 32
 _MGF_BLOCK = 32
 _MAX_DOUBLINGS = 20
 _MAX_BISECTIONS = 100
 _BRACKET_TOL = 1e-6
-
-
-def _panel(log_f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-           shift: float, rule: tuple[np.ndarray, np.ndarray]) -> float:
-    nodes, weights = rule
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    v = mid + half * nodes
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = np.exp(log_f(v) - shift)
-    g = np.nan_to_num(g, nan=0.0, posinf=0.0)
-    return half * float(weights @ g)
-
-
-def _log_integral_exp(log_f: Callable[[np.ndarray], np.ndarray], mode: float,
-                      width: float, upper: float | None = None) -> tuple[float, float]:
-    """ln of int e^{log_f(v)} dv over (-inf, upper] (or all of R).
-
-    Gauss-Legendre panels of the given width expand away from the mode until
-    their contribution drops below 1e-18 of the running total; a coarser
-    rule on the same panels supplies the error estimate.  Returns
-    (log integral, relative error estimate).
-    """
-    shift = float(log_f(np.array([mode]))[0])
-    if not math.isfinite(shift):
-        raise NumericalError("integrand is not finite at its mode")
-    total_main = 0.0
-    total_check = 0.0
-
-    for direction in (+1, -1):
-        edge = mode
-        for _ in range(_MAX_PANELS):
-            lo, hi = (edge, edge + width) if direction > 0 else (edge - width, edge)
-            if upper is not None:
-                hi = min(hi, upper)
-                if lo >= upper:
-                    break
-            part = _panel(log_f, lo, hi, shift, _GL_MAIN)
-            total_main += part
-            total_check += _panel(log_f, lo, hi, shift, _GL_CHECK)
-            edge = hi if direction > 0 else lo
-            if part <= _PANEL_CUTOFF * max(total_main, 1e-300):
-                break
-        else:
-            raise NumericalError("log-axis quadrature used too many panels")
-
-    if total_main <= 0.0:
-        raise NumericalError("log-axis quadrature collapsed to zero")
-    rel = abs(total_main - total_check) / total_main
-    return shift + math.log(total_main), rel
 
 
 def _crossing(inside: Callable[[np.ndarray], np.ndarray], start: np.ndarray,
@@ -204,7 +148,7 @@ def _crossing(inside: Callable[[np.ndarray], np.ndarray], start: np.ndarray,
         near = np.where(grow, far, near)
         far = np.where(grow, 2.0 * far, far)
     else:
-        raise NumericalError("tilted integrand bracket failed")
+        raise NumericalError("log-axis integrand bracket failed")
     for _ in range(_MAX_BISECTIONS):
         if (far - near).max() <= _BRACKET_TOL:
             break
@@ -217,13 +161,13 @@ def _crossing(inside: Callable[[np.ndarray], np.ndarray], start: np.ndarray,
 
 def _gl_block(log_g: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
               hi: np.ndarray, rule: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """int_lo^hi e^{log_g(u)} du per row, on _MGF_PANELS equal panels.
+    """int_lo^hi e^{log_g(u)} du per row, on _PANELS equal panels.
 
     log_g maps node arrays of shape (rows, panels, nodes) to the same shape.
     """
     nodes, weights = rule
-    half = 0.5 * (hi - lo) / _MGF_PANELS
-    centers = lo[:, None] + (2.0 * np.arange(_MGF_PANELS) + 1.0) * half[:, None]
+    half = 0.5 * (hi - lo) / _PANELS
+    centers = lo[:, None] + (2.0 * np.arange(_PANELS) + 1.0) * half[:, None]
     u = centers[:, :, None] + half[:, None, None] * nodes
     g = np.nan_to_num(np.exp(log_g(u)), nan=0.0, posinf=0.0)
     return half * (g @ weights).sum(axis=1)
@@ -249,9 +193,7 @@ def mgf_log(n: int, p: float, s: float) -> MgfResult:
     integrand is smooth and unimodal for every admissible (p, s).
     """
     n = _check_n(n)
-    p = float(p)
-    if not math.isfinite(p) or p <= 0.0:
-        raise DomainError(f"moment exponent must satisfy p > 0, got {p}")
+    p = check_positive(p, "moment exponent p")
     s = float(s)
     if s == 0.0:
         return MgfResult(n, p, 0.0, 0.0, 0.0)
@@ -309,16 +251,20 @@ def log_truncated_gamma_integral(n: int, x: float, xi: float) -> float:
 
     The integral equals n^{-n xi} gamma(n xi, n x^2) exactly; that identity
     value is returned after checking it against a direct log-axis quadrature
-    to 1e-8.  Per-mode integrals of this shape assemble the left tail of the
-    edge distribution, with an interior saddle for xi < x^2 and a boundary-
-    dominated regime for xi > x^2.
+    to 1e-8, on the engine mgf_log uses: the e^-60 window around the peak at
+    v = min(ln xi, 2 ln x), clipped at the upper limit 2 ln x, with each side
+    of the peak on its own 32 panels.  Per-mode integrals of this shape
+    assemble the left tail of the edge distribution, with an interior saddle
+    for xi < x^2 and a boundary-dominated regime for xi > x^2.  In the
+    heavy-tailed regime n xi < 1 the window reaches about 60/(n xi) left of
+    the peak, too wide for its panels, and the check can raise NumericalError.
     """
     n = _check_n(n)
-    x = _check_x(x)
+    x = check_positive(x, "radius x")
     if x > 1.0:
         raise DomainError(f"truncation radius must satisfy 0 < x <= 1, got {x}")
-    xi = float(xi)
-    if not math.isfinite(xi) or xi <= 0.0 or xi > 1.0:
+    xi = check_positive(xi, "shape parameter xi")
+    if xi > 1.0:
         raise DomainError(f"shape parameter must satisfy 0 < xi <= 1, got {xi}")
 
     a = n * xi
@@ -326,14 +272,15 @@ def log_truncated_gamma_integral(n: int, x: float, xi: float) -> float:
 
     upper = 2.0 * math.log(x)
     mode = min(math.log(xi), upper)
-
-    def log_f(v: np.ndarray) -> np.ndarray:
-        ev = np.exp(np.minimum(v, 700.0))
-        ev = np.where(v > 700.0, np.inf, ev)
-        return a * v - n * ev
-
-    width = min(max(1.0 / math.sqrt(n * math.exp(mode)), 1e-3), 1.0)
-    quadrature, _ = _log_integral_exp(log_f, mode, width, upper=upper)
+    e_mode = n * math.exp(mode)
+    peak = a * mode - e_mode
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo, hi = _crossing(lambda v: a * v - n * np.exp(v) > peak - _WINDOW_DROP,
+                           np.full(2, mode), np.array([-1.0, 1.0])) - mode
+        body = _gl_block(lambda u: a * u - e_mode * np.expm1(u),
+                         np.array([lo, 0.0]), np.array([0.0, min(hi, upper - mode)]),
+                         _GL_MAIN).sum()
+    quadrature = peak + math.log(body)
     if abs(quadrature - identity) > 1e-8 * max(1.0, abs(identity)):
         raise NumericalError(
             f"truncated gamma integral routes disagree at n={n}, x={x}, xi={xi}: "

@@ -2,8 +2,7 @@
 
 Each pipeline packs its comparison into an ``LdpTable`` (abscissa, finite-n
 value, prediction, residual) or a small typed report.  Grid points are
-evaluated serially, in grid order.  The ``threads`` arguments are accepted
-for compatibility and have no effect.
+evaluated serially, in grid order.
 """
 
 from __future__ import annotations
@@ -109,6 +108,14 @@ class LdpTable:
         return len(self.rows)
 
 
+def _sorted_inside(x_grid: Sequence[float], lo: float, hi: float) -> list[float]:
+    """The grid, sorted; DomainError unless it is non-empty inside (lo, hi)."""
+    xs = sorted(float(x) for x in x_grid)
+    if not xs or xs[0] <= lo or xs[-1] >= hi:
+        raise DomainError(f"x grid must lie inside ({lo:g}, {hi:g})")
+    return xs
+
+
 def _make_rows(abscissas: Iterable[float],
                pairs: Iterable[tuple[float, float]]) -> tuple[LdpRow, ...]:
     return tuple(
@@ -117,8 +124,7 @@ def _make_rows(abscissas: Iterable[float],
     )
 
 
-def left_tail_table(n: int, x_grid: Sequence[float],
-                    threads: int | None = None) -> LdpTable:
+def left_tail_table(n: int, x_grid: Sequence[float]) -> LdpTable:
     """Exact left-tail exponent of the maximum modulus vs. its expansion.
 
     finite-n value: -(1/(2 n^2)) ln Pr[max modulus <= x]; prediction: rate
@@ -129,9 +135,7 @@ def left_tail_table(n: int, x_grid: Sequence[float],
     n = int(n)
     if n < 10:
         raise DomainError(f"left-tail pipeline needs n >= 10, got {n}")
-    xs = sorted(float(x) for x in x_grid)
-    if not xs or xs[0] <= 0.0 or xs[-1] >= 1.0:
-        raise DomainError("x grid must lie inside (0, 1)")
+    xs = _sorted_inside(x_grid, 0.0, 1.0)
 
     def work(x: float) -> tuple[float, float]:
         return (-edge_cdf_log(n, x) / (2.0 * n * n), left_tail_prediction(x, n))
@@ -156,8 +160,7 @@ def left_tail_table(n: int, x_grid: Sequence[float],
     )
 
 
-def right_tail_table(n: int, x_grid: Sequence[float],
-                     threads: int | None = None) -> LdpTable:
+def right_tail_table(n: int, x_grid: Sequence[float]) -> LdpTable:
     """Exact right-tail exponent of the maximum modulus vs. the rate function.
 
     finite-n value: -(1/(2n)) ln pdf(x); prediction: the single-particle
@@ -166,9 +169,7 @@ def right_tail_table(n: int, x_grid: Sequence[float],
     n = int(n)
     if n < 10:
         raise DomainError(f"right-tail pipeline needs n >= 10, got {n}")
-    xs = sorted(float(x) for x in x_grid)
-    if not xs or xs[0] <= 1.0:
-        raise DomainError("x grid must lie inside (1, inf)")
+    xs = _sorted_inside(x_grid, 1.0, math.inf)
 
     def work(x: float) -> tuple[float, float]:
         return (-edge_pdf_log(n, x) / (2.0 * n), right_rate(x))
@@ -192,11 +193,9 @@ def left_tail_mcmc_table(n: int, beta: float, x_grid: Sequence[float],
     probabilities down to ~1/draws, so this is a qualitative check near
     x = 1 at small n; grid points with no hits get an infinite exponent.
     """
+    xs = _sorted_inside(x_grid, 0.0, 1.0)
     batch = sample_mcmc(n, beta, sweeps, burn_in, thinning, math.inf, seed,
                         initial_step)
-    xs = sorted(float(x) for x in x_grid)
-    if not xs or xs[0] <= 0.0 or xs[-1] >= 1.0:
-        raise DomainError("x grid must lie inside (0, 1)")
     count = batch.count
     pairs = []
     for x in xs:
@@ -234,8 +233,7 @@ def untested_beta(beta: float) -> bool:
     return float(beta) != 2.0
 
 
-def mgf_table(n: int, p: float, s_grid: Sequence[float],
-              threads: int | None = None) -> LdpTable:
+def mgf_table(n: int, p: float, s_grid: Sequence[float]) -> LdpTable:
     """Tilted free energy -(1/(2 n^2)) ln MGF vs. its large-n limit.
 
     Extra columns: the magnified gap n (finite - limit), its predicted

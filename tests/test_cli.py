@@ -191,7 +191,8 @@ def test_verify_transition(tmp_path, capsys):
     assert run(["verify", "transition", "--p", "1", "--out", out]) == 0
     capsys.readouterr()
     header, rows = read_csv(out)
-    assert header[0] == "order"
+    assert header == ["order", "step", "left", "right", "jump", "jump_refined",
+                      "noise_floor", "discontinuous"]
     assert rows[-1][0] == "4"
 
 
@@ -205,6 +206,16 @@ def test_verify_left_tail(tmp_path, capsys):
     for row in rows:
         fin, pred, resid = float(row[1]), float(row[2]), float(row[3])
         assert resid == fin - pred
+
+
+def test_verify_right_tail(tmp_path, capsys):
+    out = str(tmp_path / "rt.csv")
+    assert run(["verify", "right-tail", "--n", "40", "--grid", "1.2:2:3",
+                "--out", out]) == 0
+    capsys.readouterr()
+    header, rows = read_csv(out)
+    assert header == ["x", "finite_n_value", "prediction", "residual"]
+    assert len(rows) == 3
 
 
 def test_verify_mgf_rejects_other_couplings(capsys):
@@ -232,6 +243,16 @@ def test_flags_override_config(tmp_path, capsys):
     got = dict(line.split(" = ") for line in lines)
     assert float(got["s"]) == 0.0
     assert float(got["outer_radius"]) == pytest.approx(1.0)
+
+
+def test_config_side_outside_choices_is_domain_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("side = lft\n")
+    out = tmp_path / "r.csv"
+    assert run(["rate", "edge", "--config", str(cfg), "--grid", "0.3:0.9:3",
+                "--out", str(out)]) == 1
+    assert "lft" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_file_malformed_line(tmp_path, capsys):
@@ -297,6 +318,17 @@ def test_fig2_scaled_gap_columns(tmp_path, capsys):
     assert header[0] == "x"
     assert "scaled_gap" in header and "scaled_gap_prediction" in header
     assert len(rows) == 90
+
+
+@pytest.mark.parametrize("number,rows", [(3, 65), (4, 60)])
+def test_fig3_fig4_columns(tmp_path, capsys, number, rows):
+    out = str(tmp_path / "fig.csv")
+    assert run(["fig", str(number), "--n", "12", "--out", out]) == 0
+    capsys.readouterr()
+    header, body = read_csv(out)
+    assert header == ["s", "finite_n_value", "prediction", "residual",
+                      "subleading_gap", "subleading_prediction"]
+    assert len(body) == rows
 
 
 def test_svg_written_alongside_csv(tmp_path, capsys):

@@ -77,13 +77,6 @@ def test_left_tail_table_recomputes():
     assert "scaled_gap_prediction" in table.extra_columns
 
 
-def test_left_tail_table_threads_do_not_change_values():
-    serial = left_tail_table(40, [0.3, 0.5, 0.7, 0.9], threads=1)
-    threaded = left_tail_table(40, [0.3, 0.5, 0.7, 0.9], threads=4)
-    for a, b in zip(serial.rows, threaded.rows):
-        assert a == b
-
-
 def test_left_tail_table_validation():
     with pytest.raises(DomainError):
         left_tail_table(5, [0.5])
@@ -106,6 +99,18 @@ def test_right_tail_table_recomputes():
 def test_right_tail_table_validation():
     with pytest.raises(DomainError):
         right_tail_table(50, [0.9, 1.5])
+
+
+def test_left_tail_mcmc_table_checks_grid_before_sampling(monkeypatch):
+    import ocp2d.harness as hmod
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("the chain ran before the grid was checked")
+
+    monkeypatch.setattr(hmod, "sample_mcmc", no_sampling)
+    for grid in ([0.5, 1.2], [0.0, 0.5], []):
+        with pytest.raises(DomainError):
+            hmod.left_tail_mcmc_table(16, 4.0, grid, sweeps=2000)
 
 
 # --- tilted free-energy tables and extraction -----------------------------------
