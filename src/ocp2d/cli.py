@@ -24,7 +24,6 @@ import argparse
 import math
 import os
 import sys
-import tempfile
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Sequence
 
@@ -89,9 +88,9 @@ def _format_cell(value: Any) -> str:
 
 def _write_atomic(path: str, lines: list[str]) -> None:
     """Write newline-terminated lines via temp file + rename, so readers
-    never see a partial file."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    never see a partial file; the file's mode follows the umask."""
+    tmp = f"{os.path.abspath(path)}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -177,12 +176,6 @@ def emit_svg(table, path: str) -> None:
     _write_atomic(path, parts)
 
 
-def _emit(table, out: str, svg: bool) -> None:
-    emit_csv(table, out)
-    if svg:
-        emit_svg(table, os.path.splitext(out)[0] + ".svg")
-
-
 def _select(table, names: Sequence[str]) -> SimpleTable:
     """The named columns of any table, in the given order."""
     header = table.column_names()
@@ -199,6 +192,25 @@ def _rows_table(cls, rows: Sequence[Any]) -> SimpleTable:
 
 
 # --- option resolution --------------------------------------------------------
+
+
+# Every option and the type its text is cast to, on the command line and in
+# config files alike.  A tuple lists the allowed values; bool is a switch.
+# --grid stays text until _grid parses it, so that a bad grid is a domain
+# error (exit 1), not a usage error (exit 2).
+_OPTIONS: dict[str, Any] = {
+    "n": int, "p": float, "s": float, "side": ("left", "right"), "grid": str,
+    "count": int, "beta": float, "sweeps": int, "burnin": int, "thinning": int,
+    "step": float, "seed": int, "draws": int, "window": float,
+    "config": str, "out": str, "svg": bool, "threads": int,
+}
+
+_HELP = {
+    "config": "key=value file; flags take precedence",
+    "out": "output CSV path",
+    "svg": "also write an SVG chart next to the CSV",
+    "threads": "no effect; accepted for compatibility, as is OCP_THREADS",
+}
 
 
 def _load_config(path: str | None) -> dict[str, str]:
@@ -230,88 +242,72 @@ def _grid(text: str) -> list[float]:
     return [float(v) for v in np.linspace(lo, hi, steps)]
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",")]
-    except ValueError as exc:
-        raise DomainError(f"expected comma-separated integers, got {text!r}") from exc
-
-
 class _Resolver:
-    """flags > config file > defaults, with typed casting of config text."""
+    """flags > config file > defaults, with config text cast as in _OPTIONS."""
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
-        self.config = _load_config(getattr(args, "config", None))
+        self.config = _load_config(args.config)
 
-    def get(self, name: str, cast: Callable[[str], Any], default: Any = None):
+    def get(self, name: str, cast: Callable[[str], Any] | None = None,
+            default: Any = None):
+        """--name; cast (default: its _OPTIONS type) parses text."""
+        cast = cast or _OPTIONS[name]
         value = getattr(self.args, name, None)
         if value is None and name in self.config:
             value = self.config[name]
-        if isinstance(value, str) and cast is not str:
+        if isinstance(value, str) and isinstance(cast, tuple):
+            if value not in cast:
+                raise DomainError(f"--{name} must be {' or '.join(cast)}, "
+                                  f"got {value!r}")
+        elif isinstance(value, str) and cast is not str:
             try:
                 value = cast(value)
             except ValueError as exc:
                 raise DomainError(f"bad value for --{name}: {value!r}") from exc
-        if value is None:
-            value = default
-        return value
+        return default if value is None else value
 
-    def require(self, name: str, cast: Callable[[str], Any]):
+    def require(self, name: str, cast: Callable[[str], Any] | None = None):
         value = self.get(name, cast)
         if value is None:
             raise DomainError(f"missing required option --{name}")
         return value
 
     def check_threads(self) -> None:
-        """--threads or OCP_THREADS must be an integer >= 1 when given.
-
-        Both are accepted for compatibility and change nothing.
-        """
-        value = self.get("threads", int)
-        name = "--threads"
-        if value is None:
-            env = os.environ.get("OCP_THREADS")
-            if not env:
-                return
+        """--threads or OCP_THREADS must be an integer >= 1 when given;
+        both are accepted for compatibility and change nothing."""
+        name, value = "--threads", self.get("threads")
+        env = os.environ.get("OCP_THREADS")
+        if value is None and env:
             name = "OCP_THREADS"
             try:
                 value = int(env)
             except ValueError:
                 raise DomainError(f"bad value for {name}: {env!r}") from None
-        if value < 1:
+        if value is not None and value < 1:
             raise DomainError(f"{name} must be >= 1, got {value}")
 
 
 # --- subcommand handlers ------------------------------------------------------
+#
+# Each takes the resolver and the --out path and returns (table, message).
 
 
-def _cmd_rate(res: _Resolver) -> int:
-    which = res.args.target
+def _cmd_rate(res: _Resolver, out: str):
     grid = res.require("grid", _grid)
-    out = res.require("out", str)
-    svg = bool(res.args.svg)
-    if which == "edge":
-        side = res.get("side", str, "left")
-        if side not in ("left", "right"):
-            raise DomainError(f"--side must be left or right, got {side!r}")
-        table = SimpleTable(["x", "psi"])
-        fn = left_rate if side == "left" else right_rate
-        for x in grid:
-            table.add(x, fn(x))
+    if res.args.target == "edge":
+        fn = left_rate if res.get("side", default="left") == "left" else right_rate
+        table = SimpleTable(["x", "psi"], [[x, fn(x)] for x in grid])
     else:
-        p = res.require("p", float)
-        table = SimpleTable(["s", "energy", "entropy"])
-        for s in grid:
-            table.add(s, energy_excess(p, s), entropy_excess(p, s))
-    _emit(table, out, svg)
-    print(f"wrote {len(table)} rows to {out}")
-    return 0
+        p = res.require("p")
+        table = SimpleTable(["s", "energy", "entropy"], [
+            [s, energy_excess(p, s), entropy_excess(p, s)] for s in grid])
+    return table, f"wrote {len(table)} rows to {out}"
 
 
-def _cmd_eq(res: _Resolver) -> int:
-    p = res.require("p", float)
-    s = res.require("s", float)
+def _cmd_eq(res: _Resolver, out: str | None):
+    p = res.require("p")
+    s = res.require("s")
     measure = equilibrium_measure(p, s)
     row = {
         "p": p,
@@ -322,186 +318,130 @@ def _cmd_eq(res: _Resolver) -> int:
         "energy_excess": energy_excess(p, s),
         "entropy_excess": entropy_excess(p, s),
     }
-    out = res.get("out", str)
-    if out:
-        table = SimpleTable(list(row))
-        table.add(*row.values())
-        _emit(table, out, bool(res.args.svg))
-    for key, value in row.items():
-        print(f"{key} = {_format_cell(value)}")
-    return 0
+    return (SimpleTable(list(row), [list(row.values())]),
+            "\n".join(f"{key} = {_format_cell(value)}" for key, value in row.items()))
 
 
-def _cmd_exact(res: _Resolver) -> int:
+def _cmd_exact(res: _Resolver, out: str | None):
     which = res.args.target
+    n = res.require("n")
     if which == "moment":
-        n = res.require("n", int)
-        p = res.require("p", float)
+        p = res.require("p")
         value = exact_moment(n, p)
-        out = res.get("out", str)
-        if out:
-            table = SimpleTable(["n", "p", "mean"])
-            table.add(n, p, value)
-            _emit(table, out, bool(res.args.svg))
-        print(f"mean = {_format_cell(value)}")
-        return 0
-    n = res.require("n", int)
+        return SimpleTable(["n", "p", "mean"], [[n, p, value]]), \
+            f"mean = {_format_cell(value)}"
     grid = res.require("grid", _grid)
-    out = res.require("out", str)
     if which == "edge-cdf":
-        table = SimpleTable(["x", "log_cdf"])
-        values = harness._map_ordered(lambda x: edge_cdf_log(n, x), grid)
-        for x, v in zip(grid, values):
-            table.add(x, v)
+        table = SimpleTable(["x", "log_cdf"], [[x, edge_cdf_log(n, x)] for x in grid])
     elif which == "edge-pdf":
-        table = SimpleTable(["x", "log_pdf"])
-        values = harness._map_ordered(lambda x: edge_pdf_log(n, x), grid)
-        for x, v in zip(grid, values):
-            table.add(x, v)
+        table = SimpleTable(["x", "log_pdf"], [[x, edge_pdf_log(n, x)] for x in grid])
     else:  # mgf
-        p = res.require("p", float)
+        p = res.require("p")
         table = SimpleTable(["s", "log_mgf", "estimated_relative_error"])
-        results = harness._map_ordered(lambda s: mgf_log(n, p, s), grid)
-        for s, r in zip(grid, results):
+        for s in grid:
+            r = mgf_log(n, p, s)
             table.add(s, r.log_value, r.estimated_relative_error)
-    _emit(table, out, bool(res.args.svg))
-    print(f"wrote {len(table)} rows to {out}")
-    return 0
+    return table, f"wrote {len(table)} rows to {out}"
 
 
-def _cmd_sample(res: _Resolver) -> int:
-    which = res.args.target
-    out = res.require("out", str)
-    n = res.require("n", int)
-    p = res.require("p", float)
-    seed = res.get("seed", int, DEFAULT_SEED)
-    if which == "kostlan":
-        count = res.require("count", int)
-        batch = sample_kostlan(n, count, p, seed)
+def _cmd_sample(res: _Resolver, out: str):
+    n = res.require("n")
+    p = res.require("p")
+    seed = res.get("seed", default=DEFAULT_SEED)
+    if res.args.target == "kostlan":
+        batch = sample_kostlan(n, res.require("count"), p, seed)
     else:
         batch = sample_mcmc(
             n,
-            res.get("beta", float, 2.0),
-            res.require("sweeps", int),
-            res.get("burnin", int, 0),
-            res.get("thinning", int, 1),
+            res.get("beta", default=2.0),
+            res.require("sweeps"),
+            res.get("burnin", default=0),
+            res.get("thinning", default=1),
             p,
             seed,
-            res.get("step", float, 0.25),
+            res.get("step", default=0.25),
         )
-    table = SimpleTable(["value"])
-    for v in batch.values:
-        table.add(float(v))
-    _emit(table, out, bool(res.args.svg))
-    print(f"{batch.sampler_id}: {batch.count} draws, mean {batch.mean():.6g} "
-          f"-> {out}")
-    return 0
+    table = SimpleTable(["value"], [[float(v)] for v in batch.values])
+    return table, (f"{batch.sampler_id}: {batch.count} draws, "
+                   f"mean {batch.mean():.6g} -> {out}")
 
 
-def _cmd_verify(res: _Resolver) -> int:
+def _cmd_verify(res: _Resolver, out: str):
     which = res.args.target
-    out = res.require("out", str)
-    svg = bool(res.args.svg)
 
     if which == "left-tail":
-        n = int(res.require("n", int))
+        n = res.require("n")
         grid = res.require("grid", _grid)
-        beta = res.get("beta", float, 2.0)
+        beta = res.get("beta", default=2.0)
         if beta == 2.0:
             table = harness.left_tail_table(n, grid)
         else:
             table = harness.left_tail_mcmc_table(
                 n, beta, grid,
-                sweeps=res.get("sweeps", int, 4000),
-                burn_in=res.get("burnin", int, 500),
-                thinning=res.get("thinning", int, 2),
-                seed=res.get("seed", int, DEFAULT_SEED),
+                sweeps=res.get("sweeps", default=4000),
+                burn_in=res.get("burnin", default=500),
+                thinning=res.get("thinning", default=2),
+                seed=res.get("seed", default=DEFAULT_SEED),
             )
-        _emit(table, out, svg)
         worst = max(abs(r.residual) for r in table.rows)
-        print(f"left tail n={n} beta={beta}: max |residual| {worst:.3e}")
-        return 0
+        return table, f"left tail n={n} beta={beta}: max |residual| {worst:.3e}"
 
     if which == "right-tail":
-        n = int(res.require("n", int))
-        grid = res.require("grid", _grid)
-        table = harness.right_tail_table(n, grid)
-        _emit(table, out, svg)
+        n = res.require("n")
+        table = harness.right_tail_table(n, res.require("grid", _grid))
         worst = max(abs(r.residual) for r in table.rows)
-        print(f"right tail n={n}: max |residual| {worst:.3e}")
-        return 0
+        return table, f"right tail n={n}: max |residual| {worst:.3e}"
 
     if which == "mgf":
-        p = res.require("p", float)
-        beta = res.get("beta", float, 2.0)
+        p = res.require("p")
+        beta = res.get("beta", default=2.0)
         if beta != 2.0:
-            raise DomainError(
-                "the finite-n generating function exists only at coupling 2; "
-                "rerun with --beta 2"
-            )
-        sizes = res.require("n", _int_list)
+            raise DomainError("the finite-n generating function exists only "
+                              "at coupling 2; rerun with --beta 2")
+        sizes = res.require("n", lambda text: [int(k) for k in text.split(",")])
         grid = res.require("grid", _grid)
         table = SimpleTable(["s", "extracted_coefficient",
                              "predicted_coefficient", "residual",
                              "untested_beta_flag"])
         flag = harness.untested_beta(beta)
-
-        def work(s: float) -> tuple[float, float]:
-            return (harness.extract_subleading(p, s, sizes),
-                    harness.subleading_coefficient(p, s, beta))
-
-        results = harness._map_ordered(work, grid)
-        for s, (extracted, predicted) in zip(grid, results):
+        for s in grid:
+            extracted = harness.extract_subleading(p, s, sizes)
+            predicted = harness.subleading_coefficient(p, s, beta)
             table.add(s, extracted, predicted, extracted - predicted, flag)
-        _emit(table, out, svg)
         worst = max(abs(row[3]) for row in table.data)
-        print(f"subleading p={p} sizes={sizes}: max |residual| {worst:.3e}")
-        return 0
+        return table, f"subleading p={p} sizes={sizes}: max |residual| {worst:.3e}"
 
     if which == "cumulants":
-        p = res.require("p", float)
-        beta = res.get("beta", float, 2.0)
-        n = int(res.require("n", int))
-        report = harness.cumulant_check(p, beta, n)
-        _emit(_rows_table(harness.CumulantRow, report.rows), out, svg)
-        print(f"cumulants p={p} beta={beta}: "
-              f"{'pass' if report.all_passed else 'FAIL'}")
-        return 0
+        p = res.require("p")
+        beta = res.get("beta", default=2.0)
+        report = harness.cumulant_check(p, beta, res.require("n"))
+        return (_rows_table(harness.CumulantRow, report.rows),
+                f"cumulants p={p} beta={beta}: "
+                f"{'pass' if report.all_passed else 'FAIL'}")
 
     if which == "gumbel":
-        report = harness.gumbel_check(
-            res.require("n", int),
-            res.get("draws", int, 10_000),
-            res.get("seed", int, DEFAULT_SEED),
-        )
-        table = SimpleTable(["n", "draws", "ks_distance", "low_n"])
-        table.add(report.n, report.draws, report.ks_distance, report.low_n)
-        _emit(table, out, svg)
+        report = harness.gumbel_check(res.require("n"),
+                                      res.get("draws", default=10_000),
+                                      res.get("seed", default=DEFAULT_SEED))
+        table = SimpleTable(["n", "draws", "ks_distance", "low_n"], [[
+            report.n, report.draws, report.ks_distance, report.low_n]])
         note = " (low n)" if report.low_n else ""
-        print(f"extreme-value check n={report.n}: KS {report.ks_distance:.4f}"
-              f"{note}")
-        return 0
+        return table, (f"extreme-value check n={report.n}: "
+                       f"KS {report.ks_distance:.4f}{note}")
 
     # transition
-    p = res.require("p", float)
-    report = harness.transition_scan(
-        p,
-        s_window=res.get("window", float, 0.45),
-        step=res.get("step", float),
-    )
-    _emit(_rows_table(harness.TransitionRow, report.rows), out, svg)
-    print(f"transition scan p={p}: expected order {report.expected_order}, "
-          f"detected {report.detected_order}")
-    return 0
+    p = res.require("p")
+    report = harness.transition_scan(p, s_window=res.get("window", default=0.45),
+                                     step=res.get("step"))
+    return (_rows_table(harness.TransitionRow, report.rows),
+            f"transition scan p={p}: expected order {report.expected_order}, "
+            f"detected {report.detected_order}")
 
 
-def _cmd_fig(res: _Resolver) -> int:
+def _cmd_fig(res: _Resolver, out: str):
     which = res.args.number
-    out = res.require("out", str)
-    svg = bool(res.args.svg)
-
+    n = res.get("n", default=250 if which <= 2 else 50)
     if which == 1:
-        n = res.get("n", int, 250)
         cols = ["x", "finite_n_value", "prediction", "residual"]
         table = SimpleTable(["side", *cols])
         for side, t in (("left", harness.left_tail_table(n, _grid("0.30:0.99:70"))),
@@ -509,31 +449,38 @@ def _cmd_fig(res: _Resolver) -> int:
             for row in _select(t, cols).data:
                 table.add(side, *row)
     elif which == 2:
-        n = res.get("n", int, 250)
         table = _select(harness.left_tail_table(n, _grid("0.1:0.99:90")),
                         ["x", "scaled_gap", "scaled_gap_prediction"])
     else:
-        n = res.get("n", int, 50)
         p, grid_text = (1.0, "-3:5:65") if which == 3 else (2.0, "-0.45:5:60")
         table = _select(harness.mgf_table(n, p, _grid(grid_text)),
                         ["s", "finite_n_value", "prediction", "residual",
                          "subleading_gap", "subleading_prediction"])
-    _emit(table, out, svg)
-    print(f"figure {which}: wrote {len(table)} rows to {out}")
-    return 0
+    return table, f"figure {which}: wrote {len(table)} rows to {out}"
 
 
 # --- parser and dispatch ------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="key=value file; flags take precedence")
-    sub.add_argument("--out", help="output CSV path")
-    sub.add_argument("--svg", action="store_true",
-                     help="also write an SVG chart next to the CSV")
-    sub.add_argument("--threads", type=int,
-                     help="accepted for compatibility (as is OCP_THREADS); "
-                          "no effect, commands run serially")
+# Per subcommand: handler, help, positional argument and its choices, flags.
+_COMMANDS: dict[str, tuple[Callable, str, str | None, tuple, str]] = {
+    "rate": (_cmd_rate, "tabulate rate functions",
+             "target", ("edge", "moment"), "side p grid"),
+    "eq": (_cmd_eq, "summarize one tilted equilibrium", None, (), "p s"),
+    "exact": (_cmd_exact, "finite-n formulas at coupling 2",
+              "target", ("edge-cdf", "edge-pdf", "mgf", "moment"), "n p grid"),
+    "sample": (_cmd_sample, "draw radial statistics",
+               "target", ("kostlan", "mcmc"),
+               "n p count beta sweeps burnin thinning step seed"),
+    "verify": (_cmd_verify, "run a verification pipeline",
+               "target", ("left-tail", "right-tail", "mgf", "cumulants",
+                          "gumbel", "transition"),
+               "n p beta grid draws seed sweeps burnin thinning window step"),
+    "fig": (_cmd_fig, "reproduce a figure data set", "number", (1, 2, 3, 4), "n"),
+}
+
+# Commands that print their result, for which --out is optional.
+_OUT_OPTIONAL = {("eq", None), ("exact", "moment")}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -544,68 +491,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "pipelines, and figure data sets.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    rate = commands.add_parser("rate", help="tabulate rate functions")
-    rate.add_argument("target", choices=["edge", "moment"])
-    rate.add_argument("--side", choices=["left", "right"])
-    rate.add_argument("--p", type=float)
-    rate.add_argument("--grid")
-    _add_common(rate)
-    rate.set_defaults(handler=_cmd_rate)
-
-    eq = commands.add_parser("eq", help="summarize one tilted equilibrium")
-    eq.add_argument("--p", type=float)
-    eq.add_argument("--s", type=float)
-    _add_common(eq)
-    eq.set_defaults(handler=_cmd_eq)
-
-    exact = commands.add_parser("exact", help="finite-n formulas at coupling 2")
-    exact.add_argument("target",
-                       choices=["edge-cdf", "edge-pdf", "mgf", "moment"])
-    exact.add_argument("--n", type=int)
-    exact.add_argument("--p", type=float)
-    exact.add_argument("--grid")
-    _add_common(exact)
-    exact.set_defaults(handler=_cmd_exact)
-
-    sample = commands.add_parser("sample", help="draw radial statistics")
-    sample.add_argument("target", choices=["kostlan", "mcmc"])
-    sample.add_argument("--n", type=int)
-    sample.add_argument("--p", type=float)
-    sample.add_argument("--count", type=int)
-    sample.add_argument("--beta", type=float)
-    sample.add_argument("--sweeps", type=int)
-    sample.add_argument("--burnin", type=int)
-    sample.add_argument("--thinning", type=int)
-    sample.add_argument("--step", type=float)
-    sample.add_argument("--seed", type=int)
-    _add_common(sample)
-    sample.set_defaults(handler=_cmd_sample)
-
-    verify = commands.add_parser("verify", help="run a verification pipeline")
-    verify.add_argument("target",
-                        choices=["left-tail", "right-tail", "mgf", "cumulants",
-                                 "gumbel", "transition"])
-    verify.add_argument("--n", help="size, or comma list for verify mgf")
-    verify.add_argument("--p", type=float)
-    verify.add_argument("--beta", type=float)
-    verify.add_argument("--grid")
-    verify.add_argument("--draws", type=int)
-    verify.add_argument("--seed", type=int)
-    verify.add_argument("--sweeps", type=int)
-    verify.add_argument("--burnin", type=int)
-    verify.add_argument("--thinning", type=int)
-    verify.add_argument("--window", type=float)
-    verify.add_argument("--step", type=float)
-    _add_common(verify)
-    verify.set_defaults(handler=_cmd_verify)
-
-    fig = commands.add_parser("fig", help="reproduce a figure data set")
-    fig.add_argument("number", type=int, choices=[1, 2, 3, 4])
-    fig.add_argument("--n", type=int)
-    _add_common(fig)
-    fig.set_defaults(handler=_cmd_fig)
-
+    for name, (handler, help_text, positional, choices, flags) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=help_text)
+        if positional:
+            sub.add_argument(positional, type=type(choices[0]), choices=choices)
+        for flag in flags.split() + ["config", "out", "svg", "threads"]:
+            kind = _OPTIONS[flag]
+            if (name, flag) == ("verify", "n"):
+                kind = str  # a size, or a comma list for verify mgf
+            spec = ({"action": "store_true"} if kind is bool else
+                    {"choices": kind} if isinstance(kind, tuple) else {"type": kind})
+            sub.add_argument(f"--{flag}", help=_HELP.get(flag), **spec)
+        sub.set_defaults(handler=handler)
     return parser
 
 
@@ -620,11 +517,16 @@ def run(argv: Sequence[str]) -> int:
     try:
         res = _Resolver(args)
         res.check_threads()
-        return int(args.handler(res))
-    except Ocp2dError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        optional = (args.command, getattr(args, "target", None)) in _OUT_OPTIONAL
+        out = res.get("out") if optional else res.require("out")
+        table, message = args.handler(res, out)
+        if out or not optional:
+            emit_csv(table, out)
+            if args.svg:
+                emit_svg(table, os.path.splitext(out)[0] + ".svg")
+        print(message)
+        return 0
+    except (Ocp2dError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -129,6 +129,7 @@ _MGF_BLOCK = 32
 _MAX_DOUBLINGS = 20
 _MAX_BISECTIONS = 100
 _BRACKET_TOL = 1e-6
+_TAIL_CUT = 40.0
 
 
 def _crossing(inside: Callable[[np.ndarray], np.ndarray], start: np.ndarray,
@@ -253,11 +254,12 @@ def log_truncated_gamma_integral(n: int, x: float, xi: float) -> float:
     value is returned after checking it against a direct log-axis quadrature
     to 1e-8, on the engine mgf_log uses: the e^-60 window around the peak at
     v = min(ln xi, 2 ln x), clipped at the upper limit 2 ln x, with each side
-    of the peak on its own 32 panels.  Per-mode integrals of this shape
-    assemble the left tail of the edge distribution, with an interior saddle
-    for xi < x^2 and a boundary-dominated regime for xi > x^2.  In the
-    heavy-tailed regime n xi < 1 the window reaches about 60/(n xi) left of
-    the peak, too wide for its panels, and the check can raise NumericalError.
+    of the peak on its own 32 panels.  The window stops _TAIL_CUT = 40 left
+    of the peak: beyond it e^u < 5e-18, so the integrand is e^{n e^mode + a u}
+    (a = n xi) to within a factor 1 + 5e-18 n e^mode, and that tail is added
+    in closed form.  Per-mode integrals of this shape assemble the left tail
+    of the edge distribution, with an interior saddle for xi < x^2 and a
+    boundary-dominated regime for xi > x^2.
     """
     n = _check_n(n)
     x = check_positive(x, "radius x")
@@ -275,11 +277,14 @@ def log_truncated_gamma_integral(n: int, x: float, xi: float) -> float:
     e_mode = n * math.exp(mode)
     peak = a * mode - e_mode
     with np.errstate(over="ignore", invalid="ignore"):
-        lo, hi = _crossing(lambda v: a * v - n * np.exp(v) > peak - _WINDOW_DROP,
+        lo, hi = _crossing(lambda v: (a * v - n * np.exp(v) > peak - _WINDOW_DROP)
+                           & (v > mode - _TAIL_CUT),
                            np.full(2, mode), np.array([-1.0, 1.0])) - mode
         body = _gl_block(lambda u: a * u - e_mode * np.expm1(u),
                          np.array([lo, 0.0]), np.array([0.0, min(hi, upper - mode)]),
                          _GL_MAIN).sum()
+    if lo <= -_TAIL_CUT:
+        body += math.exp(e_mode + a * lo) / a
     quadrature = peak + math.log(body)
     if abs(quadrature - identity) > 1e-8 * max(1.0, abs(identity)):
         raise NumericalError(

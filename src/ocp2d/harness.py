@@ -27,7 +27,7 @@ from .equilibrium import (
     leading_cumulant,
     transition_order,
 )
-from .errors import DomainError
+from .errors import DomainError, check_positive
 from .exact import edge_cdf_log, edge_pdf_log, mgf_log
 from .sampling import sample_kostlan, sample_mcmc
 
@@ -342,8 +342,10 @@ def cumulant_check(p: float, beta: float, n: int,
     the singularity error from leading_cumulant.
     """
     p = float(p)
-    beta = float(beta)
+    beta = check_positive(beta, "coupling beta")
     n = int(n)
+    if n < 1:
+        raise DomainError(f"particle number must satisfy n >= 1, got {n}")
     if orders is None:
         trans = transition_order(p)
         top = 3 if trans.analytic else min(3, trans.order - 1)

@@ -39,7 +39,10 @@ _TARGET_ACCEPTANCE = (0.3, 0.5)
 
 
 def _rng(seed: int, stream: int = 0) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream),))
+    seed = int(seed)
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(int(stream),))
     return np.random.Generator(np.random.Philox(seq))
 
 

@@ -57,6 +57,19 @@ def test_emit_csv_leaves_no_temp_files(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
 
 
+def test_outputs_follow_umask(tmp_path, capsys):
+    out = tmp_path / "u.csv"
+    umask = os.umask(0o022)
+    try:
+        assert run(["rate", "edge", "--grid", "0.3:0.9:3", "--out", str(out),
+                    "--svg"]) == 0
+    finally:
+        os.umask(umask)
+    capsys.readouterr()
+    for path in (out, tmp_path / "u.svg"):
+        assert path.stat().st_mode & 0o777 == 0o666 & ~0o022
+
+
 def test_emit_csv_ends_with_newline(tmp_path):
     table = SimpleTable(["x"])
     table.add(2.0)
@@ -216,6 +229,49 @@ def test_verify_right_tail(tmp_path, capsys):
     header, rows = read_csv(out)
     assert header == ["x", "finite_n_value", "prediction", "residual"]
     assert len(rows) == 3
+
+
+@pytest.mark.parametrize("args,word", [
+    (["sample", "kostlan", "--n", "5", "--count", "3", "--p", "2", "--seed", "-1"],
+     "seed"),
+    (["sample", "mcmc", "--n", "5", "--sweeps", "5", "--p", "2", "--seed", "-1"],
+     "seed"),
+    (["verify", "gumbel", "--n", "200", "--draws", "10", "--seed", "-5"], "seed"),
+    (["verify", "cumulants", "--p", "1", "--n", "0"], "particle number"),
+    (["verify", "cumulants", "--p", "1", "--beta", "0", "--n", "5"], "beta"),
+])
+def test_out_of_domain_inputs_exit_one(tmp_path, capsys, args, word):
+    out = tmp_path / "o.csv"
+    assert run(args + ["--out", str(out)]) == 1
+    assert word in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args,config,header", [
+    (["verify", "gumbel", "--n", "200", "--draws", "50"], None,
+     ["n", "draws", "ks_distance", "low_n"]),
+    (["verify", "left-tail", "--n", "6", "--beta", "4", "--grid", "0.5:0.9:3",
+      "--sweeps", "40", "--burnin", "10"], None,
+     ["x", "finite_n_value", "prediction", "residual"]),
+    (["eq", "--p", "1", "--s", "-0.4"], None,
+     ["p", "s", "inner_radius", "outer_radius", "typical_value",
+      "energy_excess", "entropy_excess"]),
+    (["exact", "moment", "--n", "10", "--p", "2"], None, ["n", "p", "mean"]),
+    (["verify", "mgf", "--p", "2", "--grid", "0.2:1:3"], "n = 10,20,40\n",
+     ["s", "extracted_coefficient", "predicted_coefficient", "residual",
+      "untested_beta_flag"]),
+    (["verify", "right-tail", "--n", "40", "--grid", "1.2:2:3", "--svg"], None,
+     ["x", "finite_n_value", "prediction", "residual"]),
+])
+def test_command_writes_csv_header(tmp_path, capsys, args, config, header):
+    if config:
+        (tmp_path / "run.cfg").write_text(config)
+        args = args + ["--config", str(tmp_path / "run.cfg")]
+    out = str(tmp_path / "o.csv")
+    assert run(args + ["--out", out]) == 0
+    capsys.readouterr()
+    assert read_csv(out)[0] == header
+    assert (tmp_path / "o.svg").exists() == ("--svg" in args)
 
 
 def test_verify_mgf_rejects_other_couplings(capsys):

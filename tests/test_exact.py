@@ -210,7 +210,9 @@ def test_mgf_log_validation():
 # --- truncated gamma integral ---------------------------------------------------
 
 @pytest.mark.parametrize("n,x,xi", [(40, 0.8, 0.5), (25, 0.6, 0.3), (100, 1.0, 1.0),
-                                    (2000, 0.1, 0.8), (10000, 0.1, 0.5)])
+                                    (2000, 0.1, 0.8), (10000, 0.1, 0.5),
+                                    (1, 0.5, 1e-3), (10, 0.5, 1e-4),
+                                    (100, 0.9, 1e-5), (1, 0.02, 1e-4)])
 def test_truncated_gamma_integral_against_mpmath(n, x, xi):
     # the integral is n^{-a} gamma_lower(a, n x^2); evaluate that route in
     # 40-digit arithmetic (independent of the double-precision pipeline)

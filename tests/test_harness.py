@@ -200,11 +200,22 @@ def test_cumulant_check_general_coupling():
     assert report.all_passed
 
 
+@pytest.mark.parametrize("beta,n", [(2.0, 0), (0.0, 5), (-1.0, 5), (math.nan, 5)])
+def test_cumulant_check_validates_size_and_coupling(beta, n):
+    with pytest.raises(DomainError):
+        cumulant_check(1.0, beta, n)
+
+
 # --- extreme-value check -------------------------------------------------------------
 
 def test_gumbel_check_small_sizes_rejected():
     with pytest.raises(DomainError):
         gumbel_check(100, 100, 0)
+
+
+def test_gumbel_check_negative_seed_rejected():
+    with pytest.raises(DomainError, match="seed"):
+        gumbel_check(200, 10, -1)
 
 
 def test_gumbel_check_reports_distance_and_flag():

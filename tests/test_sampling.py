@@ -138,6 +138,8 @@ def test_kostlan_validation():
         sample_kostlan(5, 0, 1.0, 0)
     with pytest.raises(DomainError):
         sample_kostlan(5, 10, -1.0, 0)
+    with pytest.raises(DomainError, match="seed"):
+        sample_kostlan(5, 3, 2.0, -1)
 
 
 # --- Metropolis chain -------------------------------------------------------------
@@ -193,3 +195,5 @@ def test_mcmc_validation():
         sample_mcmc(5, 2.0, sweeps=12, burn_in=10, thinning=5, p=1.0, seed=0)
     with pytest.raises(DomainError):
         sample_mcmc(5, -2.0, sweeps=20, burn_in=5, thinning=1, p=1.0, seed=0)
+    with pytest.raises(DomainError, match="seed"):
+        sample_mcmc(5, 2.0, sweeps=20, burn_in=5, thinning=1, p=1.0, seed=-1)
