@@ -15,7 +15,8 @@ depends only on argv and the config file.  --threads (or OCP_THREADS) is
 accepted and checked to be an integer >= 1, but has no effect: every
 command runs serially.
 Grids are given as min:max:steps (steps = number of points, inclusive
-endpoints); config files hold key=value lines overridden by flags.
+endpoints); config files hold key=value lines overridden by flags.  A flag
+or config key that the command does not read is an error (exit 1).
 """
 
 from __future__ import annotations
@@ -243,11 +244,25 @@ def _grid(text: str) -> list[float]:
 
 
 class _Resolver:
-    """flags > config file > defaults, with config text cast as in _OPTIONS."""
+    """flags > config file > defaults, with config text cast as in _OPTIONS.
+
+    A flag or config key that the command (and its target) does not read,
+    as listed in _COMMANDS, is a domain error."""
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
         self.config = _load_config(args.config)
+        _, _, positional, reads = _COMMANDS[args.command]
+        self.target = getattr(args, positional) if positional else None
+        what = " ".join(str(v) for v in (args.command, self.target) if v)
+        reads = reads[self.target].split()
+        for name in _OPTIONS:
+            if (name not in reads and name not in _COMMON
+                    and getattr(args, name, None) is not None):
+                raise DomainError(f"{what} does not read --{name}")
+        for key in self.config:
+            if key not in reads and key not in ("out", "threads"):
+                raise DomainError(f"config key {key!r} is not an option of {what}")
 
     def get(self, name: str, cast: Callable[[str], Any] | None = None,
             default: Any = None):
@@ -462,22 +477,30 @@ def _cmd_fig(res: _Resolver, out: str):
 # --- parser and dispatch ------------------------------------------------------
 
 
-# Per subcommand: handler, help, positional argument and its choices, flags.
-_COMMANDS: dict[str, tuple[Callable, str, str | None, tuple, str]] = {
-    "rate": (_cmd_rate, "tabulate rate functions",
-             "target", ("edge", "moment"), "side p grid"),
-    "eq": (_cmd_eq, "summarize one tilted equilibrium", None, (), "p s"),
-    "exact": (_cmd_exact, "finite-n formulas at coupling 2",
-              "target", ("edge-cdf", "edge-pdf", "mgf", "moment"), "n p grid"),
-    "sample": (_cmd_sample, "draw radial statistics",
-               "target", ("kostlan", "mcmc"),
-               "n p count beta sweeps burnin thinning step seed"),
-    "verify": (_cmd_verify, "run a verification pipeline",
-               "target", ("left-tail", "right-tail", "mgf", "cumulants",
-                          "gumbel", "transition"),
-               "n p beta grid draws seed sweeps burnin thinning window step"),
-    "fig": (_cmd_fig, "reproduce a figure data set", "number", (1, 2, 3, 4), "n"),
+# Per subcommand: handler, help, positional argument, and for each value of
+# the positional (None without one) the options that value reads.  Every
+# subcommand also takes the _COMMON options.
+_COMMANDS: dict[str, tuple[Callable, str, str | None, dict[Any, str]]] = {
+    "rate": (_cmd_rate, "tabulate rate functions", "target",
+             {"edge": "side grid", "moment": "p grid"}),
+    "eq": (_cmd_eq, "summarize one tilted equilibrium", None, {None: "p s"}),
+    "exact": (_cmd_exact, "finite-n formulas at coupling 2", "target",
+              {"edge-cdf": "n grid", "edge-pdf": "n grid", "mgf": "n p grid",
+               "moment": "n p"}),
+    "sample": (_cmd_sample, "draw radial statistics", "target",
+               {"kostlan": "n p count seed",
+                "mcmc": "n p beta sweeps burnin thinning step seed"}),
+    "verify": (_cmd_verify, "run a verification pipeline", "target",
+               {"left-tail": "n grid beta sweeps burnin thinning seed",
+                "right-tail": "n grid",
+                "mgf": "n p beta grid",
+                "cumulants": "n p beta",
+                "gumbel": "n draws seed",
+                "transition": "p window step"}),
+    "fig": (_cmd_fig, "reproduce a figure data set", "number",
+            dict.fromkeys((1, 2, 3, 4), "n")),
 }
+_COMMON = ("config", "out", "svg", "threads")
 
 # Commands that print their result, for which --out is optional.
 _OUT_OPTIONAL = {("eq", None), ("exact", "moment")}
@@ -491,11 +514,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "pipelines, and figure data sets.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    for name, (handler, help_text, positional, choices, flags) in _COMMANDS.items():
+    for name, (handler, help_text, positional, reads) in _COMMANDS.items():
         sub = commands.add_parser(name, help=help_text)
         if positional:
+            choices = tuple(reads)
             sub.add_argument(positional, type=type(choices[0]), choices=choices)
-        for flag in flags.split() + ["config", "out", "svg", "threads"]:
+        flags = dict.fromkeys(" ".join(reads.values()).split())
+        for flag in [*flags, *_COMMON]:
             kind = _OPTIONS[flag]
             if (name, flag) == ("verify", "n"):
                 kind = str  # a size, or a comma list for verify mgf
@@ -517,7 +542,7 @@ def run(argv: Sequence[str]) -> int:
     try:
         res = _Resolver(args)
         res.check_threads()
-        optional = (args.command, getattr(args, "target", None)) in _OUT_OPTIONAL
+        optional = (args.command, res.target) in _OUT_OPTIONAL
         out = res.get("out") if optional else res.require("out")
         table, message = args.handler(res, out)
         if out or not optional:

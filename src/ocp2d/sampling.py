@@ -21,7 +21,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import DomainError, SingularityError
+from .errors import DomainError, NumericalError, SingularityError
 
 __all__ = [
     "PlasmaConfig",
@@ -36,6 +36,9 @@ __all__ = [
 _GAMMA_CHUNK = 1024
 _ADAPT_INTERVAL = 25  # sweeps between step-size adjustments during burn-in
 _TARGET_ACCEPTANCE = (0.3, 0.5)
+# Largest |accumulated dH - (H_end - H_start)| allowed, relative to
+# max(1, |H_start|, |H_end|), at the end of a Metropolis run.
+_ENERGY_TOLERANCE = 1e-8
 
 
 def _rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -87,14 +90,13 @@ def hamiltonian(config: PlasmaConfig) -> float:
     """-sum_{i<j} log|z_i - z_j| + n sum_k |z_k|^2 / 2 (O(n^2) pair sum)."""
     pos = config.positions
     n = config.n
-    pair_terms = []
-    for i in range(n - 1):
-        d = np.hypot(pos[i + 1:, 0] - pos[i, 0], pos[i + 1:, 1] - pos[i, 1])
-        if np.any(d == 0.0):
-            raise SingularityError(f"coincident particles at index {i}")
-        pair_terms.append(-math.fsum(np.log(d)))
+    i, j = np.triu_indices(n, 1)
+    d = np.hypot(pos[j, 0] - pos[i, 0], pos[j, 1] - pos[i, 1])
+    coincident = np.flatnonzero(d == 0.0)
+    if coincident.size:
+        raise SingularityError(f"coincident particles at index {i[coincident[0]]}")
     confinement = 0.5 * n * math.fsum(pos[:, 0] ** 2 + pos[:, 1] ** 2)
-    return math.fsum(pair_terms) + confinement
+    return confinement - math.fsum(np.log(d))
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,12 +168,15 @@ class MetropolisChain:
     """Single-particle Metropolis chain targeting exp(-beta H).
 
     Each move displaces one uniformly chosen particle by an isotropic
-    Gaussian step and accepts with probability min(1, e^{-beta dH}); the
-    energy delta touches only the moved particle's row of the pair sum, so
-    a move costs O(n).  ``adapt`` nudges the step size toward an acceptance
-    rate in [0.3, 0.5]; call it only during burn-in — the recorded chain
-    must run at a frozen step size.  Proposals landing exactly on another
-    particle are rejected outright.
+    Gaussian step and accepts with probability min(1, e^{-beta dH}).  The
+    chain keeps the pair logs ``pair_logs[i, j] = log|z_i - z_j|`` (zero on
+    the diagonal) and their row sums ``pair_log_sums``, so a move computes
+    only the proposed row, O(n), and an accepted move rewrites that row and
+    column.  ``z`` holds the positions as complex numbers and ``positions``
+    is its (n, 2) float view.  ``adapt`` nudges the step size toward an
+    acceptance rate in [0.3, 0.5]; call it only during burn-in — the
+    recorded chain must run at a frozen step size.  Proposals landing
+    exactly on another particle are rejected outright.
     """
 
     def __init__(self, n: int, beta: float, rng: np.random.Generator,
@@ -190,45 +195,54 @@ class MetropolisChain:
         # i.i.d. uniform on the unit disk: inside the limiting support.
         theta = rng.uniform(0.0, 2.0 * math.pi, size=n)
         radius = np.sqrt(rng.uniform(0.0, 1.0, size=n))
-        self.positions = np.column_stack((radius * np.cos(theta),
-                                          radius * np.sin(theta)))
+        self.z = np.empty(n, dtype=complex)
+        self.z.real = radius * np.cos(theta)
+        self.z.imag = radius * np.sin(theta)
+        self.positions = self.z.view(float).reshape(n, 2)
+        dist = np.abs(self.z[:, None] - self.z)
+        np.fill_diagonal(dist, 1.0)
+        self.pair_logs = np.log(dist)
+        self.pair_log_sums = self.pair_logs.sum(axis=1)
         self.accepted = 0
         self.proposed = 0
         self._window_accepted = 0
         self._window_proposed = 0
         self.accumulated_delta = 0.0
 
-    def _delta_energy(self, i: int, new: np.ndarray) -> float:
-        pos = self.positions
-        old = pos[i]
-        d_old = np.hypot(pos[:, 0] - old[0], pos[:, 1] - old[1])
-        d_new = np.hypot(pos[:, 0] - new[0], pos[:, 1] - new[1])
-        d_old[i] = 1.0
-        d_new[i] = 1.0
-        if np.any(d_new == 0.0):
-            return math.inf
-        pair = -float(np.log(d_new).sum() - np.log(d_old).sum())
-        confine = 0.5 * self.n * float(new @ new - old @ old)
-        return pair + confine
-
-    def move(self) -> bool:
-        i = int(self.rng.integers(self.n))
-        new = self.positions[i] + self.step * self.rng.normal(size=2)
-        delta = self._delta_energy(i, new)
-        u = self.rng.random()
-        self.proposed += 1
-        self._window_proposed += 1
-        if math.log(u) < -self.beta * delta:
-            self.positions[i] = new
-            self.accumulated_delta += delta
-            self.accepted += 1
-            self._window_accepted += 1
-            return True
-        return False
-
     def sweep(self) -> None:
-        for _ in range(self.n):
-            self.move()
+        """n moves, with the sweep's randomness drawn in three calls:
+        particle indices, Gaussian steps, then acceptance uniforms."""
+        n, z, logs, sums = self.n, self.z, self.pair_logs, self.pair_log_sums
+        index = self.rng.integers(n, size=n).tolist()
+        steps = (self.step * self.rng.standard_normal((n, 2))).view(complex)
+        uniforms = self.rng.random(n)
+        half_n, beta = 0.5 * n, self.beta
+        accepted = 0
+        with np.errstate(divide="ignore"):
+            for i, dz, lu in zip(index, steps.ravel().tolist(),
+                                 np.log(uniforms).tolist()):
+                old = complex(z[i])
+                new = old + dz
+                row = np.log(np.abs(z - new))
+                row[i] = 0.0
+                total = float(row.sum())
+                # A proposal on another particle has total = -inf, dH = +inf.
+                delta = float(sums[i]) - total + half_n * (
+                    new.real * new.real + new.imag * new.imag
+                    - old.real * old.real - old.imag * old.imag)
+                if lu < -beta * delta:
+                    z[i] = new
+                    sums -= logs[i]
+                    sums += row
+                    sums[i] = total
+                    logs[i] = row
+                    logs[:, i] = row
+                    self.accumulated_delta += delta
+                    accepted += 1
+        self.proposed += n
+        self._window_proposed += n
+        self.accepted += accepted
+        self._window_accepted += accepted
 
     def adapt(self) -> None:
         if self._window_proposed == 0:
@@ -256,7 +270,10 @@ def sample_mcmc(n: int, beta: float, sweeps: int, burn_in: int, thinning: int,
 
     Runs one chain: ``burn_in`` sweeps with periodic step adaptation, then
     ``sweeps - burn_in`` recording sweeps at frozen step size, keeping the
-    statistic every ``thinning`` sweeps.
+    statistic every ``thinning`` sweeps.  At the end the accumulated
+    energy increments must equal H(end) - H(start) to a relative 1e-8, or
+    ``NumericalError`` is raised; the difference is kept in the metadata
+    as ``energy_drift_error``.
     """
     sweeps, burn_in, thinning = int(sweeps), int(burn_in), int(thinning)
     if burn_in < 0 or sweeps <= burn_in:
@@ -269,6 +286,7 @@ def sample_mcmc(n: int, beta: float, sweeps: int, burn_in: int, thinning: int,
         raise DomainError(f"statistic exponent must be positive or inf, got {p}")
 
     chain = MetropolisChain(n, beta, _rng(seed), initial_step)
+    h_start = hamiltonian(chain.config())
     values = []
     for k in range(1, sweeps + 1):
         chain.sweep()
@@ -277,6 +295,13 @@ def sample_mcmc(n: int, beta: float, sweeps: int, burn_in: int, thinning: int,
                 chain.adapt()
         elif (k - burn_in) % thinning == 0:
             values.append(radial_statistic(chain.config(), p))
+    h_end = hamiltonian(chain.config())
+    drift_error = chain.accumulated_delta - (h_end - h_start)
+    if abs(drift_error) > _ENERGY_TOLERANCE * max(1.0, abs(h_start), abs(h_end)):
+        raise NumericalError(
+            f"Metropolis energy bookkeeping drifted: accumulated dH "
+            f"{chain.accumulated_delta!r} but H(end) - H(start) = "
+            f"{h_end - h_start!r}")
     return SampleBatch(
         np.asarray(values), p, chain.n, float(beta), int(seed), "mcmc",
         {
@@ -287,5 +312,6 @@ def sample_mcmc(n: int, beta: float, sweeps: int, burn_in: int, thinning: int,
             "final_step": chain.step,
             "acceptance_rate": chain.acceptance_rate,
             "accumulated_delta": chain.accumulated_delta,
+            "energy_drift_error": drift_error,
         },
     )

@@ -311,6 +311,25 @@ def test_config_side_outside_choices_is_domain_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args,config,word", [
+    (["rate", "edge", "--grid", "0.3:0.9:3"], "sid = right\n", "'sid'"),
+    (["verify", "right-tail", "--n", "40", "--grid", "1.2:2:3", "--beta", "4"],
+     None, "--beta"),
+    (["sample", "kostlan", "--n", "5", "--count", "3", "--p", "2",
+      "--beta", "4"], None, "--beta"),
+    (["fig", "1", "--n", "20"], "p = 2\n", "'p'"),
+])
+def test_options_the_command_does_not_read_are_domain_errors(
+        tmp_path, capsys, args, config, word):
+    if config:
+        (tmp_path / "run.cfg").write_text(config)
+        args = args + ["--config", str(tmp_path / "run.cfg")]
+    out = tmp_path / "o.csv"
+    assert run(args + ["--out", str(out)]) == 1
+    assert word in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_malformed_line(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("p 2\n")

@@ -8,6 +8,7 @@ import pytest
 from ocp2d import (
     DomainError,
     MetropolisChain,
+    NumericalError,
     PlasmaConfig,
     SampleBatch,
     SingularityError,
@@ -17,6 +18,7 @@ from ocp2d import (
     sample_kostlan,
     sample_mcmc,
 )
+from ocp2d import sampling
 
 
 # --- configurations and observables -------------------------------------------
@@ -69,6 +71,15 @@ def test_hamiltonian_coincident_points_raise():
     pos = np.array([[0.3, 0.3], [0.3, 0.3], [0.0, 0.1]])
     with pytest.raises(SingularityError):
         hamiltonian(PlasmaConfig(pos))
+
+
+@pytest.mark.parametrize("n", [2, 7, 64])
+def test_hamiltonian_matches_pair_loop(n):
+    pos = np.random.default_rng(n).normal(size=(n, 2)) * 0.6
+    pair = math.fsum(-math.log(math.hypot(*(pos[i] - pos[j])))
+                     for i in range(n) for j in range(i + 1, n))
+    direct = pair + 0.5 * n * math.fsum((pos ** 2).sum(axis=1))
+    assert hamiltonian(PlasmaConfig(pos)) == pytest.approx(direct, rel=1e-12)
 
 
 def test_sample_batch_statistics():
@@ -159,6 +170,85 @@ def test_mcmc_energy_bookkeeping_is_exact():
         chain.sweep()
     drift = hamiltonian(chain.config()) - h0
     assert chain.accumulated_delta == pytest.approx(drift, abs=1e-8)
+
+
+def test_mcmc_energy_check_catches_corrupted_cache(monkeypatch):
+    class CorruptedChain(MetropolisChain):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.pair_log_sums[0] += 1.0
+
+    monkeypatch.setattr(sampling, "MetropolisChain", CorruptedChain)
+    with pytest.raises(NumericalError, match="bookkeeping"):
+        sample_mcmc(6, 2.0, sweeps=40, burn_in=10, thinning=2, p=2.0, seed=11)
+
+
+def test_mcmc_reports_energy_drift_error():
+    batch = sample_mcmc(6, 2.0, sweeps=40, burn_in=10, thinning=2, p=2.0, seed=11)
+    assert abs(batch.metadata["energy_drift_error"]) <= 1e-10
+
+
+def test_mcmc_cached_pair_logs_match_positions():
+    chain = MetropolisChain(12, 4.0, np.random.default_rng(9), 0.25)
+    for _ in range(50):
+        chain.sweep()
+    assert chain.accepted > 0
+    z = chain.positions[:, 0] + 1j * chain.positions[:, 1]
+    dist = np.abs(z[:, None] - z)
+    np.fill_diagonal(dist, 1.0)
+    fresh = np.log(dist)
+    np.testing.assert_allclose(chain.pair_logs, fresh, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(chain.pair_log_sums, fresh.sum(axis=1),
+                               rtol=0, atol=1e-12)
+
+
+class _ScriptedRng:
+    """Draws for a chain on the real axis whose proposals are set in advance."""
+
+    def __init__(self, radii_squared, index, normals):
+        self.uniforms = [np.zeros(len(radii_squared)), np.array(radii_squared)]
+        self.index, self.normals = np.array(index), np.array(normals)
+
+    def uniform(self, low, high, size):
+        return self.uniforms.pop(0)
+
+    def integers(self, n, size):
+        return self.index
+
+    def standard_normal(self, shape):
+        return self.normals
+
+    def random(self, size):
+        return np.full(size, 1e-300)
+
+
+def test_mcmc_proposal_onto_another_particle_is_rejected():
+    # particles at 0.5, 0.25 and 0.75; step 0.25 moves each exactly onto
+    # another one, and the tiny uniform would accept any finite increase
+    rng = _ScriptedRng([0.25, 0.0625, 0.5625], [0, 1, 2],
+                       [[-1.0, 0.0], [1.0, 0.0], [-2.0, 0.0]])
+    chain = MetropolisChain(3, 2.0, rng, 0.25)
+    assert chain.positions[:, 0].tolist() == [0.5, 0.25, 0.75]
+    logs, sums = chain.pair_logs.copy(), chain.pair_log_sums.copy()
+    chain.sweep()
+    assert chain.accepted == 0 and chain.proposed == 3
+    assert chain.positions[:, 0].tolist() == [0.5, 0.25, 0.75]
+    assert np.array_equal(chain.pair_logs, logs)
+    assert np.array_equal(chain.pair_log_sums, sums)
+    assert chain.accumulated_delta == 0.0
+
+
+def test_mcmc_positions_view_the_chain_state():
+    chain = MetropolisChain(9, 2.0, np.random.default_rng(3), 0.25)
+    for _ in range(5):
+        chain.sweep()
+        assert chain.positions.shape == (9, 2)
+        assert np.shares_memory(chain.positions, chain.z)
+        assert np.array_equal(chain.positions[:, 0] + 1j * chain.positions[:, 1],
+                              chain.z)
+        cfg = chain.config()
+        assert np.array_equal(cfg.positions, chain.positions)
+        assert not np.shares_memory(cfg.positions, chain.positions)
 
 
 def test_mcmc_adaptation_lands_in_target_window():
