@@ -38,7 +38,7 @@ from .equilibrium import (
     equilibrium_measure,
     typical_value,
 )
-from .errors import DomainError, Ocp2dError
+from .errors import DomainError, Ocp2dError, check_size
 from .exact import edge_cdf_log, edge_pdf_log, exact_moment, mgf_log
 from .sampling import sample_kostlan, sample_mcmc
 
@@ -299,8 +299,8 @@ class _Resolver:
                 value = int(env)
             except ValueError:
                 raise DomainError(f"bad value for {name}: {env!r}") from None
-        if value is not None and value < 1:
-            raise DomainError(f"{name} must be >= 1, got {value}")
+        if value is not None:
+            check_size(value, name)
 
 
 # --- subcommand handlers ------------------------------------------------------
@@ -389,6 +389,10 @@ def _cmd_verify(res: _Resolver, out: str):
         grid = res.require("grid", _grid)
         beta = res.get("beta", default=2.0)
         if beta == 2.0:
+            for name in ("sweeps", "burnin", "thinning", "seed"):
+                if res.get(name) is not None:
+                    raise DomainError(f"verify left-tail at beta 2 is exact and "
+                                      f"does not read --{name}")
             table = harness.left_tail_table(n, grid)
         else:
             table = harness.left_tail_mcmc_table(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import Piece, RadialMeasure, RingMass
-from .errors import DomainError, check_positive
+from .errors import DomainError, check_positive, check_size
 
 __all__ = [
     "left_rate",
@@ -81,9 +81,7 @@ def invn_correction(x: float) -> float:
 def left_tail_prediction(x: float, n: int) -> float:
     """Pulled-branch prediction for -(1/(2 n^2)) ln Pr[farthest <= x]:
     rate plus the (ln n)/n and 1/n corrections."""
-    n = int(n)
-    if n < 2:
-        raise DomainError(f"left_tail_prediction requires n >= 2, got {n}")
+    n = check_size(n, "left_tail_prediction: n", 2)
     x = check_positive(x, "left_tail_prediction: x")
     if x >= 1.0:
         raise DomainError(f"left_tail_prediction requires 0 < x < 1, got {x}")
@@ -138,9 +136,7 @@ MIN_GUMBEL_N = 164
 def gumbel_log_factor(n: int) -> float:
     """Auxiliary log factor ln n - 2 ln ln n - ln 2 pi of the fluctuation
     scaling.  Defined for n >= 2; positive only from n = 164 on."""
-    n = int(n)
-    if n < 2:
-        raise DomainError(f"gumbel_log_factor requires n >= 2, got {n}")
+    n = check_size(n, "gumbel_log_factor: n", 2)
     return math.log(n) - 2.0 * math.log(math.log(n)) - math.log(2.0 * math.pi)
 
 

@@ -28,6 +28,7 @@ from .errors import (
     SingularityError,
     StabilityError,
     check_positive,
+    check_size,
 )
 
 __all__ = [
@@ -55,9 +56,6 @@ __all__ = [
 # Hard numerical guard at the p = 2 stability boundary: the support radius
 # grows like (1 + 2s)^{-1/2} and overflows any tolerance just above -1/2.
 _P2_GUARD = -0.5 + 1e-6
-
-_DISK_ENERGY = 0.375          # mean-field energy of the uniform unit disk
-_DISK_ENTROPY = math.log(math.pi)
 
 
 @dataclass(frozen=True)
@@ -338,12 +336,8 @@ def leading_cumulant(p: float, beta: float, n: int, order: int) -> float:
     transition do not exist for p < 2 and raise.
     """
     p = check_positive(p, "moment exponent p")
-    beta = float(beta)
-    if not math.isfinite(beta) or beta <= 0.0:
-        raise DomainError(f"coupling must satisfy beta > 0, got {beta}")
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"particle number must satisfy n >= 1, got {n}")
+    beta = check_positive(beta, "coupling beta")
+    n = check_size(n, "particle number n")
     if order not in (1, 2, 3):
         raise DomainError(f"cumulant order must be 1, 2 or 3, got {order}")
     if p < 2.0 and order >= 4.0 / (2.0 - p):

@@ -4,8 +4,9 @@ Every error raised on purpose derives from :class:`Ocp2dError`, so callers
 (including the command line driver) can distinguish domain problems from
 genuine bugs.  ``DomainError`` and its subclasses double as ``ValueError``
 and ``NumericalError`` as ``RuntimeError`` so that idiomatic ``except``
-clauses keep working.  ``check_positive`` is the shared argument check
-for radii and moment exponents.
+clauses keep working.  The shared argument validators are
+``check_positive`` (a finite real > 0) and ``check_size`` (an integer >= a
+minimum); the ``DomainError`` of each names the argument and its value.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ __all__ = [
     "SingularityError",
     "NumericalError",
     "check_positive",
+    "check_size",
 ]
 
 
@@ -50,4 +52,12 @@ def check_positive(value: float, name: str) -> float:
     value = float(value)
     if not math.isfinite(value) or value <= 0.0:
         raise DomainError(f"{name} must be finite and > 0, got {value}")
+    return value
+
+
+def check_size(value: int, name: str, minimum: int = 1) -> int:
+    """int(value); DomainError naming it unless it is >= minimum."""
+    value = int(value)
+    if value < minimum:
+        raise DomainError(f"{name} must be >= {minimum}, got {value}")
     return value

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .equilibrium import stability_domain
-from .errors import DomainError, NumericalError, check_positive
+from .errors import DomainError, NumericalError, check_positive, check_size
 from .specfun import log_reg_lower_gamma
 
 __all__ = [
@@ -29,13 +29,6 @@ __all__ = [
     "mgf_log",
     "log_truncated_gamma_integral",
 ]
-
-
-def _check_n(n: int) -> int:
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"particle number must satisfy n >= 1, got {n}")
-    return n
 
 
 def _edge_factors(n: int, y: float) -> tuple[np.ndarray, np.ndarray]:
@@ -69,7 +62,7 @@ def edge_cdf_log(n: int, x: float) -> float:
     space (the product underflows catastrophically long before any factor
     does).  Returns -inf where n x^2 underflows to 0.
     """
-    n = _check_n(n)
+    n = check_size(n, "particle number n")
     x = check_positive(x, "radius x")
     y = n * x * x
     if y == 0.0:
@@ -84,7 +77,7 @@ def edge_pdf_log(n: int, x: float) -> float:
     sum_k pmf_{k-1} / P(k, y), on the same factor arrays as the CDF.
     Returns -inf where n x^2 underflows to 0.
     """
-    n = _check_n(n)
+    n = check_size(n, "particle number n")
     x = check_positive(x, "radius x")
     y = n * x * x
     if y == 0.0:
@@ -101,7 +94,7 @@ def exact_moment(n: int, p: float) -> float:
 
     Tends to 2/(2+p) as n grows.
     """
-    n = _check_n(n)
+    n = check_size(n, "particle number n")
     p = check_positive(p, "moment exponent p")
     total = math.fsum(
         math.exp(math.lgamma(k + 0.5 * p) - math.lgamma(k)) for k in range(1, n + 1)
@@ -193,7 +186,7 @@ def mgf_log(n: int, p: float, s: float) -> MgfResult:
     the integrals are evaluated after the substitution t = e^v, where the
     integrand is smooth and unimodal for every admissible (p, s).
     """
-    n = _check_n(n)
+    n = check_size(n, "particle number n")
     p = check_positive(p, "moment exponent p")
     s = float(s)
     if s == 0.0:
@@ -261,7 +254,7 @@ def log_truncated_gamma_integral(n: int, x: float, xi: float) -> float:
     of the edge distribution, with an interior saddle for xi < x^2 and a
     boundary-dominated regime for xi > x^2.
     """
-    n = _check_n(n)
+    n = check_size(n, "particle number n")
     x = check_positive(x, "radius x")
     if x > 1.0:
         raise DomainError(f"truncation radius must satisfy 0 < x <= 1, got {x}")

@@ -27,7 +27,7 @@ from .equilibrium import (
     leading_cumulant,
     transition_order,
 )
-from .errors import DomainError, check_positive
+from .errors import DomainError, check_positive, check_size
 from .exact import edge_cdf_log, edge_pdf_log, mgf_log
 from .sampling import sample_kostlan, sample_mcmc
 
@@ -132,9 +132,7 @@ def left_tail_table(n: int, x_grid: Sequence[float]) -> LdpTable:
     the magnified gap (n/ln n)(finite - rate), whose limit is the (ln n)/n
     coefficient, against its two-term prediction.
     """
-    n = int(n)
-    if n < 10:
-        raise DomainError(f"left-tail pipeline needs n >= 10, got {n}")
+    n = check_size(n, "particle number n", 10)
     xs = _sorted_inside(x_grid, 0.0, 1.0)
 
     def work(x: float) -> tuple[float, float]:
@@ -166,9 +164,7 @@ def right_tail_table(n: int, x_grid: Sequence[float]) -> LdpTable:
     finite-n value: -(1/(2n)) ln pdf(x); prediction: the single-particle
     transport cost -ln x + x^2/2 - 1/2.
     """
-    n = int(n)
-    if n < 10:
-        raise DomainError(f"right-tail pipeline needs n >= 10, got {n}")
+    n = check_size(n, "particle number n", 10)
     xs = _sorted_inside(x_grid, 1.0, math.inf)
 
     def work(x: float) -> tuple[float, float]:
@@ -222,9 +218,7 @@ def subleading_coefficient(p: float, s: float, beta: float = 2.0) -> float:
     is + (1/4) entropy_excess; the beta-dependence away from 2 is untested
     and callers must flag it (see untested_beta).
     """
-    beta = float(beta)
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise DomainError(f"beta must be positive, got {beta}")
+    beta = check_positive(beta, "coupling beta")
     return (4.0 - beta) / (4.0 * beta) * entropy_excess(p, s)
 
 
@@ -316,21 +310,6 @@ class CumulantReport:
         return all(row.passed for row in self.rows)
 
 
-def _derivatives_at_zero(p: float, h: float) -> tuple[float, float, float]:
-    """(E', E'', E''') of the tilted energy at s = 0+, one step size.
-
-    Forward second-order stencils on the positive-tilt side only: the
-    energy is analytic there for every p, whereas any stencil reaching
-    into s < 0 picks up the one-sided singular part at the transition
-    (e.g. an O(h^{2/3}) bias in the second difference at p = 1/2).
-    """
-    e0, e1, e2, e3, e4 = (energy_excess(p, j * h) for j in range(5))
-    d1 = (-3.0 * e0 + 4.0 * e1 - e2) / (2.0 * h)
-    d2 = (2.0 * e0 - 5.0 * e1 + 4.0 * e2 - e3) / (h * h)
-    d3 = (-2.5 * e0 + 9.0 * e1 - 12.0 * e2 + 7.0 * e3 - 1.5 * e4) / h**3
-    return d1, d2, d3
-
-
 def cumulant_check(p: float, beta: float, n: int,
                    orders: Sequence[int] | None = None,
                    tolerance: float = 1e-4) -> CumulantReport:
@@ -343,16 +322,20 @@ def cumulant_check(p: float, beta: float, n: int,
     """
     p = float(p)
     beta = check_positive(beta, "coupling beta")
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"particle number must satisfy n >= 1, got {n}")
+    n = check_size(n, "particle number n")
     if orders is None:
         trans = transition_order(p)
         top = 3 if trans.analytic else min(3, trans.order - 1)
         orders = tuple(range(1, top + 1))
-    coarse = _derivatives_at_zero(p, 1e-3)
-    fine = _derivatives_at_zero(p, 5e-4)
-    richardson = [(4.0 * f - c) / 3.0 for c, f in zip(coarse, fine)]
+    # Forward second-order stencils on the positive-tilt side only: the
+    # energy is analytic there for every p, whereas any stencil reaching
+    # into s < 0 picks up the one-sided singular part at the transition
+    # (e.g. an O(h^{2/3}) bias in the second difference at p = 1/2).
+    richardson = [
+        (4.0 * _onesided_derivative(p, k, 5e-4, +1)[0]
+         - _onesided_derivative(p, k, 1e-3, +1)[0]) / 3.0
+        for k in (1, 2, 3)
+    ]
 
     # Map tilted-energy derivatives to cumulants of the statistic: the
     # generating function is -(beta n^2) E(s) in the tilt s, so
@@ -396,9 +379,7 @@ def gumbel_check(n: int, draws: int, seed: int) -> GumbelReport:
     Kolmogorov-Smirnov distance to exp(-e^{-z}).  Convergence is
     logarithmic, so the check is qualitative; n below 1000 is flagged.
     """
-    draws = int(draws)
-    if draws < 2:
-        raise DomainError(f"need at least two draws, got {draws}")
+    draws = check_size(draws, "draws", 2)
     scaling = gumbel_scaling(n)
     batch = sample_kostlan(n, draws, math.inf, seed)
     z = np.sort(scaling.standardize(batch.values))
@@ -441,12 +422,16 @@ class TransitionReport:
 
 def _onesided_weights(order: int) -> np.ndarray:
     """Weights w_j on nodes j = 0..order+1 with sum w_j f(j h) =
-    h^order f^(order)(0) + O(h^{order+2})."""
+    h^order f^(order)(0) + O(h^{order+2}).
+
+    Up to order _MAX_SCAN_ORDER every exact weight is a multiple of 1/2
+    (checked in rational arithmetic), so rounding 2 w to integers removes
+    the roundoff of the float solve."""
     m = order + 2
     v = np.array([[float(j) ** k for j in range(m)] for k in range(m)])
     rhs = np.zeros(m)
     rhs[order] = math.factorial(order)
-    return np.linalg.solve(v, rhs)
+    return np.round(2.0 * np.linalg.solve(v, rhs)) / 2.0
 
 
 def _onesided_derivative(p: float, order: int, h: float,
@@ -478,8 +463,9 @@ def transition_scan(p: float, s_window: float = 0.45,
     p = float(p)
     if not (0.0 < p <= 2.0):
         raise DomainError(f"transition scan needs 0 < p <= 2, got {p}")
-    if not (math.isfinite(s_window) and s_window > 0.0):
-        raise DomainError(f"window must be positive, got {s_window}")
+    s_window = check_positive(s_window, "window")
+    if step is not None:
+        step = check_positive(step, "step")
     if p == 2.0:
         s_window = min(s_window, 0.45)  # stability boundary at -1/2
     trans = transition_order(p)

@@ -21,7 +21,8 @@ from typing import Any
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, SingularityError
+from .errors import (DomainError, NumericalError, SingularityError,
+                     check_positive, check_size)
 
 __all__ = [
     "PlasmaConfig",
@@ -42,10 +43,8 @@ _ENERGY_TOLERANCE = 1e-8
 
 
 def _rng(seed: int, stream: int = 0) -> np.random.Generator:
-    seed = int(seed)
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
-    seq = np.random.SeedSequence(entropy=seed, spawn_key=(int(stream),))
+    seq = np.random.SeedSequence(entropy=check_size(seed, "seed", 0),
+                                 spawn_key=(int(stream),))
     return np.random.Generator(np.random.Philox(seq))
 
 
@@ -63,8 +62,7 @@ class PlasmaConfig:
             raise DomainError(f"positions must have shape (n, 2), got {pos.shape}")
         if not np.all(np.isfinite(pos)):
             raise DomainError("positions must be finite")
-        if not (math.isfinite(self.beta) and self.beta > 0.0):
-            raise DomainError(f"beta must be positive, got {self.beta}")
+        check_positive(self.beta, "coupling beta")
         object.__setattr__(self, "positions", pos)
         if self.n == 0:
             object.__setattr__(self, "n", pos.shape[0])
@@ -75,14 +73,17 @@ class PlasmaConfig:
         return np.hypot(self.positions[:, 0], self.positions[:, 1])
 
 
+def _check_exponent(p: float) -> float:
+    """p itself when it is inf, else p as a float that is finite and > 0."""
+    return p if p == math.inf else check_positive(p, "statistic exponent p")
+
+
 def radial_statistic(config: PlasmaConfig, p: float) -> float:
     """(1/n) sum r_k^p for finite p; the maximum modulus for p = inf."""
+    p = _check_exponent(p)
     r = config.radii()
     if p == math.inf:
         return float(r.max())
-    p = float(p)
-    if not math.isfinite(p) or p <= 0.0:
-        raise DomainError(f"statistic exponent must be positive, got {p}")
     return math.fsum(r**p) / config.n
 
 
@@ -144,12 +145,9 @@ def sample_kostlan(n: int, count: int, p: float, seed: int) -> SampleBatch:
     needs n gamma variates and no angular coordinates (the statistic is
     rotation-invariant).  Chunked to bound memory at large count.
     """
-    n = int(n)
-    count = int(count)
-    if n < 1 or count < 1:
-        raise DomainError(f"need n >= 1 and count >= 1, got n={n}, count={count}")
-    if p != math.inf and (not math.isfinite(p) or p <= 0.0):
-        raise DomainError(f"statistic exponent must be positive or inf, got {p}")
+    n = check_size(n, "particle number n")
+    count = check_size(count, "count")
+    p = _check_exponent(p)
     rng = _rng(seed)
     shapes = np.arange(1, n + 1, dtype=float)
     out = np.empty(count, dtype=float)
@@ -181,17 +179,10 @@ class MetropolisChain:
 
     def __init__(self, n: int, beta: float, rng: np.random.Generator,
                  initial_step: float = 0.25):
-        n = int(n)
-        if n < 1:
-            raise DomainError(f"need n >= 1, got {n}")
-        if not (math.isfinite(beta) and beta > 0.0):
-            raise DomainError(f"beta must be positive, got {beta}")
-        if not (math.isfinite(initial_step) and initial_step > 0.0):
-            raise DomainError(f"step size must be positive, got {initial_step}")
-        self.n = n
-        self.beta = float(beta)
+        self.n = n = check_size(n, "particle number n")
+        self.beta = check_positive(beta, "coupling beta")
         self.rng = rng
-        self.step = float(initial_step)
+        self.step = check_positive(initial_step, "step")
         # i.i.d. uniform on the unit disk: inside the limiting support.
         theta = rng.uniform(0.0, 2.0 * math.pi, size=n)
         radius = np.sqrt(rng.uniform(0.0, 1.0, size=n))
@@ -278,12 +269,10 @@ def sample_mcmc(n: int, beta: float, sweeps: int, burn_in: int, thinning: int,
     sweeps, burn_in, thinning = int(sweeps), int(burn_in), int(thinning)
     if burn_in < 0 or sweeps <= burn_in:
         raise DomainError(f"need sweeps > burn_in >= 0, got {sweeps}, {burn_in}")
-    if thinning < 1:
-        raise DomainError(f"thinning must be >= 1, got {thinning}")
+    check_size(thinning, "thinning")
     if sweeps - burn_in < thinning:
         raise DomainError("no sweeps left to record after burn-in and thinning")
-    if p != math.inf and (not math.isfinite(p) or p <= 0.0):
-        raise DomainError(f"statistic exponent must be positive or inf, got {p}")
+    p = _check_exponent(p)
 
     chain = MetropolisChain(n, beta, _rng(seed), initial_step)
     h_start = hamiltonian(chain.config())

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, check_positive
 
 __all__ = [
     "log_gamma",
@@ -36,10 +36,7 @@ def _check_finite(name: str, value: float) -> float:
 
 def log_gamma(a: float) -> float:
     """Natural log of the gamma function for positive real ``a``."""
-    a = _check_finite("a", a)
-    if a <= 0.0:
-        raise DomainError(f"log_gamma requires a > 0, got {a}")
-    return math.lgamma(a)
+    return math.lgamma(check_positive(a, "a"))
 
 
 def _log_lower_series(a: float, y: float) -> float:
@@ -87,10 +84,8 @@ def _log_upper_cf(a: float, y: float) -> float:
 
 
 def _validate_gamma_args(a: float, y: float) -> tuple[float, float]:
-    a = _check_finite("a", a)
+    a = check_positive(a, "a")
     y = _check_finite("y", y)
-    if a <= 0.0:
-        raise DomainError(f"incomplete gamma requires a > 0, got a={a}")
     if y < 0.0:
         raise DomainError(f"incomplete gamma requires y >= 0, got y={y}")
     return a, y

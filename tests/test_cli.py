@@ -239,6 +239,9 @@ def test_verify_right_tail(tmp_path, capsys):
     (["verify", "gumbel", "--n", "200", "--draws", "10", "--seed", "-5"], "seed"),
     (["verify", "cumulants", "--p", "1", "--n", "0"], "particle number"),
     (["verify", "cumulants", "--p", "1", "--beta", "0", "--n", "5"], "beta"),
+    (["verify", "transition", "--p", "1", "--step", "0"], "step"),
+    (["verify", "transition", "--p", "1", "--step", "-0.01"], "step"),
+    (["verify", "transition", "--p", "1", "--step", "nan"], "step"),
 ])
 def test_out_of_domain_inputs_exit_one(tmp_path, capsys, args, word):
     out = tmp_path / "o.csv"
@@ -318,6 +321,10 @@ def test_config_side_outside_choices_is_domain_error(tmp_path, capsys):
     (["sample", "kostlan", "--n", "5", "--count", "3", "--p", "2",
       "--beta", "4"], None, "--beta"),
     (["fig", "1", "--n", "20"], "p = 2\n", "'p'"),
+    (["verify", "left-tail", "--n", "40", "--grid", "0.3:0.9:3", "--sweeps", "5",
+      "--seed", "3"], None, "--sweeps"),
+    *[(["verify", "left-tail", "--n", "40", "--grid", "0.3:0.9:3", "--beta", "2"],
+       f"{key} = 3\n", key) for key in ("sweeps", "burnin", "thinning", "seed")],
 ])
 def test_options_the_command_does_not_read_are_domain_errors(
         tmp_path, capsys, args, config, word):

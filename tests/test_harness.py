@@ -261,3 +261,16 @@ def test_transition_scan_validation():
         transition_scan(0.0)
     with pytest.raises(DomainError):
         transition_scan(1.0, s_window=0.0)
+    with pytest.raises(DomainError):
+        transition_scan(1.0, step=0.0)
+
+
+@pytest.mark.parametrize("order", range(1, 7))
+def test_onesided_weights_are_exact(order):
+    from ocp2d.harness import _onesided_weights
+
+    w = _onesided_weights(order)
+    assert len(w) == order + 2
+    for k in range(order + 2):
+        got = math.fsum(wj * j**k for j, wj in enumerate(w))
+        assert got == (math.factorial(order) if k == order else 0)
