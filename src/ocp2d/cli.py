@@ -452,9 +452,11 @@ def _cmd_verify(res: _Resolver, out: str):
     p = res.require("p")
     report = harness.transition_scan(p, s_window=res.get("window", default=0.45),
                                      step=res.get("step"))
+    unresolved = "" if report.resolvable else \
+        f" (order {report.expected_order} not resolved)"
     return (_rows_table(harness.TransitionRow, report.rows),
             f"transition scan p={p}: expected order {report.expected_order}, "
-            f"detected {report.detected_order}")
+            f"detected {report.detected_order}{unresolved}")
 
 
 def _cmd_fig(res: _Resolver, out: str):

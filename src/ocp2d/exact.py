@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
 
 from .equilibrium import stability_domain
 from .errors import DomainError, NumericalError, check_positive, check_size
@@ -29,6 +28,21 @@ __all__ = [
     "mgf_log",
     "log_truncated_gamma_integral",
 ]
+
+
+# ln k! for k = 0, 1, ...; grown on demand and kept between calls.  Every
+# entry is math.lgamma(k + 1), whatever order the sizes are requested in.
+_LOG_FACTORIALS = np.zeros(1)
+
+
+def _log_factorials(m: int) -> np.ndarray:
+    """ln k! for k = 0..m-1."""
+    global _LOG_FACTORIALS
+    table = _LOG_FACTORIALS
+    if len(table) < m:
+        grown = [math.lgamma(k + 1.0) for k in range(len(table), m)]
+        table = _LOG_FACTORIALS = np.concatenate([table, grown])
+    return table[:m]
 
 
 def _edge_factors(n: int, y: float) -> tuple[np.ndarray, np.ndarray]:
@@ -46,7 +60,7 @@ def _edge_factors(n: int, y: float) -> tuple[np.ndarray, np.ndarray]:
     lower = min(n, math.floor(y))
     top = n if lower == n else n + int(40.0 * math.sqrt(n)) + 60
     j = np.arange(top, dtype=float)
-    log_pmf = j * math.log(y) - y - gammaln(j + 1.0)
+    log_pmf = j * math.log(y) - y - _log_factorials(top)
     log_p = np.empty(n)
     log_q = np.logaddexp.accumulate(log_pmf[:lower])
     log_p[:lower] = np.log1p(-np.exp(log_q))
@@ -234,7 +248,7 @@ def mgf_log(n: int, p: float, s: float) -> MgfResult:
             check[blk] = _gl_block(log_g, lo[blk], hi[blk], _GL_CHECK)
     if not (main > 0.0).all():
         raise NumericalError("log-axis quadrature collapsed to zero")
-    log_terms = peak + np.log(main) - gammaln(ell)
+    log_terms = peak + np.log(main) - _log_factorials(n)
     err_abs = float((np.abs(main - check) / main).sum())
     log_value = math.fsum(log_terms)
     return MgfResult(n, p, s, log_value, err_abs / max(1.0, abs(log_value)))

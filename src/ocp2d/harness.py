@@ -458,7 +458,9 @@ def transition_scan(p: float, s_window: float = 0.45,
     estimated from both sides at steps h and h/2, with h = 10^{-6/m} by
     default, clamped so all nodes stay inside the window.  A jump is
     declared when the refined two-sided gap stays above the roundoff floor
-    and does not shrink like a truncation artifact (ratio >= 0.75).
+    and does not shrink like a truncation artifact (ratio >= 0.75).  The
+    report is ``resolvable`` unless the expected order lies above the cap
+    or its jumps at the step used fall under their roundoff floor.
     """
     p = float(p)
     if not (0.0 < p <= 2.0):
@@ -491,5 +493,10 @@ def transition_scan(p: float, s_window: float = 0.45,
         discontinuous = bool(stable and abs(jump2) > floor and abs(jump) > floor)
         rows.append(TransitionRow(order, h, left, right, jump, jump2, floor,
                                   discontinuous))
-    resolvable = trans.analytic or expected <= _MAX_SCAN_ORDER
+    # The expected order is resolved only if it was scanned and both of its
+    # jumps clear its own roundoff floor; a user step can push them under.
+    last = rows[-1]
+    resolvable = trans.analytic or (
+        expected <= _MAX_SCAN_ORDER
+        and min(abs(last.jump), abs(last.jump_refined)) > last.noise_floor)
     return TransitionReport(p, expected, resolvable, tuple(rows))

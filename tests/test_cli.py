@@ -2,10 +2,13 @@
 
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ocp2d
 from ocp2d import exact_moment, left_rate
 from ocp2d.cli import DEFAULT_SEED, SimpleTable, _grid, build_parser, emit_csv, run
 
@@ -207,6 +210,16 @@ def test_verify_transition(tmp_path, capsys):
     assert header == ["order", "step", "left", "right", "jump", "jump_refined",
                       "noise_floor", "discontinuous"]
     assert rows[-1][0] == "4"
+
+
+def test_verify_transition_says_when_the_order_is_not_resolved(tmp_path, capsys):
+    out = str(tmp_path / "t.csv")
+    assert run(["verify", "transition", "--p", "1", "--step", "0.001",
+                "--out", out]) == 0
+    assert "expected order 4, detected None (order 4 not resolved)" \
+        in capsys.readouterr().out
+    assert run(["verify", "transition", "--p", "1", "--out", out]) == 0
+    assert "not resolved" not in capsys.readouterr().out
 
 
 def test_verify_left_tail(tmp_path, capsys):
@@ -427,3 +440,30 @@ def test_svg_written_alongside_csv(tmp_path, capsys):
 def test_parser_builds_help_without_side_effects():
     parser = build_parser()
     assert parser.prog
+
+
+# --- numpy-only runtime ----------------------------------------------------------
+
+def _python(code, cwd):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ocp2d.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    r = _python("import sys, ocp2d.cli\n"
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))",
+                tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
+def test_fig3_runs_with_scipy_blocked(tmp_path):
+    r = _python("import sys\nsys.modules['scipy'] = None\n"
+                "from ocp2d.cli import run\n"
+                "sys.exit(run(['fig', '3', '--out', 'fig3.csv']))", tmp_path)
+    assert r.returncode == 0, r.stderr
+    header, rows = read_csv(tmp_path / "fig3.csv")
+    assert header[0] == "s" and len(rows) == 65

@@ -2,12 +2,16 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from ocp2d import (
     DomainError,
+    NumericalError,
+    Piece,
     RadialMeasure,
+    RingMass,
     SingularityError,
     StabilityError,
     closed_form_energy,
@@ -226,3 +230,70 @@ def test_leading_cumulant_argument_validation():
         leading_cumulant(1.0, -2.0, 10, 1)
     with pytest.raises(DomainError):
         leading_cumulant(1.0, 2.0, 0, 1)
+
+
+# --- double-exponential quadrature --------------------------------------------
+
+def _mp_entropy_excess(p, s):
+    # 30-digit reference in v = r^p, where the disk integrand's only
+    # singularity is ln v at 0.
+    with mpmath.workdps(30):
+        p, s = mpmath.mpf(p), mpmath.mpf(s)
+        radius = mpmath.findroot(lambda r: r * r + s * p * r ** p - 1, 1)
+        k = (2 - p) / p
+
+        def f(v):
+            a = 2 * v ** k + s * p * p
+            return a / p * (mpmath.log(a) - k * mpmath.log(v))
+
+        return mpmath.quad(f, [0, radius ** p]) - mpmath.log(2)
+
+
+@pytest.mark.parametrize("p", [0.1, 0.3, 0.5])
+@pytest.mark.parametrize("s", [1.0, 5.0])
+def test_entropy_excess_against_mpmath_at_singular_exponents(p, s):
+    assert entropy_excess(p, s) == pytest.approx(float(_mp_entropy_excess(p, s)),
+                                                 abs=1e-10)
+
+
+def test_entropy_excess_converges_across_exponents_and_tilts():
+    tilts = [-5, -3, -2, -1, -0.75, -0.49, -0.45, -0.3, -0.2, -0.1, -0.01,
+             -1e-3, 1e-3, 0.01, 0.1, 0.2, 0.5, 1, 2, 3, 5, 10, 20]
+    for p in (0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 1, 1.25, 1.5, 1.9, 2, 2.5, 3, 4):
+        domain = stability_domain(p)
+        for s in tilts:
+            if domain.contains(s):
+                assert math.isfinite(entropy_excess(p, s)), (p, s)
+
+
+def test_half_infinite_piece_matches_closed_forms():
+    # density e^{-r} on [0, inf): energy 1 + (gamma - ln 2)/2 and entropy
+    # 1 + ln 2 pi - gamma, through the exp-sinh form of the rule
+    mu = RadialMeasure(pieces=(Piece(0.0, math.inf, lambda r: math.exp(-r)),))
+    gamma = 0.57721566490153286
+    assert mean_field_energy(mu) == pytest.approx(
+        1.0 + (gamma - math.log(2.0)) / 2.0, abs=1e-10)
+    assert entropy_functional(mu) == pytest.approx(
+        1.0 + math.log(2.0 * math.pi) - gamma, abs=1e-10)
+
+
+def test_nan_density_raises_instead_of_returning_nan():
+    mu = RadialMeasure(pieces=(
+        Piece(0.0, 1.0, lambda r: 2.0 * r if r < 0.5 else math.nan),))
+    with pytest.raises(NumericalError):
+        mu.total_mass()
+    with pytest.raises(NumericalError):
+        mean_field_energy(mu)
+    with pytest.raises(NumericalError):
+        entropy_functional(mu)
+
+
+def test_nan_mass_is_a_domain_error():
+    nan_cumulative = RadialMeasure(pieces=(
+        Piece(0.0, 1.0, lambda r: 2.0 * r, lambda r: math.nan),))
+    nan_ring = RadialMeasure(
+        pieces=(Piece(0.0, 1.0, lambda r: 2.0 * r, lambda r: r * r),),
+        rings=(RingMass(0.5, math.nan),))
+    for mu in (nan_cumulative, nan_ring):
+        with pytest.raises(DomainError):
+            mean_field_energy(mu)

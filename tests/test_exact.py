@@ -233,3 +233,17 @@ def test_truncated_gamma_integral_validation():
         log_truncated_gamma_integral(10, 0.0, 0.5)
     with pytest.raises(DomainError):
         log_truncated_gamma_integral(10, 0.5, 1.5)
+
+
+# --- ln k! table --------------------------------------------------------------
+
+def test_log_factorial_table_is_exact_as_it_grows(monkeypatch):
+    import numpy as np
+
+    from ocp2d import exact
+
+    monkeypatch.setattr(exact, "_LOG_FACTORIALS", np.zeros(1))
+    for m in (2000, 50, 4000):
+        table = exact._log_factorials(m)
+        assert len(table) == m
+        assert all(table[k] == math.lgamma(k + 1.0) for k in range(m))

@@ -246,6 +246,19 @@ def test_transition_scan_linear_detects_fourth_order():
     jump_row = next(r for r in report.rows if r.order == 4)
     # the fourth derivative jumps by -1 across zero tilt
     assert jump_row.jump == pytest.approx(-1.0, abs=0.05)
+    assert report.resolvable
+
+
+def test_transition_scan_reports_an_order_it_did_not_resolve():
+    # at step 0.001 the order-4 jump of -1 sits under its roundoff floor
+    report = transition_scan(1.0, step=0.001)
+    row = report.rows[-1]
+    assert row.order == 4
+    assert abs(row.jump) < row.noise_floor
+    assert report.detected_order is None
+    assert not report.resolvable
+    # order 8 lies above the highest scanned order
+    assert not transition_scan(1.5).resolvable
 
 
 def test_transition_scan_quadratic_finds_no_jump():
