@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -238,7 +239,9 @@ def energy_excess(p: float, s: float) -> float:
 # lo + (hi - lo)(1 + x)/2 loses near x = -1.  On [lo, inf) it is exp-sinh,
 # x = lo + e^u.  The error estimate is the gap between the h sum and the 2h
 # sum on the even nodes, plus the two outermost weighted terms, which bound
-# what truncation at |t| = 3.6 drops.
+# what truncation at |t| = 3.6 drops.  Scalar callables are tried first on
+# the 2h rule alone (the even nodes, checked against 4h) and get the odd
+# nodes only when that estimate fails.
 
 _DE_H = 1.0 / 64.0
 _DE_T = np.arange(-230, 231) * _DE_H
@@ -258,11 +261,18 @@ def _de_nodes(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
     return np.where(_DE_T <= 0.0, lo + offset, hi - offset), half * _TS_WEIGHT
 
 
+def _de_estimate(terms: np.ndarray) -> tuple[float, float]:
+    """Sum of the weighted terms of one step size, and its error estimate."""
+    value = float(terms.sum())
+    half = terms[(terms.size // 2) % 2::2]     # every other node, t = 0 among them
+    err = abs(value - 2.0 * float(half.sum())) \
+        + abs(float(terms[0])) + abs(float(terms[-1]))
+    return value, err
+
+
 def _de_sum(terms: np.ndarray, what: str, tol: float = 1e-10) -> float:
     """Sum of the weighted terms, checked against the error estimate."""
-    value = float(terms.sum())
-    err = abs(value - 2.0 * float(terms[::2].sum())) \
-        + abs(float(terms[0])) + abs(float(terms[-1]))
+    value, err = _de_estimate(terms)
     if not (math.isfinite(value) and err <= tol):
         raise NumericalError(
             f"quadrature for {what} did not converge: estimated error {err:.3e}"
@@ -274,7 +284,12 @@ def _quad_checked(f: Callable[[float], float], lo: float, hi: float,
                   what: str, tol: float = 1e-10) -> float:
     """int_lo^hi f for a scalar callable, evaluated node by node."""
     nodes, weights = _de_nodes(lo, hi)
-    values = np.array([f(float(x)) for x in nodes], dtype=float)
+    values = np.empty(nodes.size)
+    values[::2] = [f(float(x)) for x in nodes[::2]]
+    value, err = _de_estimate(2.0 * values[::2] * weights[::2])
+    if math.isfinite(value) and err <= tol:
+        return value
+    values[1::2] = [f(float(x)) for x in nodes[1::2]]
     return _de_sum(values * weights, what, tol)
 
 
@@ -282,16 +297,18 @@ def entropy_excess(p: float, s: float) -> float:
     """Tilted entropy integral S_p(s) = int rho ln(rho/r) dr - ln 2.
 
     Computed by the double-exponential rule on the whole node array.  On a
-    disk the integral is taken in v = r^p, where rho dr = (2 v^k + s p^2)/p dv
-    with k = (2 - p)/p and the only singularity left is ln v at 0 (in r it is
-    r^{p-1} ln r); an annulus has no singular endpoint and stays in r.
+    disk with p < 2 the integral is taken in v = r^p, where
+    rho dr = (2 v^k + s p^2)/p dv with k = (2 - p)/p and the only singularity
+    left is ln v at 0 (in r it is r^{p-1} ln r).  For p >= 2 the r-integrand
+    is bounded at 0 while v^k with k < 0 is not, and an annulus has no
+    singular endpoint, so both stay in r.
     Vanishes at s = 0, equals ln(1+2s) at p = 2.
     """
     measure = equilibrium_measure(p, s)
     if s == 0.0:
         return 0.0
     p, s = measure.p, measure.s
-    if measure.inner_radius == 0.0:
+    if p < 2.0 and measure.inner_radius == 0.0:
         k = (2.0 - p) / p
         v, weights = _de_nodes(0.0, measure.outer_radius ** p)
         a = 2.0 * v ** k + s * p * p
@@ -404,7 +421,12 @@ def leading_cumulant(p: float, beta: float, n: int, order: int) -> float:
 class Piece:
     """One absolutely continuous piece of a radial measure: density f on
     [lo, hi], with an optional analytic cumulative (mass of this piece on
-    [lo, r]).  Without it, cumulative mass is obtained by quadrature."""
+    [lo, r]).  Without it, cumulative mass is obtained by quadrature.
+
+    The density must be smooth inside (lo, hi): the double-exponential rule
+    converges slowly across a kink or jump and then raises NumericalError,
+    so split such a density into pieces at its kinks.  Algebraic or log
+    singularities at lo and hi are fine."""
 
     lo: float
     hi: float
@@ -436,6 +458,11 @@ class TiltedPotential:
 HARMONIC = TiltedPotential()
 
 
+def _piece_quad(piece: Piece, lo: float, hi: float) -> float:
+    return _quad_checked(piece.density, lo, hi, "piecewise cumulative mass",
+                         tol=1e-9)
+
+
 @dataclass(frozen=True)
 class RadialMeasure:
     """A rotationally invariant probability measure given by its radial
@@ -448,25 +475,32 @@ class RadialMeasure:
     def circular_law(cls) -> "RadialMeasure":
         return cls(pieces=(Piece(0.0, 1.0, lambda r: 2.0 * r, lambda r: r * r),))
 
-    def _piece_mass_below(self, piece: Piece, r: float) -> float:
-        if r <= piece.lo:
-            return 0.0
-        top = min(r, piece.hi)
-        if piece.cumulative is not None:
-            return piece.cumulative(top)
-
-        def mass(lo: float, hi: float) -> float:
-            return _quad_checked(piece.density, lo, hi,
-                                 "piecewise cumulative mass", tol=1e-9)
-
-        if piece.hi == math.inf and top < math.inf:
-            # [lo, top] far out in the tail is too wide for the finite rule;
-            # take the difference of two exp-sinh tails instead.
-            return mass(piece.lo, math.inf) - mass(top, math.inf)
-        return mass(piece.lo, top)
+    @cached_property
+    def _tail_masses(self) -> tuple[float | None, ...]:
+        """Exp-sinh mass of each half-infinite piece without a cumulative,
+        computed once: nested functionals ask for it at every node."""
+        return tuple(
+            _piece_quad(piece, piece.lo, math.inf)
+            if piece.hi == math.inf and piece.cumulative is None else None
+            for piece in self.pieces)
 
     def continuous_mass_below(self, r: float) -> float:
-        return math.fsum(self._piece_mass_below(p, r) for p in self.pieces)
+        parts = []
+        for piece, tail_mass in zip(self.pieces, self._tail_masses):
+            if r <= piece.lo:
+                continue
+            top = min(r, piece.hi)
+            if piece.cumulative is not None:
+                parts.append(piece.cumulative(top))
+            elif tail_mass is None:
+                parts.append(_piece_quad(piece, piece.lo, top))
+            elif top == math.inf:
+                parts.append(tail_mass)
+            else:
+                # [lo, top] far out in the tail is too wide for the finite
+                # rule; subtract the exp-sinh tail beyond top instead.
+                parts.append(tail_mass - _piece_quad(piece, top, math.inf))
+        return math.fsum(parts)
 
     def total_mass(self) -> float:
         return self.continuous_mass_below(math.inf) \

@@ -259,7 +259,8 @@ def test_entropy_excess_against_mpmath_at_singular_exponents(p, s):
 def test_entropy_excess_converges_across_exponents_and_tilts():
     tilts = [-5, -3, -2, -1, -0.75, -0.49, -0.45, -0.3, -0.2, -0.1, -0.01,
              -1e-3, 1e-3, 0.01, 0.1, 0.2, 0.5, 1, 2, 3, 5, 10, 20]
-    for p in (0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 1, 1.25, 1.5, 1.9, 2, 2.5, 3, 4):
+    for p in (0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 1, 1.25, 1.5, 1.9, 2, 2.5, 3, 4,
+              6, 8, 10):
         domain = stability_domain(p)
         for s in tilts:
             if domain.contains(s):
@@ -275,6 +276,40 @@ def test_half_infinite_piece_matches_closed_forms():
         1.0 + (gamma - math.log(2.0)) / 2.0, abs=1e-10)
     assert entropy_functional(mu) == pytest.approx(
         1.0 + math.log(2.0 * math.pi) - gamma, abs=1e-10)
+
+
+def test_half_infinite_piece_mass_is_integrated_once(monkeypatch):
+    # the nested energy asks for the cumulative mass at every outer node;
+    # the total exp-sinh mass of the piece must not be redone each time
+    import ocp2d.equilibrium as eq
+
+    def density(r):
+        return math.exp(-r)
+
+    quad, lower_limits = eq._quad_checked, []
+
+    def spy(f, lo, hi, what, tol=1e-10):
+        if f is density and hi == math.inf:
+            lower_limits.append(lo)
+        return quad(f, lo, hi, what, tol)
+
+    monkeypatch.setattr(eq, "_quad_checked", spy)
+    mean_field_energy(RadialMeasure(pieces=(Piece(0.0, math.inf, density),)))
+    assert lower_limits.count(0.0) == 1
+
+
+def test_kinked_density_needs_a_split_at_the_kink():
+    def tent(r):
+        return 4.0 * r if r < 0.5 else 4.0 * (1.0 - r)
+
+    whole = RadialMeasure(pieces=(Piece(0.0, 1.0, tent),))
+    with pytest.raises(NumericalError):
+        whole.total_mass()
+    split = RadialMeasure(pieces=(Piece(0.0, 0.5, tent), Piece(0.5, 1.0, tent)))
+    assert split.total_mass() == pytest.approx(1.0, abs=1e-12)
+    # -int f ln(r) M(r) dr + int r^2/2 f dr in closed form: ln(2)/2 + 1/16
+    assert mean_field_energy(split) == pytest.approx(
+        0.5 * math.log(2.0) + 1.0 / 16.0, abs=1e-10)
 
 
 def test_nan_density_raises_instead_of_returning_nan():
