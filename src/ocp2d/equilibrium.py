@@ -31,6 +31,7 @@ from .errors import (
     check_positive,
     check_size,
 )
+from .quadrature import checked_sum, estimate, nodes
 
 __all__ = [
     "StabilityDomain",
@@ -230,67 +231,18 @@ def energy_excess(p: float, s: float) -> float:
         + 0.5 * (radius ** 2 / 2.0 + s * radius ** p - math.log(radius) - 0.75)
 
 
-# --- double-exponential quadrature ------------------------------------------
-#
-# One fixed-node rule (Takahasi & Mori 1974) on t = k h, |k| <= 230, h = 1/64.
-# On [lo, hi] it is tanh-sinh, x = tanh u with u = pi/2 sinh t: a node sits
-# at lo + d for t <= 0 and at hi - d for t > 0, d = (hi - lo)/2 e^{-|u|}/cosh u
-# (that is 1 -+ tanh u), so offsets down to ~1e-25 keep the digits that
-# lo + (hi - lo)(1 + x)/2 loses near x = -1.  On [lo, inf) it is exp-sinh,
-# x = lo + e^u.  The error estimate is the gap between the h sum and the 2h
-# sum on the even nodes, plus the two outermost weighted terms, which bound
-# what truncation at |t| = 3.6 drops.  Scalar callables are tried first on
-# the 2h rule alone (the even nodes, checked against 4h) and get the odd
-# nodes only when that estimate fails.
-
-_DE_H = 1.0 / 64.0
-_DE_T = np.arange(-230, 231) * _DE_H
-_DE_U = 0.5 * math.pi * np.sinh(_DE_T)
-_DE_DU = 0.5 * math.pi * np.cosh(_DE_T) * _DE_H        # h du/dt
-_TS_OFFSET = np.exp(-np.abs(_DE_U)) / np.cosh(_DE_U)
-_TS_WEIGHT = _DE_DU / np.cosh(_DE_U) ** 2              # h dx/dt
-
-
-def _de_nodes(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the rule on [lo, hi]; hi may be +inf."""
-    if hi == math.inf:
-        grow = np.exp(_DE_U)
-        return lo + grow, grow * _DE_DU
-    half = 0.5 * (hi - lo)
-    offset = half * _TS_OFFSET
-    return np.where(_DE_T <= 0.0, lo + offset, hi - offset), half * _TS_WEIGHT
-
-
-def _de_estimate(terms: np.ndarray) -> tuple[float, float]:
-    """Sum of the weighted terms of one step size, and its error estimate."""
-    value = float(terms.sum())
-    half = terms[(terms.size // 2) % 2::2]     # every other node, t = 0 among them
-    err = abs(value - 2.0 * float(half.sum())) \
-        + abs(float(terms[0])) + abs(float(terms[-1]))
-    return value, err
-
-
-def _de_sum(terms: np.ndarray, what: str, tol: float = 1e-10) -> float:
-    """Sum of the weighted terms, checked against the error estimate."""
-    value, err = _de_estimate(terms)
-    if not (math.isfinite(value) and err <= tol):
-        raise NumericalError(
-            f"quadrature for {what} did not converge: estimated error {err:.3e}"
-        )
-    return value
-
-
 def _quad_checked(f: Callable[[float], float], lo: float, hi: float,
                   what: str, tol: float = 1e-10) -> float:
-    """int_lo^hi f for a scalar callable, evaluated node by node."""
-    nodes, weights = _de_nodes(lo, hi)
-    values = np.empty(nodes.size)
-    values[::2] = [f(float(x)) for x in nodes[::2]]
-    value, err = _de_estimate(2.0 * values[::2] * weights[::2])
+    """int_lo^hi f for a scalar callable, node by node: on the 2h rule (even
+    nodes, checked against 4h), on every node only if that estimate fails."""
+    x, weights = nodes(lo, hi)
+    values = np.empty(x.size)
+    values[::2] = [f(float(r)) for r in x[::2]]
+    value, err = estimate(2.0 * values[::2] * weights[::2])
     if math.isfinite(value) and err <= tol:
-        return value
-    values[1::2] = [f(float(x)) for x in nodes[1::2]]
-    return _de_sum(values * weights, what, tol)
+        return float(value)
+    values[1::2] = [f(float(r)) for r in x[1::2]]
+    return checked_sum(values * weights, what, tol)
 
 
 def entropy_excess(p: float, s: float) -> float:
@@ -310,14 +262,14 @@ def entropy_excess(p: float, s: float) -> float:
     p, s = measure.p, measure.s
     if p < 2.0 and measure.inner_radius == 0.0:
         k = (2.0 - p) / p
-        v, weights = _de_nodes(0.0, measure.outer_radius ** p)
+        v, weights = nodes(0.0, measure.outer_radius ** p)
         a = 2.0 * v ** k + s * p * p
         values = a / p * (np.log(a) - k * np.log(v))
     else:
-        r, weights = _de_nodes(measure.inner_radius, measure.outer_radius)
+        r, weights = nodes(measure.inner_radius, measure.outer_radius)
         rho = 2.0 * r + s * p * p * r ** (p - 1.0)
         values = rho * np.log(rho / r)
-    value = _de_sum(values * weights, f"entropy excess at p={p}, s={s}")
+    value = checked_sum(values * weights, f"entropy excess at p={p}, s={s}")
     return value - math.log(2.0)
 
 

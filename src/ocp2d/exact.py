@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .equilibrium import stability_domain
 from .errors import DomainError, NumericalError, check_positive, check_size
+from .quadrature import estimate, nodes
 from .specfun import log_reg_lower_gamma
 
 __all__ = [
@@ -116,75 +116,62 @@ def exact_moment(n: int, p: float) -> float:
     return n ** (-1.0 - 0.5 * p) * total
 
 
-# --- log-space Laplace quadrature over v = ln t ------------------------------
+# --- log-axis integrals on the double-exponential rule -----------------------
 #
-# Working on the log axis makes every integrand here smooth and unimodal:
-# the t-space cusp of t^{p/2} at the origin (p < 2) becomes a clean
-# exponential tail e^{l v} at v -> -inf.  One engine serves both mgf_log
-# and log_truncated_gamma_integral: _crossing brackets and bisects the
-# window where the integrand stays within e^-60 of its peak, and _gl_block
-# integrates it, written relative to the peak, on 32 equal panels of
-# 32-node Gauss-Legendre per row (a 20-node rule on the same panels gives
-# mgf_log's error estimate).  mgf_log takes one row per factor, 32 factors
-# at a time; log_truncated_gamma_integral one row per side of the peak.
+# On the log axis v = ln t every integrand here is smooth and unimodal: the
+# cusp of t^{p/2} at t = 0 (p < 2) becomes a tail e^{l v} at v -> -inf.
+# Each is written relative to its peak, h(mode + u) - h(mode), free of the
+# cancellation between l v and e^v, and summed on the rule of `quadrature`:
+# sinh-sinh for mgf_log, exp-sinh and tanh-sinh for the truncated integral.
 
-_GL_MAIN = np.polynomial.legendre.leggauss(32)
-_GL_CHECK = np.polynomial.legendre.leggauss(20)
-_WINDOW_DROP = 60.0
-_PANELS = 32
 _MGF_BLOCK = 32
-_MAX_DOUBLINGS = 20
-_MAX_BISECTIONS = 100
-_BRACKET_TOL = 1e-6
-_TAIL_CUT = 40.0
+_REFINE = 1e-12
+_MAX_START_OFFSET = 512.0
+_NEWTON_STEPS = 300
 
 
-def _crossing(inside: Callable[[np.ndarray], np.ndarray], start: np.ndarray,
-              direction: np.ndarray) -> np.ndarray:
-    """Per element, where inside(v) first turns false on the ray from start
-    in the given direction (+1 or -1); inside(start) must hold.
-
-    Doubling steps bracket the crossing and bisection on the distance
-    narrows the bracket to _BRACKET_TOL; the outside end is returned.
+def _modes(ell: np.ndarray, c: float, q: float) -> np.ndarray:
+    """Per element, the root of g(v) = e^v + c q e^{qv} - ell: the mode of
+    h(v) = ell v - e^v - c e^{qv}.  Right of it g is increasing and convex
+    for every admissible (p, s) (for c < 0, g > 0 gives e^v > |c| q e^{qv},
+    and q <= 1), so Newton started where g > 0 descends onto it without
+    overshooting.  The start is ln ell (g > 0 there if c > 0), else ln ell
+    + 1, 2, 4, ..., _MAX_START_OFFSET; far out, a step moves v by about 1.
     """
-    near = np.zeros_like(start)
-    far = np.ones_like(start)
-    for _ in range(_MAX_DOUBLINGS):
-        grow = inside(start + direction * far)
-        if not grow.any():
-            break
-        near = np.where(grow, far, near)
-        far = np.where(grow, 2.0 * far, far)
-    else:
-        raise NumericalError("log-axis integrand bracket failed")
-    for _ in range(_MAX_BISECTIONS):
-        if (far - near).max() <= _BRACKET_TOL:
-            break
-        mid = 0.5 * (near + far)
-        ok = inside(start + direction * mid)
-        near = np.where(ok, mid, near)
-        far = np.where(ok, far, mid)
-    return start + direction * far
+    def newton(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        e, cq = np.exp(v), c * q * np.exp(q * v)
+        g = e + cq - ell
+        return g, g / (e + q * cq)
 
-
-def _gl_block(log_g: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
-              hi: np.ndarray, rule: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """int_lo^hi e^{log_g(u)} du per row, on _PANELS equal panels.
-
-    log_g maps node arrays of shape (rows, panels, nodes) to the same shape.
-    """
-    nodes, weights = rule
-    half = 0.5 * (hi - lo) / _PANELS
-    centers = lo[:, None] + (2.0 * np.arange(_PANELS) + 1.0) * half[:, None]
-    u = centers[:, :, None] + half[:, None, None] * nodes
-    g = np.nan_to_num(np.exp(log_g(u)), nan=0.0, posinf=0.0)
-    return half * (g @ weights).sum(axis=1)
+    v = log_ell = np.log(ell)
+    g, step = newton(v)
+    offset = 1.0
+    while not (g > 0.0).all():
+        if offset > _MAX_START_OFFSET:
+            raise NumericalError("mode search: no v with g > 0 within the step "
+                                 f"budget (ln ell + {_MAX_START_OFFSET:g})")
+        v = np.where(g > 0.0, v, log_ell + offset)
+        g, step = newton(v)
+        offset *= 2.0
+    for _ in range(_NEWTON_STEPS):
+        step = np.where(g > 0.0, step, 0.0)   # g <= 0 only by rounding at the root
+        if not (v - step != v).any():
+            return v
+        v = v - step
+        g, step = newton(v)
+    raise NumericalError("Newton iteration for the mode did not converge")
 
 
 @dataclass(frozen=True)
 class MgfResult:
     """Log of the tilted partition ratio <exp(-2 n^2 s moment_p)> at
-    coupling 2, with the quadrature's own error estimate."""
+    coupling 2, with the quadrature's own error estimate.
+
+    estimated_relative_error is the sum over factors of the rule's estimate
+    (h against 2h, or h/2 against h where refined) relative to the factor,
+    over max(1, |log_value|).  It does not see the rounding of h itself,
+    which grows like sqrt(e^mode) when a mode lies far right.
+    """
 
     n: int
     p: float
@@ -198,7 +185,11 @@ def mgf_log(n: int, p: float, s: float) -> MgfResult:
 
     Each factor is int_0^inf t^{l-1} exp(-t - 2 s n (t/n)^{p/2}) dt / Gamma(l);
     the integrals are evaluated after the substitution t = e^v, where the
-    integrand is smooth and unimodal for every admissible (p, s).
+    integrand e^{h(v)} is smooth and unimodal for every admissible (p, s).
+    Newton finds all n modes at once; sinh-sinh nodes scaled to the width
+    at each mode take the factors _MGF_BLOCK at a time, so memory stays
+    O(_MGF_BLOCK x nodes).  A mode too far out for h to resolve its peak
+    (v near 333 at n = 40, p = 1.99, s = -2.6) is a NumericalError.
     """
     n = check_size(n, "particle number n")
     p = check_positive(p, "moment exponent p")
@@ -210,48 +201,37 @@ def mgf_log(n: int, p: float, s: float) -> MgfResult:
     q = 0.5 * p
     c = 2.0 * s * n ** (1.0 - q)
     ell = np.arange(1.0, n + 1.0)
-
-    def h(v: np.ndarray, ell: np.ndarray = ell) -> np.ndarray:
-        return ell * v - np.exp(v) - c * np.exp(q * v)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        # h' = ell - e^v - c q e^{qv} changes sign once, from + to -, and
-        # h'(ln ell) = -c q ell^q: the mode lies right of ln ell iff c < 0.
-        up = c < 0.0
-        mode = _crossing(
-            lambda v: (ell - np.exp(v) - c * q * np.exp(q * v) > 0.0) == up,
-            np.log(ell), np.full(n, 1.0 if up else -1.0))
-        peak = h(mode)
-        if not np.isfinite(peak).all():
-            raise NumericalError("integrand is not finite at its mode")
-        # Window: where h stays within _WINDOW_DROP of its peak.
-        both = np.concatenate([ell, ell])
-        floor = np.concatenate([peak, peak]) - _WINDOW_DROP
-        ends = _crossing(lambda v: h(v, both) > floor,
-                         np.concatenate([mode, mode]),
-                         np.repeat([-1.0, 1.0], n))
-        lo, hi = ends[:n] - mode, ends[n:] - mode
-        # On the window, h(mode + u) - h(mode) in a form free of the
-        # cancellation between ell v and e^v.
+    rule, midpoints = nodes(-math.inf, math.inf), nodes(-math.inf, math.inf, True)
+    main, err = np.empty(n), np.empty(n)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        mode = _modes(ell, c, q)
         e_mode = np.exp(mode)
         c_mode = c * np.exp(q * mode)
-        main = np.empty(n)
-        check = np.empty(n)
+        peak = ell * mode - e_mode - c_mode
+        width = 1.0 / np.sqrt(e_mode + q * q * c_mode)      # 1/sqrt(-h''(mode))
         for b in range(0, n, _MGF_BLOCK):
             blk = slice(b, b + _MGF_BLOCK)
-            el, e, cm = (a[blk, None, None] for a in (ell, e_mode, c_mode))
+            el, e, cm, wd = (a[blk, None] for a in (ell, e_mode, c_mode, width))
 
-            def log_g(u: np.ndarray) -> np.ndarray:
-                return el * u - e * np.expm1(u) - cm * np.expm1(q * u)
+            def terms(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+                # e^{h(mode + u) - h(mode)} on u = width x; far out in x,
+                # inf - inf stands for a vanishing tail, while an overflow
+                # stays inf and fails the check below
+                u = wd * x
+                g = np.exp(el * u - e * np.expm1(u) - cm * np.expm1(q * u))
+                return np.nan_to_num(g, nan=0.0, posinf=math.inf) * (wd * weights)
 
-            main[blk] = _gl_block(log_g, lo[blk], hi[blk], _GL_MAIN)
-            check[blk] = _gl_block(log_g, lo[blk], hi[blk], _GL_CHECK)
-    if not (main > 0.0).all():
-        raise NumericalError("log-axis quadrature collapsed to zero")
-    log_terms = peak + np.log(main) - _log_factorials(n)
-    err_abs = float((np.abs(main - check) / main).sum())
-    log_value = math.fsum(log_terms)
-    return MgfResult(n, p, s, log_value, err_abs / max(1.0, abs(log_value)))
+            main[blk], err[blk] = estimate(terms(*rule))
+            if not (err[blk] <= _REFINE * main[blk]).all():
+                # a long tail one side of a sharp wall (small p): go to h/2
+                fine = 0.5 * (main[blk] + terms(*midpoints).sum(axis=-1))
+                err[blk] = np.abs(fine - main[blk])
+                main[blk] = fine
+    if not (np.isfinite(peak) & np.isfinite(main) & (main > 0.0)).all():
+        raise NumericalError("log-axis quadrature collapsed to zero or overflowed")
+    log_value = math.fsum(peak + np.log(main) - _log_factorials(n))
+    err_rel = float((err / main).sum()) / max(1.0, abs(log_value))
+    return MgfResult(n, p, s, log_value, err_rel)
 
 
 def log_truncated_gamma_integral(n: int, x: float, xi: float) -> float:
@@ -259,14 +239,13 @@ def log_truncated_gamma_integral(n: int, x: float, xi: float) -> float:
 
     The integral equals n^{-n xi} gamma(n xi, n x^2) exactly; that identity
     value is returned after checking it against a direct log-axis quadrature
-    to 1e-8, on the engine mgf_log uses: the e^-60 window around the peak at
-    v = min(ln xi, 2 ln x), clipped at the upper limit 2 ln x, with each side
-    of the peak on its own 32 panels.  The window stops _TAIL_CUT = 40 left
-    of the peak: beyond it e^u < 5e-18, so the integrand is e^{n e^mode + a u}
-    (a = n xi) to within a factor 1 + 5e-18 n e^mode, and that tail is added
-    in closed form.  Per-mode integrals of this shape assemble the left tail
-    of the edge distribution, with an interior saddle for xi < x^2 and a
-    boundary-dominated regime for xi > x^2.
+    to 1e-8.  On v = ln t the integrand e^{a v - n e^v} (a = n xi) peaks at
+    v = min(ln xi, 2 ln x), clipped at the upper limit 2 ln x; written
+    relative to the peak, the left side goes on the mirrored exp-sinh rule,
+    which reaches the e^{a u} tail however small a is, and the right side,
+    up to the limit, on tanh-sinh.  Per-mode integrals of this shape
+    assemble the left tail of the edge distribution, with an interior saddle
+    for xi < x^2 and a boundary-dominated regime for xi > x^2.
     """
     n = check_size(n, "particle number n")
     x = check_positive(x, "radius x")
@@ -283,15 +262,11 @@ def log_truncated_gamma_integral(n: int, x: float, xi: float) -> float:
     mode = min(math.log(xi), upper)
     e_mode = n * math.exp(mode)
     peak = a * mode - e_mode
-    with np.errstate(over="ignore", invalid="ignore"):
-        lo, hi = _crossing(lambda v: (a * v - n * np.exp(v) > peak - _WINDOW_DROP)
-                           & (v > mode - _TAIL_CUT),
-                           np.full(2, mode), np.array([-1.0, 1.0])) - mode
-        body = _gl_block(lambda u: a * u - e_mode * np.expm1(u),
-                         np.array([lo, 0.0]), np.array([0.0, min(hi, upper - mode)]),
-                         _GL_MAIN).sum()
-    if lo <= -_TAIL_CUT:
-        body += math.exp(e_mode + a * lo) / a
+    body = 0.0
+    for lo, hi in ((-math.inf, 0.0), (0.0, upper - mode)):
+        u, weights = nodes(lo, hi)
+        with np.errstate(over="ignore"):
+            body += float((np.exp(a * u - e_mode * np.expm1(u)) * weights).sum())
     quadrature = peak + math.log(body)
     if abs(quadrature - identity) > 1e-8 * max(1.0, abs(identity)):
         raise NumericalError(

@@ -140,9 +140,10 @@ def test_mgf_log_zero_tilt_is_exactly_zero():
     assert res.estimated_relative_error == 0.0
 
 
-@pytest.mark.parametrize("s", [-0.4, 0.1, 1.0, 5.0])
-def test_mgf_log_quadratic_tilt_closed_form(s):
-    n = 50
+@pytest.mark.parametrize("n,s", [pytest.param(50, s, id=str(s))
+                                 for s in (-0.4, 0.1, 1.0, 5.0)]
+                         + [(400, -0.4999)])
+def test_mgf_log_quadratic_tilt_closed_form(n, s):
     want = -(n * (n + 1) / 2.0) * math.log1p(2.0 * s)
     res = mgf_log(n, 2.0, s)
     assert res.log_value == pytest.approx(want, rel=1e-9)
@@ -160,7 +161,8 @@ def test_mgf_log_single_particle_closed_form():
 
 
 @pytest.mark.parametrize("n,p,s", [(5, 1.0, 0.7), (8, 0.5, -0.3), (6, 3.0, 0.2),
-                                   (30, 0.5, 0.4), (12, 1.0, -1.5)])
+                                   (30, 0.5, 0.4), (12, 1.0, -1.5),
+                                   (12, 1.0, -3.0), (12, 1.0, 5.0)])
 def test_mgf_log_against_mpmath_quadrature(n, p, s):
     q = mpmath.mpf(p) / 2
     c = 2 * mpmath.mpf(s) * mpmath.mpf(n) ** (1 - q)
@@ -198,6 +200,28 @@ def test_mgf_log_near_stability_boundary():
 def test_mgf_log_error_estimate_is_small():
     res = mgf_log(30, 1.0, 1.0)
     assert 0.0 <= res.estimated_relative_error < 1e-10
+
+
+def test_mgf_log_small_p_wall_is_refined():
+    # p = 0.05: the mode of the one factor sits near v = -15, with a long
+    # left tail and the e^v wall at v = 0; the h rule alone is off by 2e-11
+    q = mpmath.mpf("0.025")
+    c = 2 * mpmath.mpf(32.65)
+    want = mpmath.log(mpmath.quad(lambda t: mpmath.e ** (-t - c * t ** q),
+                                  [0, mpmath.mpf(10) ** -12, 1e-6, 1, 10, mpmath.inf]))
+    res = mgf_log(1, 0.05, 32.65)
+    assert res.log_value == pytest.approx(float(want), rel=1e-14)
+    assert res.estimated_relative_error < 1e-10
+
+
+def test_mgf_log_mode_far_out_is_a_numerical_error():
+    # mode near v = 333, ln M about 1e144: the peak is e^-166 wide, far
+    # below what the rounding of h resolves there, and the integrand is noise
+    with pytest.raises(NumericalError, match="collapsed to zero"):
+        mgf_log(40, 1.99, -2.6)
+    # mode near v = 3300: beyond the search for a Newton start
+    with pytest.raises(NumericalError, match="no v with g > 0"):
+        mgf_log(40, 1.999, -2.6)
 
 
 def test_mgf_log_validation():
