@@ -128,6 +128,7 @@ _MGF_BLOCK = 32
 _REFINE = 1e-12
 _MAX_START_OFFSET = 512.0
 _NEWTON_STEPS = 300
+_EPS = float(np.finfo(float).eps)
 
 
 def _modes(ell: np.ndarray, c: float, q: float) -> np.ndarray:
@@ -169,8 +170,11 @@ class MgfResult:
 
     estimated_relative_error is the sum over factors of the rule's estimate
     (h against 2h, or h/2 against h where refined) relative to the factor,
-    over max(1, |log_value|).  It does not see the rounding of h itself,
-    which grows like sqrt(e^mode) when a mode lies far right.
+    plus eps times the summed magnitudes of each factor's peak terms
+    l mode, e^mode and c e^{q mode} (the last weighted by 1 + |q mode| for
+    the rounding of its exponent), over max(1, |log_value|).  The second
+    part is the rounding floor: it dominates where a mode lies far right,
+    where the peak terms reach 1e25 and cancel.
     """
 
     n: int
@@ -230,7 +234,11 @@ def mgf_log(n: int, p: float, s: float) -> MgfResult:
     if not (np.isfinite(peak) & np.isfinite(main) & (main > 0.0)).all():
         raise NumericalError("log-axis quadrature collapsed to zero or overflowed")
     log_value = math.fsum(peak + np.log(main) - _log_factorials(n))
-    err_rel = float((err / main).sum()) / max(1.0, abs(log_value))
+    # Each peak term l v, e^v and c e^{qv} is rounded to eps; c e^{qv} also
+    # carries the rounding of its exponent qv, which exp magnifies by |qv|.
+    rounding = _EPS * float((np.abs(ell * mode) + e_mode + np.abs(c_mode)
+                             * (1.0 + np.abs(q * mode))).sum())
+    err_rel = (float((err / main).sum()) + rounding) / max(1.0, abs(log_value))
     return MgfResult(n, p, s, log_value, err_rel)
 
 

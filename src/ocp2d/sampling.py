@@ -1,10 +1,14 @@
 """Samplers for the planar log-gas and its radial statistics.
 
-Two routes to draws of the radial moment statistic:
+Two routes to draws of the radial statistics:
 
 * an exact sampler at coupling beta = 2, using the fact that the squared
   moduli are distributed as independent gamma variables of shapes 1..n
-  (scaled by n) — fast, embarrassingly parallel, no autocorrelation;
+  (scaled by n) — fast, embarrassingly parallel, no autocorrelation.  A
+  p-moment draw takes all n variates; a maximum-modulus draw takes only
+  the top shapes that can hold the maximum (about 9.5 sqrt(n) of them)
+  and couples in the rest exactly through the product formula of
+  ``exact.edge_cdf_log``;
 * a single-particle Metropolis chain valid at any beta > 0.
 
 Randomness comes from counter-based Philox generators keyed by
@@ -23,6 +27,7 @@ import numpy as np
 
 from .errors import (DomainError, NumericalError, SingularityError,
                      check_positive, check_size)
+from .exact import edge_cdf_log
 
 __all__ = [
     "PlasmaConfig",
@@ -35,6 +40,10 @@ __all__ = [
 ]
 
 _GAMMA_CHUNK = 1024
+# Maximum draws skip the shapes whose union tail bound at y = n is below the
+# smallest nonzero V = 1 - U that the generator draws, 2^-53.
+_TAIL_LOG_CUT = -53.0 * math.log(2.0)
+_MAX_DOUBLINGS = 64
 _ADAPT_INTERVAL = 25  # sweeps between step-size adjustments during burn-in
 _TARGET_ACCEPTANCE = (0.3, 0.5)
 # Largest |accumulated dH - (H_end - H_start)| allowed, relative to
@@ -137,29 +146,103 @@ class SampleBatch:
         return math.sqrt(self.variance() / self.count)
 
 
+def _tail_log_bound(a, y):
+    """ln(a e^{a-y} (y/a)^a), at least ln Pr[max(G_1..G_a) > y] for y > a.
+
+    A union of Chernoff bounds: Pr[G_k > y] <= Pr[G_a > y] <= e^{a-y}
+    (y/a)^a for every shape k <= a < y.
+    """
+    return np.log(a) + a - y + a * np.log(y / a)
+
+
+def _skipped_shapes(n: int) -> int:
+    """The cut a(n): the largest a < n whose tail bound at y = n is at most
+    2^-53, or 0 if there is none.  The bound grows with a, so the shapes
+    that pass are 1..a(n)."""
+    passed = np.flatnonzero(_tail_log_bound(np.arange(1.0, n), n) <= _TAIL_LOG_CUT)
+    return int(passed[-1]) + 1 if passed.size else 0
+
+
+def _maxima(rng: np.random.Generator, n: int, cut: int,
+            m: int) -> tuple[np.ndarray, int]:
+    """m draws of max(G_1..G_n), G_k ~ Gamma(k) independent, drawing only
+    the shapes cut+1..n.  Returns the maxima and how many draws took the
+    exact tail path, where S(M) is computed.
+
+    Per draw, M is the maximum of the drawn shapes and V = 1 - U is one
+    uniform in (0, 1].  The skipped maximum L is defined by
+    Pr[max(G_1..G_cut) > L] = V, so it has its exact law and is independent
+    of M, and L > M exactly when V < S(M) = 1 - F_cut(M), with
+    F_cut(y) = exp(edge_cdf_log(cut, sqrt(y/cut))).  Where ln V is at or
+    above the tail bound at M > cut, M is the answer.  Elsewhere S(M) is
+    computed exactly, and where V is below it, L is found by bisection to
+    adjacent doubles.
+    """
+    top = rng.standard_gamma(np.arange(cut + 1.0, n + 1.0),
+                             size=(m, n - cut)).max(axis=1)
+    if cut == 0:
+        return top, 0
+    v = 1.0 - rng.random(m)
+
+    def survival(y: float) -> float:
+        return -math.expm1(edge_cdf_log(cut, math.sqrt(y / cut)))
+
+    unsettled = np.flatnonzero((top <= cut)
+                               | (np.log(v) < _tail_log_bound(cut, top)))
+    for i in unsettled.tolist():
+        lo, target = float(top[i]), float(v[i])
+        if not target < survival(lo):
+            continue
+        hi = 2.0 * max(lo, cut)
+        for _ in range(_MAX_DOUBLINGS):
+            if not survival(hi) > target:
+                break
+            lo, hi = hi, 2.0 * hi
+        else:
+            raise NumericalError(f"no bracket for the skipped maximum of {cut} "
+                                 f"shapes at V = {target!r}")
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            if survival(mid) > target:
+                lo = mid
+            else:
+                hi = mid
+        top[i] = hi
+    return top, unsettled.size
+
+
 def sample_kostlan(n: int, count: int, p: float, seed: int) -> SampleBatch:
     """Exact draws of the radial statistic at coupling 2.
 
     The squared moduli of the gas, multiplied by n, are distributed like
-    independent gamma variables of shapes 1..n, so a draw of the statistic
-    needs n gamma variates and no angular coordinates (the statistic is
-    rotation-invariant).  Chunked to bound memory at large count.
+    independent gamma variables of shapes 1..n, and the statistic is
+    rotation-invariant, so no angular coordinates are drawn.  At finite p
+    a draw takes all n gamma variates.  At p = inf a draw takes only the
+    top n - a(n) shapes (about 9.5 sqrt(n)) plus one uniform, which couples
+    in the maximum of the skipped shapes 1..a(n) exactly (see `_maxima`);
+    the metadata reports ``top_shapes`` and ``tail_inversions``, the draws
+    that took the exact tail path.  Chunked to bound memory at large count.
     """
     n = check_size(n, "particle number n")
     count = check_size(count, "count")
     p = _check_exponent(p)
     rng = _rng(seed)
     shapes = np.arange(1, n + 1, dtype=float)
+    cut = _skipped_shapes(n) if p == math.inf else 0
+    tail_draws = 0
     out = np.empty(count, dtype=float)
     for start in range(0, count, _GAMMA_CHUNK):
         m = min(_GAMMA_CHUNK, count - start)
-        g = rng.standard_gamma(shapes, size=(m, n))
         if p == math.inf:
-            out[start:start + m] = np.sqrt(g.max(axis=1) / n)
+            top, tail = _maxima(rng, n, cut, m)
+            out[start:start + m] = np.sqrt(top / n)
+            tail_draws += tail
         else:
+            g = rng.standard_gamma(shapes, size=(m, n))
             out[start:start + m] = n ** (-1.0 - 0.5 * p) * (g ** (0.5 * p)).sum(axis=1)
-    return SampleBatch(out, p, n, 2.0, int(seed), "kostlan",
-                       {"chunk": _GAMMA_CHUNK})
+    metadata: dict[str, Any] = {"chunk": _GAMMA_CHUNK}
+    if p == math.inf:
+        metadata.update(top_shapes=n - cut, tail_inversions=tail_draws)
+    return SampleBatch(out, p, n, 2.0, int(seed), "kostlan", metadata)
 
 
 class MetropolisChain:

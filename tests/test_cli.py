@@ -370,6 +370,21 @@ def test_threads_do_not_change_csv_bytes(tmp_path, capsys):
         assert f1.read() == f2.read()
 
 
+@pytest.mark.parametrize("args", [
+    ["sample", "kostlan", "--n", "200", "--count", "1500", "--p", "inf",
+     "--seed", "5"],
+    ["verify", "gumbel", "--n", "200", "--draws", "1500", "--seed", "5"],
+], ids=["kostlan-max", "gumbel"])
+def test_maximum_draws_are_byte_stable(tmp_path, capsys, args):
+    payloads = []
+    for j, threads in enumerate(("1", "4", "1")):
+        path = tmp_path / f"{j}.csv"
+        assert run(args + ["--threads", threads, "--out", str(path)]) == 0
+        payloads.append(path.read_bytes())
+    capsys.readouterr()
+    assert payloads[0] == payloads[1] == payloads[2]
+
+
 def test_env_thread_default(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("OCP_THREADS", "2")
     out = str(tmp_path / "env.csv")

@@ -202,6 +202,20 @@ def test_mgf_log_error_estimate_is_small():
     assert 0.0 <= res.estimated_relative_error < 1e-10
 
 
+@pytest.mark.parametrize("n,p,s,want", [
+    (252, 1.903, -6.734, "223642662052568207745600033.706"),
+    (101, 1.849, -25.57, "12638953536274540932500381.9878"),
+])
+def test_mgf_log_error_estimate_covers_far_right_modes(n, p, s, want):
+    # every mode near v = 56..58: the peak terms reach 1e25 and cancel, so
+    # rounding, not the rule, sets the error.  want is 60-digit mpmath
+    # quadrature of each factor on v = ln t, over +-40 widths of its peak.
+    res = mgf_log(n, p, s)
+    measured = abs(res.log_value - float(want)) / abs(float(want))
+    assert measured > 1e-15
+    assert res.estimated_relative_error >= measured
+
+
 def test_mgf_log_small_p_wall_is_refined():
     # p = 0.05: the mode of the one factor sits near v = -15, with a long
     # left tail and the e^v wall at v = 0; the h rule alone is off by 2e-11

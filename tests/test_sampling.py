@@ -1,5 +1,6 @@
 """Samplers: exact determinantal draws and the general-coupling Metropolis chain."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from ocp2d import (
     sample_kostlan,
     sample_mcmc,
 )
-from ocp2d import sampling
+from ocp2d import edge_cdf_log, sampling
 
 
 # --- configurations and observables -------------------------------------------
@@ -140,6 +141,51 @@ def test_kostlan_metadata_and_ids():
     batch = sample_kostlan(12, 8, 2.5, 3)
     assert batch.sampler_id == "kostlan"
     assert batch.n == 12 and batch.seed == 3 and batch.beta == 2.0
+
+
+def test_kostlan_finite_p_draws_are_pinned():
+    # finite p still draws all n shapes per draw: these values predate the
+    # shape cut of the p = inf path and must not move
+    values = sample_kostlan(25, 120, 2.0, 5).values
+    assert values[:3].tolist() == [0.5198927706180851, 0.49236956301390983,
+                                   0.5104042485328519]
+    assert hashlib.sha256(values.astype("<f8").tobytes()).hexdigest() == (
+        "6b06d83c97cb03c42e4dccff734d128efdec64aa797ba8e9cbc1262541b8857a")
+
+
+def test_kostlan_maximum_skips_the_bottom_shapes():
+    assert [sampling._skipped_shapes(n) for n in (1, 200, 2000)] == [0, 86, 1594]
+    batch = sample_kostlan(200, 50, math.inf, 3)
+    assert batch.metadata["top_shapes"] == 114
+    assert 0 <= batch.metadata["tail_inversions"] <= 50
+    assert "top_shapes" not in sample_kostlan(200, 50, 2.0, 3).metadata
+
+
+@pytest.mark.parametrize("a", [5, 40, 400])
+def test_kostlan_tail_bound_covers_the_skipped_maximum(a):
+    for y in a + math.sqrt(a) * np.array([0.01, 0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0]):
+        survival = -math.expm1(edge_cdf_log(a, math.sqrt(y / a)))
+        assert sampling._tail_log_bound(a, y) >= math.log(survival)
+
+
+def test_kostlan_forced_cut_keeps_the_exact_law():
+    # 40 of 60 shapes skipped: about one draw in seven takes the exact
+    # tail path, and the maxima must still follow the n = 60 edge law
+    n, count = 60, 20_000
+    top, tail = sampling._maxima(sampling._rng(11), n, 40, count)
+    assert tail > 0
+    x = np.sort(np.sqrt(top / n))
+    cdf = np.exp([edge_cdf_log(n, v) for v in x])
+    grid = np.arange(1, count + 1) / count
+    ks = np.maximum(np.abs(grid - cdf), np.abs(grid - 1.0 / count - cdf)).max()
+    assert ks < 2.23 / math.sqrt(count)   # false alarm 1e-4
+
+
+def test_kostlan_missing_bracket_is_a_numerical_error(monkeypatch):
+    # a survival function stuck at 1 leaves no point where it falls below V
+    monkeypatch.setattr(sampling, "edge_cdf_log", lambda n, x: -math.inf)
+    with pytest.raises(NumericalError, match="no bracket"):
+        sampling._maxima(sampling._rng(1), 60, 40, 50)
 
 
 def test_kostlan_validation():
