@@ -6,7 +6,7 @@ Two routes to draws of the radial statistics:
   moduli are distributed as independent gamma variables of shapes 1..n
   (scaled by n) — fast, embarrassingly parallel, no autocorrelation.  A
   p-moment draw takes all n variates; a maximum-modulus draw takes only
-  the top shapes that can hold the maximum (about 9.5 sqrt(n) of them)
+  the top shapes that can hold the maximum (about 5 sqrt(n) of them)
   and couples in the rest exactly through the product formula of
   ``exact.edge_cdf_log``;
 * a single-particle Metropolis chain valid at any beta > 0.
@@ -40,9 +40,6 @@ __all__ = [
 ]
 
 _GAMMA_CHUNK = 1024
-# Maximum draws skip the shapes whose union tail bound at y = n is below the
-# smallest nonzero V = 1 - U that the generator draws, 2^-53.
-_TAIL_LOG_CUT = -53.0 * math.log(2.0)
 _MAX_DOUBLINGS = 64
 _ADAPT_INTERVAL = 25  # sweeps between step-size adjustments during burn-in
 _TARGET_ACCEPTANCE = (0.3, 0.5)
@@ -156,18 +153,16 @@ def _tail_log_bound(a, y):
 
 
 def _skipped_shapes(n: int) -> int:
-    """The cut a(n): the largest a < n whose tail bound at y = n is at most
-    2^-53, or 0 if there is none.  The bound grows with a, so the shapes
-    that pass are 1..a(n)."""
-    passed = np.flatnonzero(_tail_log_bound(np.arange(1.0, n), n) <= _TAIL_LOG_CUT)
-    return int(passed[-1]) + 1 if passed.size else 0
+    """The cut a(n) = max(0, n - ceil(5 sqrt(n))).  `_maxima` is exact for
+    any cut; with this one its exact tail path, of chance at most
+    Pr[M <= y] + e^{bound(a, y)} for any y > a, takes under 1e-3 of draws."""
+    return max(0, n - math.ceil(5.0 * math.sqrt(n)))
 
 
 def _maxima(rng: np.random.Generator, n: int, cut: int,
-            m: int) -> tuple[np.ndarray, int]:
-    """m draws of max(G_1..G_n), G_k ~ Gamma(k) independent, drawing only
-    the shapes cut+1..n.  Returns the maxima and how many draws took the
-    exact tail path, where S(M) is computed.
+            m: int) -> tuple[np.ndarray, int, int]:
+    """m draws of max(G_1..G_n), G_k ~ Gamma(k) independent, from the shapes
+    cut+1..n only, and the counts of draws that computed S(M) and bisected.
 
     Per draw, M is the maximum of the drawn shapes and V = 1 - U is one
     uniform in (0, 1].  The skipped maximum L is defined by
@@ -181,7 +176,7 @@ def _maxima(rng: np.random.Generator, n: int, cut: int,
     top = rng.standard_gamma(np.arange(cut + 1.0, n + 1.0),
                              size=(m, n - cut)).max(axis=1)
     if cut == 0:
-        return top, 0
+        return top, 0, 0
     v = 1.0 - rng.random(m)
 
     def survival(y: float) -> float:
@@ -189,10 +184,12 @@ def _maxima(rng: np.random.Generator, n: int, cut: int,
 
     unsettled = np.flatnonzero((top <= cut)
                                | (np.log(v) < _tail_log_bound(cut, top)))
+    bisected = 0
     for i in unsettled.tolist():
         lo, target = float(top[i]), float(v[i])
         if not target < survival(lo):
             continue
+        bisected += 1
         hi = 2.0 * max(lo, cut)
         for _ in range(_MAX_DOUBLINGS):
             if not survival(hi) > target:
@@ -207,7 +204,7 @@ def _maxima(rng: np.random.Generator, n: int, cut: int,
             else:
                 hi = mid
         top[i] = hi
-    return top, unsettled.size
+    return top, unsettled.size, bisected
 
 
 def sample_kostlan(n: int, count: int, p: float, seed: int) -> SampleBatch:
@@ -217,10 +214,12 @@ def sample_kostlan(n: int, count: int, p: float, seed: int) -> SampleBatch:
     independent gamma variables of shapes 1..n, and the statistic is
     rotation-invariant, so no angular coordinates are drawn.  At finite p
     a draw takes all n gamma variates.  At p = inf a draw takes only the
-    top n - a(n) shapes (about 9.5 sqrt(n)) plus one uniform, which couples
-    in the maximum of the skipped shapes 1..a(n) exactly (see `_maxima`);
-    the metadata reports ``top_shapes`` and ``tail_inversions``, the draws
-    that took the exact tail path.  Chunked to bound memory at large count.
+    top n - a(n) shapes (about 5 sqrt(n)) plus one uniform, which couples
+    in the maximum of the skipped shapes 1..a(n) exactly (see `_maxima`).
+    The metadata adds ``top_shapes``, ``tail_inversions`` (draws where the
+    chance S(M) that the skipped maximum wins was evaluated) and
+    ``tail_bisections`` (draws where it won and bisection ran).  Chunked to
+    bound memory at large count.
     """
     n = check_size(n, "particle number n")
     count = check_size(count, "count")
@@ -228,20 +227,21 @@ def sample_kostlan(n: int, count: int, p: float, seed: int) -> SampleBatch:
     rng = _rng(seed)
     shapes = np.arange(1, n + 1, dtype=float)
     cut = _skipped_shapes(n) if p == math.inf else 0
-    tail_draws = 0
+    tally = np.zeros(2, dtype=int)  # draws on the exact tail path, bisections
     out = np.empty(count, dtype=float)
     for start in range(0, count, _GAMMA_CHUNK):
         m = min(_GAMMA_CHUNK, count - start)
         if p == math.inf:
-            top, tail = _maxima(rng, n, cut, m)
+            top, *counts = _maxima(rng, n, cut, m)
             out[start:start + m] = np.sqrt(top / n)
-            tail_draws += tail
+            tally += counts
         else:
             g = rng.standard_gamma(shapes, size=(m, n))
             out[start:start + m] = n ** (-1.0 - 0.5 * p) * (g ** (0.5 * p)).sum(axis=1)
     metadata: dict[str, Any] = {"chunk": _GAMMA_CHUNK}
     if p == math.inf:
-        metadata.update(top_shapes=n - cut, tail_inversions=tail_draws)
+        metadata.update(top_shapes=n - cut, tail_inversions=int(tally[0]),
+                        tail_bisections=int(tally[1]))
     return SampleBatch(out, p, n, 2.0, int(seed), "kostlan", metadata)
 
 

@@ -20,6 +20,7 @@ from ocp2d import (
     sample_mcmc,
 )
 from ocp2d import edge_cdf_log, sampling
+from ocp2d.exact import _edge_factors
 
 
 # --- configurations and observables -------------------------------------------
@@ -154,11 +155,30 @@ def test_kostlan_finite_p_draws_are_pinned():
 
 
 def test_kostlan_maximum_skips_the_bottom_shapes():
-    assert [sampling._skipped_shapes(n) for n in (1, 200, 2000)] == [0, 86, 1594]
+    assert [sampling._skipped_shapes(n) for n in (1, 26, 27, 200, 2000)] == [
+        0, 0, 1, 129, 1776]
     batch = sample_kostlan(200, 50, math.inf, 3)
-    assert batch.metadata["top_shapes"] == 114
+    assert batch.metadata["top_shapes"] == 71
     assert 0 <= batch.metadata["tail_inversions"] <= 50
     assert "top_shapes" not in sample_kostlan(200, 50, 2.0, 3).metadata
+
+
+@pytest.mark.parametrize("n", [30, 42, 200, 2000, 20000])
+def test_kostlan_cut_keeps_the_exact_path_rare(n):
+    # for y > a the exact tail path needs M <= y or ln V below the bound at
+    # y, so its chance is at most Pr[M <= y] + e^{bound(a, y)}; minimised
+    # over y near n this stays below 1e-3 at the production cut
+    a = sampling._skipped_shapes(n)
+    ys = [y for y in n + math.sqrt(n) * np.linspace(-6.0, 4.0, 41) if y > a]
+    rate = min(math.exp(float(_edge_factors(n, y)[1][a:].sum()))
+               + math.exp(sampling._tail_log_bound(a, y)) for y in ys)
+    assert rate <= 1e-3
+
+
+def test_kostlan_maximum_rarely_takes_the_exact_path():
+    batch = sample_kostlan(2000, 10_000, math.inf, 20231)
+    assert batch.metadata["tail_inversions"] <= 20   # about 3.4 expected
+    assert batch.metadata["tail_bisections"] <= batch.metadata["tail_inversions"]
 
 
 @pytest.mark.parametrize("a", [5, 40, 400])
@@ -168,17 +188,42 @@ def test_kostlan_tail_bound_covers_the_skipped_maximum(a):
         assert sampling._tail_log_bound(a, y) >= math.log(survival)
 
 
+def _edge_law_ks(n, maxima):
+    """KS distance of sqrt(maxima / n) from the n-particle edge law."""
+    x = np.sort(np.sqrt(maxima / n))
+    cdf = np.exp([edge_cdf_log(n, v) for v in x])
+    grid = np.arange(1, x.size + 1) / x.size
+    return np.maximum(np.abs(grid - cdf), np.abs(grid - 1.0 / x.size - cdf)).max()
+
+
 def test_kostlan_forced_cut_keeps_the_exact_law():
     # 40 of 60 shapes skipped: about one draw in seven takes the exact
     # tail path, and the maxima must still follow the n = 60 edge law
     n, count = 60, 20_000
-    top, tail = sampling._maxima(sampling._rng(11), n, 40, count)
+    top, tail, _ = sampling._maxima(sampling._rng(11), n, 40, count)
     assert tail > 0
-    x = np.sort(np.sqrt(top / n))
-    cdf = np.exp([edge_cdf_log(n, v) for v in x])
-    grid = np.arange(1, count + 1) / count
-    ks = np.maximum(np.abs(grid - cdf), np.abs(grid - 1.0 / count - cdf)).max()
-    assert ks < 2.23 / math.sqrt(count)   # false alarm 1e-4
+    assert _edge_law_ks(n, top) < 2.23 / math.sqrt(count)   # false alarm 1e-4
+
+
+def test_kostlan_forced_cut_at_n200_bisects_and_keeps_the_law(monkeypatch):
+    # the top ceil(2 sqrt(200)) = 29 shapes only: over half the draws
+    # evaluate S(M), about 50 bisect, and the maxima must still follow the
+    # n = 200 edge law
+    monkeypatch.setattr(sampling, "_skipped_shapes",
+                        lambda n: n - math.ceil(2 * math.sqrt(n)))
+    n, count = 200, 10_000
+    batch = sample_kostlan(n, count, math.inf, 12)
+    assert batch.metadata["top_shapes"] == 29
+    assert batch.metadata["tail_inversions"] > 0
+    assert batch.metadata["tail_bisections"] > 0
+    assert _edge_law_ks(n, n * batch.values**2) < 2.23 / math.sqrt(count)
+
+
+def test_kostlan_production_cut_keeps_the_law_at_n200():
+    n, count = 200, 20_000
+    batch = sample_kostlan(n, count, math.inf, 13)
+    assert batch.metadata["top_shapes"] == 71
+    assert _edge_law_ks(n, n * batch.values**2) < 2.23 / math.sqrt(count)
 
 
 def test_kostlan_missing_bracket_is_a_numerical_error(monkeypatch):
