@@ -394,6 +394,7 @@ def _cmd_verify(res: _Resolver, out: str):
                     raise DomainError(f"verify left-tail at beta 2 is exact and "
                                       f"does not read --{name}")
             table = harness.left_tail_table(n, grid)
+            note = ""
         else:
             table = harness.left_tail_mcmc_table(
                 n, beta, grid,
@@ -402,8 +403,11 @@ def _cmd_verify(res: _Resolver, out: str):
                 thinning=res.get("thinning", default=2),
                 seed=res.get("seed", default=DEFAULT_SEED),
             )
+            note = (f"; ESS {table.metadata['ess']:.0f} of "
+                    f"{table.metadata['draws']} draws")
         worst = max(abs(r.residual) for r in table.rows)
-        return table, f"left tail n={n} beta={beta}: max |residual| {worst:.3e}"
+        return table, (f"left tail n={n} beta={beta}: "
+                       f"max |residual| {worst:.3e}{note}")
 
     if which == "right-tail":
         n = res.require("n")

@@ -206,7 +206,8 @@ def left_tail_mcmc_table(n: int, beta: float, x_grid: Sequence[float],
         metadata={"n": int(n), "beta": float(beta), "p": math.inf,
                   "finite": "-(1/(beta n^2)) ln empirical CDF",
                   "prediction": "left_rate", "qualitative": True,
-                  "draws": count, "seed": int(seed)},
+                  "draws": count, "ess": batch.metadata["ess"],
+                  "seed": int(seed)},
     )
 
 

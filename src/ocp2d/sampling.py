@@ -9,7 +9,8 @@ Two routes to draws of the radial statistics:
   the top shapes that can hold the maximum (about 5 sqrt(n) of them)
   and couples in the rest exactly through the product formula of
   ``exact.edge_cdf_log``;
-* a single-particle Metropolis chain valid at any beta > 0.
+* a Metropolis chain valid at any beta > 0, whose sweeps move every
+  particle once, in random order.
 
 Randomness comes from counter-based Philox generators keyed by
 ``SeedSequence(seed, spawn_key=(stream,))`` so that independent chains get
@@ -86,11 +87,12 @@ def _check_exponent(p: float) -> float:
 
 def radial_statistic(config: PlasmaConfig, p: float) -> float:
     """(1/n) sum r_k^p for finite p; the maximum modulus for p = inf."""
-    p = _check_exponent(p)
-    r = config.radii()
-    if p == math.inf:
-        return float(r.max())
-    return math.fsum(r**p) / config.n
+    return _statistic(config.positions, _check_exponent(p))
+
+
+def _statistic(positions: np.ndarray, p: float) -> float:
+    r = np.hypot(positions[:, 0], positions[:, 1])
+    return float(r.max()) if p == math.inf else math.fsum(r**p) / r.size
 
 
 def hamiltonian(config: PlasmaConfig) -> float:
@@ -246,18 +248,19 @@ def sample_kostlan(n: int, count: int, p: float, seed: int) -> SampleBatch:
 
 
 class MetropolisChain:
-    """Single-particle Metropolis chain targeting exp(-beta H).
+    """Metropolis chain targeting exp(-beta H).
 
-    Each move displaces one uniformly chosen particle by an isotropic
-    Gaussian step and accepts with probability min(1, e^{-beta dH}).  The
-    chain keeps the pair logs ``pair_logs[i, j] = log|z_i - z_j|`` (zero on
-    the diagonal) and their row sums ``pair_log_sums``, so a move computes
-    only the proposed row, O(n), and an accepted move rewrites that row and
-    column.  ``z`` holds the positions as complex numbers and ``positions``
-    is its (n, 2) float view.  ``adapt`` nudges the step size toward an
-    acceptance rate in [0.3, 0.5]; call it only during burn-in — the
-    recorded chain must run at a frozen step size.  Proposals landing
-    exactly on another particle are rejected outright.
+    A sweep moves every particle once, in random order: each move displaces
+    its particle by an isotropic Gaussian step and accepts with probability
+    min(1, e^{-beta dH}).  The chain keeps the pair logs
+    ``pair_logs[i, j] = log|z_i - z_j|`` (zero on the diagonal) and their
+    row sums ``pair_log_sums``, so a sweep needs only the logs of its n
+    proposals, O(n^2) from one array (see `sweep`).  ``z`` holds the
+    positions as complex numbers and ``positions`` is its (n, 2) float
+    view.  ``adapt`` nudges the step size toward an acceptance rate in
+    [0.3, 0.5]; call it only during burn-in — the recorded chain must run
+    at a frozen step size.  Proposals landing exactly on another particle
+    are rejected outright.
     """
 
     def __init__(self, n: int, beta: float, rng: np.random.Generator,
@@ -284,35 +287,66 @@ class MetropolisChain:
         self.accumulated_delta = 0.0
 
     def sweep(self) -> None:
-        """n moves, with the sweep's randomness drawn in three calls:
-        particle indices, Gaussian steps, then acceptance uniforms."""
+        """Move every particle once, in random order.
+
+        The randomness comes in three calls: ``permutation(n)`` for the
+        order, ``standard_normal((n, 2))`` for the steps and ``random(n)``
+        for the acceptance tests.  Move t proposes new[t] = old[t] + step[t]
+        for particle order[t].  Its dH is its value against the state at the
+        start of the sweep plus, over the moves s < t accepted before it,
+        cross[s, t] = A[s, t] + A[t, s] - L[s, t] - B[s, t], with
+        A = log|new - old| and B = log|new - new| (zero on their diagonals)
+        and L the cached logs, all in scan order.  A dH that is not finite
+        (a proposal on an occupied or a vacated site) is recomputed from
+        the current positions.  The cache is written once, at the end.
+        """
         n, z, logs, sums = self.n, self.z, self.pair_logs, self.pair_log_sums
-        index = self.rng.integers(n, size=n).tolist()
+        order = self.rng.permutation(n)
         steps = (self.step * self.rng.standard_normal((n, 2))).view(complex)
-        uniforms = self.rng.random(n)
-        half_n, beta = 0.5 * n, self.beta
-        accepted = 0
-        with np.errstate(divide="ignore"):
-            for i, dz, lu in zip(index, steps.ravel().tolist(),
-                                 np.log(uniforms).tolist()):
-                old = complex(z[i])
-                new = old + dz
-                row = np.log(np.abs(z - new))
-                row[i] = 0.0
-                total = float(row.sum())
-                # A proposal on another particle has total = -inf, dH = +inf.
-                delta = float(sums[i]) - total + half_n * (
-                    new.real * new.real + new.imag * new.imag
-                    - old.real * old.real - old.imag * old.imag)
+        log_u = np.log(self.rng.random(n)).tolist()
+        old = z[order]
+        new = old + steps.ravel()
+        diff = new[:, None] - np.concatenate((old, new))
+        flat = diff.reshape(-1)
+        flat[::2 * n + 1] = flat[n::2 * n + 1] = 1.0
+        cached = logs[order][:, order]
+        confinement = 0.5 * n * (new.real ** 2 + new.imag ** 2
+                                 - old.real ** 2 - old.imag ** 2)
+        running = np.zeros(n)
+        accept = np.zeros(n, dtype=bool)
+        beta, total = self.beta, 0.0
+        # Coincident points give infinite logs and inf - inf increments.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            both = np.log(np.abs(diff))
+            a, b = both[:, :n], both[:, n:]
+            start = (sums[order] - a.sum(axis=1) + confinement).tolist()
+            cross = a + a.T - cached - b
+            for t, (delta, lu) in enumerate(zip(start, log_u)):
+                delta += running.item(t)
+                if not math.isfinite(delta):
+                    now = z.copy()
+                    now[order[accept]] = new[accept]
+                    i = order[t]
+                    before = np.log(np.abs(now - now[i]))
+                    after = np.log(np.abs(now - new[t]))
+                    before[i] = after[i] = 0.0
+                    delta = (float(before.sum() - after.sum())
+                             + confinement.item(t))
                 if lu < -beta * delta:
-                    z[i] = new
-                    sums -= logs[i]
-                    sums += row
-                    sums[i] = total
-                    logs[i] = row
-                    logs[:, i] = row
-                    self.accumulated_delta += delta
-                    accepted += 1
+                    running += cross[t]
+                    accept[t] = True
+                    total += delta
+        accepted = int(np.count_nonzero(accept))
+        if accepted:
+            # The movers' logs against the final positions, in scan order.
+            rows = np.where(accept, b[accept], a[accept])
+            movers = order[accept]
+            sums[order] += (rows - cached[accept]).sum(axis=0)
+            sums[movers] = rows.sum(axis=1)
+            logs[movers[:, None], order] = rows
+            logs[order[:, None], movers] = rows.T
+            z[movers] = new[accept]
+            self.accumulated_delta += total
         self.proposed += n
         self._window_proposed += n
         self.accepted += accepted
@@ -366,7 +400,7 @@ def sample_mcmc(n: int, beta: float, sweeps: int, burn_in: int, thinning: int,
             if k % _ADAPT_INTERVAL == 0:
                 chain.adapt()
         elif (k - burn_in) % thinning == 0:
-            values.append(radial_statistic(chain.config(), p))
+            values.append(_statistic(chain.positions, p))
     h_end = hamiltonian(chain.config())
     drift_error = chain.accumulated_delta - (h_end - h_start)
     if abs(drift_error) > _ENERGY_TOLERANCE * max(1.0, abs(h_start), abs(h_end)):
@@ -385,5 +419,30 @@ def sample_mcmc(n: int, beta: float, sweeps: int, burn_in: int, thinning: int,
             "acceptance_rate": chain.acceptance_rate,
             "accumulated_delta": chain.accumulated_delta,
             "energy_drift_error": drift_error,
+            "ess": _ess(np.asarray(values)),
         },
     )
+
+
+def _ess(x: np.ndarray) -> float:
+    """Effective sample size n / tau of a chain's values, at most n.
+
+    tau = -1 + 2 sum_k P_k, where P_k = rho(2k) + rho(2k+1) are sums of
+    adjacent autocorrelations, cut before the first non-positive pair and
+    made non-increasing: Geyer's initial monotone sequence (1992).  The
+    lags are summed one at a time up to the cut, which is short for a
+    mixing chain.
+    """
+    n = x.size
+    d = x - x.mean()
+    scale = float(d @ d)
+    if not scale > 0.0:
+        return float(n)
+    tau, prev = -1.0, math.inf
+    for k in range(0, n - 1, 2):
+        pair = float(d[:n - k] @ d[k:] + d[:n - k - 1] @ d[k + 1:]) / scale
+        if pair <= 0.0:
+            break
+        prev = min(prev, pair)
+        tau += 2.0 * prev
+    return float(n / max(tau, 1.0))

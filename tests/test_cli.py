@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -220,6 +221,14 @@ def test_verify_transition_says_when_the_order_is_not_resolved(tmp_path, capsys)
         in capsys.readouterr().out
     assert run(["verify", "transition", "--p", "1", "--out", out]) == 0
     assert "not resolved" not in capsys.readouterr().out
+
+
+def test_verify_left_tail_reports_the_chain_ess(tmp_path, capsys):
+    out = str(tmp_path / "lt.csv")
+    assert run(["verify", "left-tail", "--n", "6", "--beta", "4", "--grid",
+                "0.5:0.9:3", "--sweeps", "400", "--burnin", "100",
+                "--out", out]) == 0
+    assert re.search(r"; ESS \d+ of 150 draws$", capsys.readouterr().out.strip())
 
 
 def test_verify_left_tail(tmp_path, capsys):

@@ -284,27 +284,21 @@ def test_mcmc_cached_pair_logs_match_positions():
     for _ in range(50):
         chain.sweep()
     assert chain.accepted > 0
-    z = chain.positions[:, 0] + 1j * chain.positions[:, 1]
-    dist = np.abs(z[:, None] - z)
-    np.fill_diagonal(dist, 1.0)
-    fresh = np.log(dist)
-    np.testing.assert_allclose(chain.pair_logs, fresh, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(chain.pair_log_sums, fresh.sum(axis=1),
-                               rtol=0, atol=1e-12)
+    _assert_cache_fresh(chain)
 
 
 class _ScriptedRng:
     """Draws for a chain on the real axis whose proposals are set in advance."""
 
-    def __init__(self, radii_squared, index, normals):
+    def __init__(self, radii_squared, order, normals):
         self.uniforms = [np.zeros(len(radii_squared)), np.array(radii_squared)]
-        self.index, self.normals = np.array(index), np.array(normals)
+        self.order, self.normals = np.array(order), np.array(normals)
 
     def uniform(self, low, high, size):
         return self.uniforms.pop(0)
 
-    def integers(self, n, size):
-        return self.index
+    def permutation(self, n):
+        return self.order
 
     def standard_normal(self, shape):
         return self.normals
@@ -313,13 +307,28 @@ class _ScriptedRng:
         return np.full(size, 1e-300)
 
 
-def test_mcmc_proposal_onto_another_particle_is_rejected():
-    # particles at 0.5, 0.25 and 0.75; step 0.25 moves each exactly onto
-    # another one, and the tiny uniform would accept any finite increase
-    rng = _ScriptedRng([0.25, 0.0625, 0.5625], [0, 1, 2],
-                       [[-1.0, 0.0], [1.0, 0.0], [-2.0, 0.0]])
-    chain = MetropolisChain(3, 2.0, rng, 0.25)
+def _scripted_chain(order, normals):
+    # particles at 0.5, 0.25 and 0.75; the step is 0.25, and the tiny
+    # uniform accepts any finite increase
+    chain = MetropolisChain(3, 2.0, _ScriptedRng([0.25, 0.0625, 0.5625],
+                                                 order, normals), 0.25)
     assert chain.positions[:, 0].tolist() == [0.5, 0.25, 0.75]
+    return chain
+
+
+def _assert_cache_fresh(chain, atol=1e-12):
+    z = chain.positions[:, 0] + 1j * chain.positions[:, 1]
+    dist = np.abs(z[:, None] - z)
+    np.fill_diagonal(dist, 1.0)
+    fresh = np.log(dist)
+    np.testing.assert_allclose(chain.pair_logs, fresh, rtol=0, atol=atol)
+    np.testing.assert_allclose(chain.pair_log_sums, fresh.sum(axis=1),
+                               rtol=0, atol=atol)
+
+
+def test_mcmc_proposal_onto_another_particle_is_rejected():
+    # each proposal lands exactly on another particle
+    chain = _scripted_chain([0, 1, 2], [[-1.0, 0.0], [1.0, 0.0], [-2.0, 0.0]])
     logs, sums = chain.pair_logs.copy(), chain.pair_log_sums.copy()
     chain.sweep()
     assert chain.accepted == 0 and chain.proposed == 3
@@ -327,6 +336,134 @@ def test_mcmc_proposal_onto_another_particle_is_rejected():
     assert np.array_equal(chain.pair_logs, logs)
     assert np.array_equal(chain.pair_log_sums, sums)
     assert chain.accumulated_delta == 0.0
+
+
+def test_mcmc_proposal_onto_a_vacated_site_is_accepted():
+    # 0.5 -> 1.0, then 0.25 -> 0.5, the site the first move vacated: its
+    # increment is finite although the start-of-sweep logs hold log 0
+    chain = _scripted_chain([0, 1, 2], [[2.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    h0 = hamiltonian(chain.config())
+    chain.sweep()
+    assert chain.accepted == 3
+    assert chain.positions[:, 0].tolist() == [1.0, 0.5, 1.25]
+    assert chain.accumulated_delta == pytest.approx(
+        hamiltonian(chain.config()) - h0, abs=1e-12)
+    _assert_cache_fresh(chain)
+
+
+def test_mcmc_proposal_onto_an_accepted_proposal_is_rejected():
+    # 0.5 -> 1.0 is accepted, then 0.25 -> 1.0 lands on it
+    chain = _scripted_chain([0, 1, 2], [[2.0, 0.0], [3.0, 0.0], [2.0, 0.0]])
+    h0 = hamiltonian(chain.config())
+    chain.sweep()
+    assert chain.accepted == 2
+    assert chain.positions[:, 0].tolist() == [1.0, 0.25, 1.25]
+    assert chain.accumulated_delta == pytest.approx(
+        hamiltonian(chain.config()) - h0, abs=1e-12)
+    _assert_cache_fresh(chain)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mcmc_degenerate_sizes_keep_their_bookkeeping(n):
+    # the (n, 2n) log array is (1, 2), (2, 4) and (3, 6) here
+    chain = MetropolisChain(n, 2.0, np.random.default_rng(n), 0.5)
+    h0 = hamiltonian(chain.config())
+    for _ in range(200):
+        chain.sweep()
+        _assert_cache_fresh(chain)
+    assert 0 < chain.accepted < chain.proposed == 200 * n
+    assert chain.accumulated_delta == pytest.approx(
+        hamiltonian(chain.config()) - h0, abs=1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mcmc_degenerate_sizes_match_the_exact_mean(n):
+    # at beta = 2 the quadratic statistic has mean (n + 1) / (2n)
+    batch = sample_mcmc(n, 2.0, sweeps=10_200, burn_in=200, thinning=1,
+                        p=2.0, seed=40 + n)
+    se = math.sqrt(batch.variance() / batch.metadata["ess"])
+    assert batch.mean() == pytest.approx((n + 1) / (2 * n), abs=4 * se)
+
+
+def _energy_and_spacing(z):
+    """H and the mean nearest-neighbour distance of each row of z."""
+    n = z.shape[-1]
+    d = np.abs(z[..., :, None] - z[..., None, :])
+    i = np.arange(n)
+    d[..., i, i] = np.inf
+    spacing = d.min(axis=-1).mean(axis=-1)
+    d[..., i, i] = 1.0
+    confinement = 0.5 * n * (np.abs(z) ** 2).sum(axis=-1)
+    return confinement - 0.5 * np.log(d).sum(axis=(-2, -1)), spacing
+
+
+def _ginibre_eigenvalues(n, count, seed):
+    # complex Ginibre matrices with entry variance 1/n: at beta = 2 their
+    # eigenvalues have the law of the whole configuration (Ginibre 1965)
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    return np.linalg.eigvals(g / math.sqrt(2 * n))
+
+
+def _batch_mean(x, batches=40):
+    means = x[:x.size // batches * batches].reshape(batches, -1).mean(axis=1)
+    return means.mean(), means.std(ddof=1) / math.sqrt(batches)
+
+
+def test_mcmc_pair_statistics_match_ginibre():
+    # the energy and the nearest-neighbour distance depend on the angles,
+    # which no radial statistic sees: they pin the chain's cross terms
+    n, sweeps = 12, 16_000
+    chain = MetropolisChain(n, 2.0, sampling._rng(12), 0.25)
+    for k in range(1, 501):
+        chain.sweep()
+        if k % sampling._ADAPT_INTERVAL == 0:
+            chain.adapt()
+    states = np.empty((sweeps, n), dtype=complex)
+    for k in range(sweeps):
+        chain.sweep()
+        states[k] = chain.z
+    exact = _energy_and_spacing(_ginibre_eigenvalues(n, 6000, 1965))
+    for got, want in zip(_energy_and_spacing(states), exact):
+        mean, se = _batch_mean(got)
+        se_want = want.std(ddof=1) / math.sqrt(want.size)
+        assert abs(mean - want.mean()) <= 4.0 * math.hypot(se, se_want)
+
+
+def test_mcmc_records_the_radial_statistic_of_the_chain():
+    for p in (0.5, 2.0, math.inf):
+        batch = sample_mcmc(7, 3.0, sweeps=30, burn_in=10, thinning=4, p=p, seed=5)
+        # the burn-in is shorter than the adaptation interval: no adapt call
+        chain = MetropolisChain(7, 3.0, sampling._rng(5), 0.25)
+        want = []
+        for k in range(1, 31):
+            chain.sweep()
+            if k > 10 and (k - 10) % 4 == 0:
+                want.append(radial_statistic(chain.config(), p))
+        assert batch.values.tolist() == want
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.5, 0.8])
+def test_ess_of_an_ar1_series(phi):
+    # an AR(1) series has integrated autocorrelation time (1 + phi) / (1 - phi)
+    n = 100_000
+    noise = np.random.default_rng(17).standard_normal(n).tolist()
+    x = [noise[0] / math.sqrt(1.0 - phi * phi)]
+    for e in noise[1:]:
+        x.append(phi * x[-1] + e)
+    want = n * (1.0 - phi) / (1.0 + phi)
+    assert sampling._ess(np.array(x)) == pytest.approx(want, rel=0.1)
+
+
+def test_ess_of_constant_or_short_series():
+    assert sampling._ess(np.full(50, 0.5)) == 50.0
+    assert sampling._ess(np.array([0.2])) == 1.0
+
+
+def test_mcmc_reports_its_ess():
+    batch = sample_mcmc(8, 2.0, sweeps=600, burn_in=100, thinning=1, p=2.0, seed=3)
+    assert 1.0 < batch.metadata["ess"] <= batch.count
+    assert batch.metadata["ess"] == sampling._ess(batch.values)
 
 
 def test_mcmc_positions_view_the_chain_state():
