@@ -78,6 +78,8 @@ class SimpleTable:
 
 
 def _format_cell(value: Any) -> str:
+    if type(value) is float:  # most cells: skip the isinstance chain
+        return "%.17g" % value
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):

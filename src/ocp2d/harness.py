@@ -207,6 +207,8 @@ def left_tail_mcmc_table(n: int, beta: float, x_grid: Sequence[float],
                   "finite": "-(1/(beta n^2)) ln empirical CDF",
                   "prediction": "left_rate", "qualitative": True,
                   "draws": count, "ess": batch.metadata["ess"],
+                  "acceptance_rate": batch.metadata["acceptance_rate"],
+                  "energy_drift_error": batch.metadata["energy_drift_error"],
                   "seed": int(seed)},
     )
 

@@ -252,15 +252,14 @@ class MetropolisChain:
 
     A sweep moves every particle once, in random order: each move displaces
     its particle by an isotropic Gaussian step and accepts with probability
-    min(1, e^{-beta dH}).  The chain keeps the pair logs
-    ``pair_logs[i, j] = log|z_i - z_j|`` (zero on the diagonal) and their
-    row sums ``pair_log_sums``, so a sweep needs only the logs of its n
-    proposals, O(n^2) from one array (see `sweep`).  ``z`` holds the
-    positions as complex numbers and ``positions`` is its (n, 2) float
-    view.  ``adapt`` nudges the step size toward an acceptance rate in
-    [0.3, 0.5]; call it only during burn-in — the recorded chain must run
-    at a frozen step size.  Proposals landing exactly on another particle
-    are rejected outright.
+    min(1, e^{-beta dH}).  The chain's state is its positions alone: a
+    sweep takes the logs it needs, O(n^2), from the positions at its start
+    and its n proposals (see `sweep`).  ``z`` holds the positions as
+    complex numbers and ``positions`` is its (n, 2) float view.  ``adapt``
+    nudges the step size toward an acceptance rate in [0.3, 0.5]; call it
+    only during burn-in — the recorded chain must run at a frozen step
+    size.  Proposals landing exactly on another particle are rejected
+    outright.
     """
 
     def __init__(self, n: int, beta: float, rng: np.random.Generator,
@@ -276,10 +275,6 @@ class MetropolisChain:
         self.z.real = radius * np.cos(theta)
         self.z.imag = radius * np.sin(theta)
         self.positions = self.z.view(float).reshape(n, 2)
-        dist = np.abs(self.z[:, None] - self.z)
-        np.fill_diagonal(dist, 1.0)
-        self.pair_logs = np.log(dist)
-        self.pair_log_sums = self.pair_logs.sum(axis=1)
         self.accepted = 0
         self.proposed = 0
         self._window_accepted = 0
@@ -292,35 +287,40 @@ class MetropolisChain:
         The randomness comes in three calls: ``permutation(n)`` for the
         order, ``standard_normal((n, 2))`` for the steps and ``random(n)``
         for the acceptance tests.  Move t proposes new[t] = old[t] + step[t]
-        for particle order[t].  Its dH is its value against the state at the
-        start of the sweep plus, over the moves s < t accepted before it,
-        cross[s, t] = A[s, t] + A[t, s] - L[s, t] - B[s, t], with
-        A = log|new - old| and B = log|new - new| (zero on their diagonals)
-        and L the cached logs, all in scan order.  A dH that is not finite
-        (a proposal on an occupied or a vacated site) is recomputed from
-        the current positions.  The cache is written once, at the end.
+        for particle order[t], with old = z[order].  From L = log|old - old|,
+        A = log|new - old| and B = log|new - new| (zero on their diagonals),
+        move t's dH is its value against the state at the start of the
+        sweep, the confinement change minus sum_u (A - L)[t, u], plus, over
+        the moves s < t accepted before it, cross[s, t] = (A - L)[s, t] +
+        A[t, s] - B[s, t].  A dH that is not finite (a proposal on an
+        occupied or a vacated site) is recomputed from the current
+        positions.  The accepted proposals are written once, at the end.
         """
-        n, z, logs, sums = self.n, self.z, self.pair_logs, self.pair_log_sums
+        n, z = self.n, self.z
         order = self.rng.permutation(n)
         steps = (self.step * self.rng.standard_normal((n, 2))).view(complex)
-        log_u = np.log(self.rng.random(n)).tolist()
         old = z[order]
         new = old + steps.ravel()
-        diff = new[:, None] - np.concatenate((old, new))
-        flat = diff.reshape(-1)
-        flat[::2 * n + 1] = flat[n::2 * n + 1] = 1.0
-        cached = logs[order][:, order]
+        # [old; new] - old stacked over new - new; the three diagonals,
+        # each a particle against itself, get log 1 = 0.
+        diff = np.empty((3 * n, n), dtype=complex)
+        np.subtract(np.concatenate((old, new))[:, None], old, out=diff[:2 * n])
+        np.subtract(new[:, None], new, out=diff[2 * n:])
+        diff.reshape(3, n * n)[:, ::n + 1] = 1.0
         confinement = 0.5 * n * (new.real ** 2 + new.imag ** 2
                                  - old.real ** 2 - old.imag ** 2)
         running = np.zeros(n)
         accept = np.zeros(n, dtype=bool)
         beta, total = self.beta, 0.0
-        # Coincident points give infinite logs and inf - inf increments.
+        # Coincident points give infinite logs and inf - inf increments;
+        # random() can return 0.0.
         with np.errstate(divide="ignore", invalid="ignore"):
-            both = np.log(np.abs(diff))
-            a, b = both[:, :n], both[:, n:]
-            start = (sums[order] - a.sum(axis=1) + confinement).tolist()
-            cross = a + a.T - cached - b
+            log_u = np.log(self.rng.random(n)).tolist()
+            logs = np.log(np.abs(diff))
+            a = logs[n:2 * n]
+            shift = a - logs[:n]
+            start = (confinement - shift.sum(axis=1)).tolist()
+            cross = shift + a.T - logs[2 * n:]
             for t, (delta, lu) in enumerate(zip(start, log_u)):
                 delta += running.item(t)
                 if not math.isfinite(delta):
@@ -336,17 +336,9 @@ class MetropolisChain:
                     running += cross[t]
                     accept[t] = True
                     total += delta
+        z[order[accept]] = new[accept]
         accepted = int(np.count_nonzero(accept))
-        if accepted:
-            # The movers' logs against the final positions, in scan order.
-            rows = np.where(accept, b[accept], a[accept])
-            movers = order[accept]
-            sums[order] += (rows - cached[accept]).sum(axis=0)
-            sums[movers] = rows.sum(axis=1)
-            logs[movers[:, None], order] = rows
-            logs[order[:, None], movers] = rows.T
-            z[movers] = new[accept]
-            self.accumulated_delta += total
+        self.accumulated_delta += total
         self.proposed += n
         self._window_proposed += n
         self.accepted += accepted

@@ -11,7 +11,8 @@ import pytest
 
 import ocp2d
 from ocp2d import exact_moment, left_rate
-from ocp2d.cli import DEFAULT_SEED, SimpleTable, _grid, build_parser, emit_csv, run
+from ocp2d.cli import (DEFAULT_SEED, SimpleTable, _format_cell, _grid,
+                       build_parser, emit_csv, run)
 
 
 def read_csv(path):
@@ -52,6 +53,14 @@ def test_emit_csv_full_precision_round_trip(tmp_path):
     for (a, b), row in zip(values, rows):
         assert float(row[0]) == a      # %.17g loses nothing
         assert float(row[1]) == b
+
+
+def test_csv_cells_have_fixed_text():
+    cells = [True, False, 7, np.int64(-3), 0.1, np.float64(1.0 / 3.0),
+             math.nan, math.inf, -0.0, "x"]
+    assert [_format_cell(v) for v in cells] == [
+        "1", "0", "7", "-3", "0.10000000000000001", "0.33333333333333331",
+        "nan", "inf", "-0", "x"]
 
 
 def test_emit_csv_leaves_no_temp_files(tmp_path):

@@ -23,6 +23,7 @@ from ocp2d import (
     mgf_table,
     right_rate,
     right_tail_table,
+    sample_mcmc,
     subleading_coefficient,
     transition_scan,
     untested_beta,
@@ -111,6 +112,24 @@ def test_left_tail_mcmc_table_checks_grid_before_sampling(monkeypatch):
     for grid in ([0.5, 1.2], [0.0, 0.5], []):
         with pytest.raises(DomainError):
             hmod.left_tail_mcmc_table(16, 4.0, grid, sweeps=2000)
+
+
+def test_left_tail_mcmc_table_keeps_the_chain_health(monkeypatch):
+    import ocp2d.harness as hmod
+
+    batches = []
+
+    def recording(*args):
+        batches.append(sample_mcmc(*args))
+        return batches[-1]
+
+    monkeypatch.setattr(hmod, "sample_mcmc", recording)
+    table = hmod.left_tail_mcmc_table(6, 4.0, [0.6, 0.9], sweeps=300,
+                                      burn_in=100, seed=3)
+    (batch,) = batches
+    for key in ("ess", "acceptance_rate", "energy_drift_error"):
+        assert table.metadata[key] == batch.metadata[key]
+    assert 0.0 < table.metadata["acceptance_rate"] < 1.0
 
 
 # --- tilted free-energy tables and extraction -----------------------------------

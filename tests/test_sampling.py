@@ -253,6 +253,53 @@ def test_mcmc_deterministic_given_seed():
     assert a.metadata == b.metadata
 
 
+_MCMC_DIGESTS = {
+    (1, 2.0, 2.0):
+        "0a4736a1922f7487646e6497b422573d02947eef714c8338295d6b3e76ce3309",
+    (1, 2.0, math.inf):
+        "ae3ab270ac5c812550368900af61a6011119c455434fd066945bd777ee3f4dc6",
+    (1, 4.0, 2.0):
+        "194edece80c0a906f0ab5d859fb6109b2d6618976bfb4000c56f2cfe79c41536",
+    (1, 4.0, math.inf):
+        "16fa9c60548aa8525c959641b633a91c8aba4e4d62bf5187c38e4994d24dabaa",
+    (3, 2.0, 2.0):
+        "cbc3c1eb05cefdce9a51cd3e1c80c49dad6a826053a3888cc83938b4b1c44d9f",
+    (3, 2.0, math.inf):
+        "2b072faad81c0ec776b91ab6d4b2f69637fb38abcaaeaca278a6e773e0f9e260",
+    (3, 4.0, 2.0):
+        "73be72c95edf3834ada74940a714a0f3c5d31e330a708ca6fc9a3aea52ee0329",
+    (3, 4.0, math.inf):
+        "cbcdee12048ad73ebda309cf049744bad82c56bba4f9e164bcbaa2f09134a771",
+    (12, 2.0, 2.0):
+        "1500f712ee02fb40b1ed992c9b4dfdac5d5e3d958fc3b00f663f267ad3a5cec8",
+    (12, 2.0, math.inf):
+        "c323b656060264182e735611f9dfddb344a4144ff8aa94908dcebba1a33a3e52",
+    (12, 4.0, 2.0):
+        "8fbfc7e1e83da3f441d9cfe8847365e58dfd8265eba30912a71607f4e95c5002",
+    (12, 4.0, math.inf):
+        "f49434c5165aba3d046c55130f345c3144fe1acb0c579a7db6cc2d580a8b87ef",
+    (32, 2.0, 2.0):
+        "e9ea48c102819aad3f1cec647725fac62fa7c0530a16a9bad69fedeb3edb16bd",
+    (32, 2.0, math.inf):
+        "7bf08dde4ef17606a23c3bdc6479526b37af9f7184053bc8ae87a32f87f8d817",
+    (32, 4.0, 2.0):
+        "46d90f5c56e592d18abb805187e3ca15f46c0ee3551720d836b3f7c2fce1aac1",
+    (32, 4.0, math.inf):
+        "4da53264e372b4e5f5742266c2339a88fdec2471824f55cd2a5762bcd25034f7",
+}
+
+
+@pytest.mark.parametrize("n, beta, p", list(_MCMC_DIGESTS))
+def test_mcmc_draws_are_pinned(n, beta, p):
+    # SHA-256 of the recorded values.  They see dH only through the accept
+    # decisions, which rounding in dH almost never flips; a change to the
+    # law or to the random calls moves them
+    values = sample_mcmc(n, beta, sweeps=120, burn_in=50, thinning=2, p=p,
+                         seed=7).values
+    assert hashlib.sha256(values.astype("<f8").tobytes()).hexdigest() == (
+        _MCMC_DIGESTS[n, beta, p])
+
+
 def test_mcmc_energy_bookkeeping_is_exact():
     # the running sum of accepted increments must track the true energy
     chain = MetropolisChain(10, 2.0, np.random.default_rng(4), 0.25)
@@ -263,13 +310,13 @@ def test_mcmc_energy_bookkeeping_is_exact():
     assert chain.accumulated_delta == pytest.approx(drift, abs=1e-8)
 
 
-def test_mcmc_energy_check_catches_corrupted_cache(monkeypatch):
-    class CorruptedChain(MetropolisChain):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            self.pair_log_sums[0] += 1.0
+def test_mcmc_energy_check_catches_a_wrong_increment(monkeypatch):
+    class MiscountingChain(MetropolisChain):
+        def sweep(self):
+            super().sweep()
+            self.accumulated_delta += 1e-6
 
-    monkeypatch.setattr(sampling, "MetropolisChain", CorruptedChain)
+    monkeypatch.setattr(sampling, "MetropolisChain", MiscountingChain)
     with pytest.raises(NumericalError, match="bookkeeping"):
         sample_mcmc(6, 2.0, sweeps=40, burn_in=10, thinning=2, p=2.0, seed=11)
 
@@ -277,14 +324,6 @@ def test_mcmc_energy_check_catches_corrupted_cache(monkeypatch):
 def test_mcmc_reports_energy_drift_error():
     batch = sample_mcmc(6, 2.0, sweeps=40, burn_in=10, thinning=2, p=2.0, seed=11)
     assert abs(batch.metadata["energy_drift_error"]) <= 1e-10
-
-
-def test_mcmc_cached_pair_logs_match_positions():
-    chain = MetropolisChain(12, 4.0, np.random.default_rng(9), 0.25)
-    for _ in range(50):
-        chain.sweep()
-    assert chain.accepted > 0
-    _assert_cache_fresh(chain)
 
 
 class _ScriptedRng:
@@ -316,25 +355,12 @@ def _scripted_chain(order, normals):
     return chain
 
 
-def _assert_cache_fresh(chain, atol=1e-12):
-    z = chain.positions[:, 0] + 1j * chain.positions[:, 1]
-    dist = np.abs(z[:, None] - z)
-    np.fill_diagonal(dist, 1.0)
-    fresh = np.log(dist)
-    np.testing.assert_allclose(chain.pair_logs, fresh, rtol=0, atol=atol)
-    np.testing.assert_allclose(chain.pair_log_sums, fresh.sum(axis=1),
-                               rtol=0, atol=atol)
-
-
 def test_mcmc_proposal_onto_another_particle_is_rejected():
     # each proposal lands exactly on another particle
     chain = _scripted_chain([0, 1, 2], [[-1.0, 0.0], [1.0, 0.0], [-2.0, 0.0]])
-    logs, sums = chain.pair_logs.copy(), chain.pair_log_sums.copy()
     chain.sweep()
     assert chain.accepted == 0 and chain.proposed == 3
     assert chain.positions[:, 0].tolist() == [0.5, 0.25, 0.75]
-    assert np.array_equal(chain.pair_logs, logs)
-    assert np.array_equal(chain.pair_log_sums, sums)
     assert chain.accumulated_delta == 0.0
 
 
@@ -348,7 +374,6 @@ def test_mcmc_proposal_onto_a_vacated_site_is_accepted():
     assert chain.positions[:, 0].tolist() == [1.0, 0.5, 1.25]
     assert chain.accumulated_delta == pytest.approx(
         hamiltonian(chain.config()) - h0, abs=1e-12)
-    _assert_cache_fresh(chain)
 
 
 def test_mcmc_proposal_onto_an_accepted_proposal_is_rejected():
@@ -360,17 +385,15 @@ def test_mcmc_proposal_onto_an_accepted_proposal_is_rejected():
     assert chain.positions[:, 0].tolist() == [1.0, 0.25, 1.25]
     assert chain.accumulated_delta == pytest.approx(
         hamiltonian(chain.config()) - h0, abs=1e-12)
-    _assert_cache_fresh(chain)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_mcmc_degenerate_sizes_keep_their_bookkeeping(n):
-    # the (n, 2n) log array is (1, 2), (2, 4) and (3, 6) here
+    # the (3n, n) log array is (3, 1), (6, 2) and (9, 3) here
     chain = MetropolisChain(n, 2.0, np.random.default_rng(n), 0.5)
     h0 = hamiltonian(chain.config())
     for _ in range(200):
         chain.sweep()
-        _assert_cache_fresh(chain)
     assert 0 < chain.accepted < chain.proposed == 200 * n
     assert chain.accumulated_delta == pytest.approx(
         hamiltonian(chain.config()) - h0, abs=1e-10)
