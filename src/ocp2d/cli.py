@@ -77,6 +77,23 @@ class SimpleTable:
         self.data.append(list(values))
 
 
+@dataclass
+class FloatColumn:
+    """A one-column table of floats, which ``emit_csv`` formats in one pass."""
+
+    name: str
+    values: np.ndarray
+
+    def column_names(self) -> list[str]:
+        return [self.name]
+
+    def row_values(self, i: int) -> list[float]:
+        return [float(self.values[i])]
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+
 def _format_cell(value: Any) -> str:
     if type(value) is float:  # most cells: skip the isinstance chain
         return "%.17g" % value
@@ -108,8 +125,12 @@ def emit_csv(table, path: str) -> None:
     """Write the table as CSV: header, 17-significant-digit reals, atomic
     replace."""
     lines = [",".join(table.column_names())]
-    for i in range(len(table)):
-        lines.append(",".join(_format_cell(v) for v in table.row_values(i)))
+    if isinstance(table, FloatColumn):
+        # the text _format_cell gives each Python float
+        lines += ["%.17g" % v for v in table.values.tolist()]
+    else:
+        for i in range(len(table)):
+            lines.append(",".join(_format_cell(v) for v in table.row_values(i)))
     _write_atomic(path, lines)
 
 
@@ -378,9 +399,8 @@ def _cmd_sample(res: _Resolver, out: str):
             seed,
             res.get("step", default=0.25),
         )
-    table = SimpleTable(["value"], [[float(v)] for v in batch.values])
-    return table, (f"{batch.sampler_id}: {batch.count} draws, "
-                   f"mean {batch.mean():.6g} -> {out}")
+    return FloatColumn("value", batch.values), (
+        f"{batch.sampler_id}: {batch.count} draws, mean {batch.mean():.6g} -> {out}")
 
 
 def _cmd_verify(res: _Resolver, out: str):

@@ -5,10 +5,11 @@ Two routes to draws of the radial statistics:
 * an exact sampler at coupling beta = 2, using the fact that the squared
   moduli are distributed as independent gamma variables of shapes 1..n
   (scaled by n) — fast, embarrassingly parallel, no autocorrelation.  A
-  p-moment draw takes all n variates; a maximum-modulus draw takes only
-  the top shapes that can hold the maximum (about 5 sqrt(n) of them)
-  and couples in the rest exactly through the product formula of
-  ``exact.edge_cdf_log``;
+  p = 2 draw is one gamma variate of shape n(n+1)/2, the law of their
+  sum; a draw at any other finite p takes all n variates; a
+  maximum-modulus draw takes only the top shapes that can hold the
+  maximum (about 3.75 sqrt(n) of them) and couples in the rest exactly
+  through the product formula of ``exact.edge_cdf_log``;
 * a Metropolis chain valid at any beta > 0, whose sweeps move every
   particle once, in random order.
 
@@ -146,19 +147,28 @@ class SampleBatch:
 
 
 def _tail_log_bound(a, y):
-    """ln(a e^{a-y} (y/a)^a), at least ln Pr[max(G_1..G_a) > y] for y > a.
+    """An upper bound on ln S(y), S(y) = Pr[max(G_1..G_a) > y], for y > a - 1.
 
-    A union of Chernoff bounds: Pr[G_k > y] <= Pr[G_a > y] <= e^{a-y}
-    (y/a)^a for every shape k <= a < y.
+    With pmf_j(y) = e^{-y} y^j / j!, Pr[G_k > y] = sum_{j<k} pmf_j(y), so
+    the union bound over k <= a gives S(y) <= sum_{j<a} (a - j) pmf_j(y).
+    For j < a, pmf_{j-1}/pmf_j = j/y <= r = (a - 1)/y < 1, so that sum is at
+    most pmf_{a-1}(y) sum_i (i + 1) r^i = pmf_{a-1}(y) / (1 - r)^2.  At
+    a = 1 the bound is ln S(y) = -y itself; a margin of 4 ulps of the
+    largest term, or of 1 (S is a probability, so ln S carries absolute
+    rounding), keeps rounding from putting it below ln S.
     """
-    return np.log(a) + a - y + a * np.log(y / a)
+    log_y = np.log(y)
+    head = (a - 1) * log_y
+    return (head - y - math.lgamma(a) - 2.0 * np.log1p(-(a - 1) / y)
+            + 4.0 * np.spacing(np.maximum(np.maximum(y, head), 1.0)))
 
 
 def _skipped_shapes(n: int) -> int:
-    """The cut a(n) = max(0, n - ceil(5 sqrt(n))).  `_maxima` is exact for
-    any cut; with this one its exact tail path, of chance at most
-    Pr[M <= y] + e^{bound(a, y)} for any y > a, takes under 1e-3 of draws."""
-    return max(0, n - math.ceil(5.0 * math.sqrt(n)))
+    """The cut a(n) = max(0, n - ceil(3.75 sqrt(n))).  `_maxima` is exact
+    for any cut; with this one its exact tail path, of chance at most
+    Pr[M <= y] + e^{bound(a, y)} for any y > a, takes under 1e-3 of draws
+    for every n (at most 6.9e-4, at n = 68, over n <= 3000)."""
+    return max(0, n - math.ceil(3.75 * math.sqrt(n)))
 
 
 def _maxima(rng: np.random.Generator, n: int, cut: int,
@@ -184,8 +194,10 @@ def _maxima(rng: np.random.Generator, n: int, cut: int,
     def survival(y: float) -> float:
         return -math.expm1(edge_cdf_log(cut, math.sqrt(y / cut)))
 
-    unsettled = np.flatnonzero((top <= cut)
-                               | (np.log(v) < _tail_log_bound(cut, top)))
+    # the bound holds only for M > cut - 1; M <= cut is never settled
+    settled = top > cut
+    settled[settled] = np.log(v[settled]) >= _tail_log_bound(cut, top[settled])
+    unsettled = np.flatnonzero(~settled)
     bisected = 0
     for i in unsettled.tolist():
         lo, target = float(top[i]), float(v[i])
@@ -213,15 +225,20 @@ def sample_kostlan(n: int, count: int, p: float, seed: int) -> SampleBatch:
     """Exact draws of the radial statistic at coupling 2.
 
     The squared moduli of the gas, multiplied by n, are distributed like
-    independent gamma variables of shapes 1..n, and the statistic is
-    rotation-invariant, so no angular coordinates are drawn.  At finite p
-    a draw takes all n gamma variates.  At p = inf a draw takes only the
-    top n - a(n) shapes (about 5 sqrt(n)) plus one uniform, which couples
-    in the maximum of the skipped shapes 1..a(n) exactly (see `_maxima`).
-    The metadata adds ``top_shapes``, ``tail_inversions`` (draws where the
-    chance S(M) that the skipped maximum wins was evaluated) and
-    ``tail_bisections`` (draws where it won and bisection ran).  Chunked to
-    bound memory at large count.
+    independent gamma variables G_k of shapes k = 1..n (Kostlan 1992), and
+    the statistic is rotation-invariant, so no angular coordinates are
+    drawn.  At p = 2 the statistic is sum_k G_k / n^2, and a sum of
+    independent gamma variables of shapes 1..n is one gamma variable of
+    shape n(n+1)/2, so a draw takes one variate.  At any other finite p a
+    draw takes all n.  At p = inf a draw takes only the top n - a(n) shapes
+    (about 3.75 sqrt(n)) plus, when a(n) > 0, one uniform, which couples in
+    the maximum of the skipped shapes 1..a(n) exactly (see `_maxima`).
+    The metadata holds ``chunk`` and ``variates_per_draw``, the gamma
+    variates per draw: 1 at p = 2, n at other finite p and n - a(n) at
+    p = inf.  At p = inf it adds ``top_shapes``, ``tail_inversions``
+    (draws where the chance S(M) that the skipped maximum wins was
+    evaluated) and ``tail_bisections`` (draws where it won and bisection
+    ran).  Chunked to bound memory at large count.
     """
     n = check_size(n, "particle number n")
     count = check_size(count, "count")
@@ -237,10 +254,13 @@ def sample_kostlan(n: int, count: int, p: float, seed: int) -> SampleBatch:
             top, *counts = _maxima(rng, n, cut, m)
             out[start:start + m] = np.sqrt(top / n)
             tally += counts
+        elif p == 2.0:
+            out[start:start + m] = rng.standard_gamma(0.5 * n * (n + 1), m) / n**2
         else:
             g = rng.standard_gamma(shapes, size=(m, n))
             out[start:start + m] = n ** (-1.0 - 0.5 * p) * (g ** (0.5 * p)).sum(axis=1)
-    metadata: dict[str, Any] = {"chunk": _GAMMA_CHUNK}
+    metadata: dict[str, Any] = {"chunk": _GAMMA_CHUNK,
+                                "variates_per_draw": 1 if p == 2.0 else n - cut}
     if p == math.inf:
         metadata.update(top_shapes=n - cut, tail_inversions=int(tally[0]),
                         tail_bisections=int(tally[1]))

@@ -11,8 +11,8 @@ import pytest
 
 import ocp2d
 from ocp2d import exact_moment, left_rate
-from ocp2d.cli import (DEFAULT_SEED, SimpleTable, _format_cell, _grid,
-                       build_parser, emit_csv, run)
+from ocp2d.cli import (DEFAULT_SEED, FloatColumn, SimpleTable, _format_cell,
+                       _grid, build_parser, emit_csv, run)
 
 
 def read_csv(path):
@@ -61,6 +61,17 @@ def test_csv_cells_have_fixed_text():
     assert [_format_cell(v) for v in cells] == [
         "1", "0", "7", "-3", "0.10000000000000001", "0.33333333333333331",
         "nan", "inf", "-0", "x"]
+
+
+def test_float_column_csv_matches_the_per_row_text(tmp_path):
+    values = np.array([0.1, 1.0 / 3.0, -0.0, 0.0, 1e-300, 5e-324, 1e300,
+                       2.0 ** 53, math.nan, math.inf, -math.inf, -2.5])
+    column, rows = tmp_path / "column.csv", tmp_path / "rows.csv"
+    emit_csv(FloatColumn("value", values), str(column))
+    emit_csv(SimpleTable(["value"], [[float(v)] for v in values]), str(rows))
+    assert column.read_text() == rows.read_text()
+    assert column.read_text().splitlines()[:4] == [
+        "value", "0.10000000000000001", "0.33333333333333331", "-0"]
 
 
 def test_emit_csv_leaves_no_temp_files(tmp_path):
@@ -391,8 +402,10 @@ def test_threads_do_not_change_csv_bytes(tmp_path, capsys):
 @pytest.mark.parametrize("args", [
     ["sample", "kostlan", "--n", "200", "--count", "1500", "--p", "inf",
      "--seed", "5"],
+    ["sample", "kostlan", "--n", "200", "--count", "1500", "--p", "2",
+     "--seed", "5"],
     ["verify", "gumbel", "--n", "200", "--draws", "1500", "--seed", "5"],
-], ids=["kostlan-max", "gumbel"])
+], ids=["kostlan-max", "kostlan-quadratic", "gumbel"])
 def test_maximum_draws_are_byte_stable(tmp_path, capsys, args):
     payloads = []
     for j, threads in enumerate(("1", "4", "1")):

@@ -142,23 +142,56 @@ def test_kostlan_metadata_and_ids():
     batch = sample_kostlan(12, 8, 2.5, 3)
     assert batch.sampler_id == "kostlan"
     assert batch.n == 12 and batch.seed == 3 and batch.beta == 2.0
+    assert batch.metadata["variates_per_draw"] == 12
 
 
 def test_kostlan_finite_p_draws_are_pinned():
-    # finite p still draws all n shapes per draw: these values predate the
-    # shape cut of the p = inf path and must not move
-    values = sample_kostlan(25, 120, 2.0, 5).values
-    assert values[:3].tolist() == [0.5198927706180851, 0.49236956301390983,
-                                   0.5104042485328519]
+    # p != 2 still draws all n shapes per draw: these values predate both
+    # the p = inf shape cut and the one-variate p = 2 route, and must not move
+    values = sample_kostlan(25, 120, 1.0, 5).values
+    assert values[:3].tolist() == [0.6716652920049004, 0.6697172963304431,
+                                   0.6615159784673217]
     assert hashlib.sha256(values.astype("<f8").tobytes()).hexdigest() == (
-        "6b06d83c97cb03c42e4dccff734d128efdec64aa797ba8e9cbc1262541b8857a")
+        "aaea04c9a9e21ab5f747833b064445f6c5169498d0181f88d6a524026ddf9542")
+
+
+def test_kostlan_quadratic_draws_are_pinned():
+    # p = 2 draws one Gamma(n(n+1)/2) variate per draw
+    values = sample_kostlan(25, 120, 2.0, 5).values
+    assert values[:3].tolist() == [0.5439820686158099, 0.5086275298403854,
+                                   0.5837131450416441]
+    assert hashlib.sha256(values.astype("<f8").tobytes()).hexdigest() == (
+        "4981bd93ee94fdacaed168b6a5b2b7ce8c452c08f9b425591085036ed761ac9e")
+
+
+@pytest.mark.parametrize("n", [1, 3, 100])
+def test_kostlan_quadratic_route_matches_the_sum_of_n_shapes(n):
+    # the one-variate route against the sum of Gamma(1..n), drawn here as
+    # the reference, and against the moments of Gamma(n(n+1)/2) / n^2
+    count = 20_000
+    batch = sample_kostlan(n, count, 2.0, 31)
+    assert batch.metadata["variates_per_draw"] == 1
+    rng = np.random.default_rng(32)
+    reference = rng.standard_gamma(np.arange(1.0, n + 1.0),
+                                   size=(count, n)).sum(axis=1) / n**2
+    a, b = np.sort(batch.values), np.sort(reference)
+    grid = np.concatenate([a, b])
+    ks = np.abs(np.searchsorted(a, grid, side="right")
+                - np.searchsorted(b, grid, side="right")).max() / count
+    assert ks < 2.23 * math.sqrt(2.0 / count)   # false alarm 1e-4
+    shape = n * (n + 1) / 2.0
+    mean, var = shape / n**2, shape / n**4
+    assert abs(batch.mean() - mean) < 5.0 * math.sqrt(var / count)
+    # Var(sample variance) = var^2 (2 + 6 / shape) / count for a gamma law
+    assert abs(batch.variance() / var - 1.0) < 5.0 * math.sqrt(
+        (2.0 + 6.0 / shape) / count)
 
 
 def test_kostlan_maximum_skips_the_bottom_shapes():
     assert [sampling._skipped_shapes(n) for n in (1, 26, 27, 200, 2000)] == [
-        0, 0, 1, 129, 1776]
+        0, 6, 7, 146, 1832]
     batch = sample_kostlan(200, 50, math.inf, 3)
-    assert batch.metadata["top_shapes"] == 71
+    assert batch.metadata["top_shapes"] == batch.metadata["variates_per_draw"] == 54
     assert 0 <= batch.metadata["tail_inversions"] <= 50
     assert "top_shapes" not in sample_kostlan(200, 50, 2.0, 3).metadata
 
@@ -177,11 +210,11 @@ def test_kostlan_cut_keeps_the_exact_path_rare(n):
 
 def test_kostlan_maximum_rarely_takes_the_exact_path():
     batch = sample_kostlan(2000, 10_000, math.inf, 20231)
-    assert batch.metadata["tail_inversions"] <= 20   # about 3.4 expected
+    assert batch.metadata["tail_inversions"] <= 20   # about 0.01 expected
     assert batch.metadata["tail_bisections"] <= batch.metadata["tail_inversions"]
 
 
-@pytest.mark.parametrize("a", [5, 40, 400])
+@pytest.mark.parametrize("a", [1, 5, 40, 400, 1832, 18650])
 def test_kostlan_tail_bound_covers_the_skipped_maximum(a):
     for y in a + math.sqrt(a) * np.array([0.01, 0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0]):
         survival = -math.expm1(edge_cdf_log(a, math.sqrt(y / a)))
@@ -222,15 +255,19 @@ def test_kostlan_forced_cut_at_n200_bisects_and_keeps_the_law(monkeypatch):
 def test_kostlan_production_cut_keeps_the_law_at_n200():
     n, count = 200, 20_000
     batch = sample_kostlan(n, count, math.inf, 13)
-    assert batch.metadata["top_shapes"] == 71
+    assert batch.metadata["top_shapes"] == 54
     assert _edge_law_ks(n, n * batch.values**2) < 2.23 / math.sqrt(count)
 
 
 def test_kostlan_missing_bracket_is_a_numerical_error(monkeypatch):
-    # a survival function stuck at 1 leaves no point where it falls below V
-    monkeypatch.setattr(sampling, "edge_cdf_log", lambda n, x: -math.inf)
+    # a survival function stuck at 1 leaves no point where it falls below
+    # V; of 2000 draws at a cut of 40 of 60 shapes a few take the exact path
+    calls = []
+    monkeypatch.setattr(sampling, "edge_cdf_log",
+                        lambda n, x: calls.append(x) or -math.inf)
     with pytest.raises(NumericalError, match="no bracket"):
-        sampling._maxima(sampling._rng(1), 60, 40, 50)
+        sampling._maxima(sampling._rng(1), 60, 40, 2000)
+    assert calls
 
 
 def test_kostlan_validation():
