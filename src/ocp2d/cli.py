@@ -9,14 +9,17 @@ sample kostlan|mcmc   draws of the radial statistic
 verify left-tail|right-tail|mgf|cumulants|gumbel|transition
 fig 1|2|3|4           canonical comparison data sets
 
-Every data-producing command writes CSV (17 significant digits, atomic
-rename) and optionally a small self-contained SVG chart.  Numeric output
-depends only on argv and the config file.  --threads (or OCP_THREADS) is
-accepted and checked to be an integer >= 1, but has no effect: every
-command runs serially.
+Every data-producing command writes one table, an ordered dict of columns,
+as CSV (17 significant digits, atomic rename) and optionally as a small
+self-contained SVG chart;
+--svg is an error (exit 1) when the chart would draw no line.  Numeric
+output depends only on argv and the config file.  --threads (or
+OCP_THREADS) is accepted and checked to be an integer >= 1, but has no
+effect: every command runs serially.
 Grids are given as min:max:steps (steps = number of points, inclusive
-endpoints); config files hold key=value lines overridden by flags.  A flag
-or config key that the command does not read is an error (exit 1).
+endpoints, finite bounds); config files hold key=value lines overridden by
+flags.  A flag or config key that the command does not read is an error
+(exit 1).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import fields
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -55,45 +58,6 @@ _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b",
 # --- tables and emission ------------------------------------------------------
 
 
-@dataclass
-class SimpleTable:
-    """Minimal column-oriented table sharing the LdpTable emission API."""
-
-    columns: list[str]
-    data: list[list[Any]] = field(default_factory=list)
-
-    def column_names(self) -> list[str]:
-        return list(self.columns)
-
-    def row_values(self, i: int) -> list[Any]:
-        return self.data[i]
-
-    def __len__(self) -> int:
-        return len(self.data)
-
-    def add(self, *values: Any) -> None:
-        if len(values) != len(self.columns):
-            raise DomainError("row width does not match header")
-        self.data.append(list(values))
-
-
-@dataclass
-class FloatColumn:
-    """A one-column table of floats, which ``emit_csv`` formats in one pass."""
-
-    name: str
-    values: np.ndarray
-
-    def column_names(self) -> list[str]:
-        return [self.name]
-
-    def row_values(self, i: int) -> list[float]:
-        return [float(self.values[i])]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
 def _format_cell(value: Any) -> str:
     if type(value) is float:  # most cells: skip the isinstance chain
         return "%.17g" % value
@@ -104,6 +68,13 @@ def _format_cell(value: Any) -> str:
     if isinstance(value, (float, np.floating)):
         return "%.17g" % float(value)
     return str(value)
+
+
+def _format_column(column: Sequence[Any]) -> list[str]:
+    """The CSV text of each cell; a float array in one pass, as _format_cell."""
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        return ["%.17g" % v for v in column.tolist()]
+    return [_format_cell(v) for v in column]
 
 
 def _write_atomic(path: str, lines: list[str]) -> None:
@@ -121,98 +92,88 @@ def _write_atomic(path: str, lines: list[str]) -> None:
         raise
 
 
-def emit_csv(table, path: str) -> None:
-    """Write the table as CSV: header, 17-significant-digit reals, atomic
-    replace."""
-    lines = [",".join(table.column_names())]
-    if isinstance(table, FloatColumn):
-        # the text _format_cell gives each Python float
-        lines += ["%.17g" % v for v in table.values.tolist()]
-    else:
-        for i in range(len(table)):
-            lines.append(",".join(_format_cell(v) for v in table.row_values(i)))
-    _write_atomic(path, lines)
+def emit_csv(table: dict[str, Sequence[Any]], path: str) -> None:
+    """Write a table (column name -> column) as CSV: header, 17-digit reals,
+    atomic replace.  Ragged columns are a DomainError; nothing is written."""
+    lengths = {name: len(col) for name, col in table.items()}
+    if len(set(lengths.values())) > 1:
+        raise DomainError(f"columns of unequal length: {lengths}")
+    cells = [_format_column(col) for col in table.values()]
+    _write_atomic(path, [",".join(table), *map(",".join, zip(*cells))])
 
 
-def _numeric_columns(table) -> tuple[list[str], list[list[float]]]:
-    names = table.column_names()
-    cols: list[list[float]] = [[] for _ in names]
-    for i in range(len(table)):
-        for j, v in enumerate(table.row_values(i)):
-            try:
-                cols[j].append(float(v))
-            except (TypeError, ValueError):
-                cols[j].append(math.nan)
-    keep = [j for j, col in enumerate(cols)
-            if any(math.isfinite(v) for v in col)]
-    return [names[j] for j in keep], [cols[j] for j in keep]
+def _numeric_columns(table: dict[str, Sequence[Any]]) -> dict[str, list[float]]:
+    """The columns of numbers (bools count as 0 and 1) that hold a finite
+    one, as lists of floats."""
+    arrays = {name: np.asarray(col) for name, col in table.items()}
+    return {name: a.astype(float).tolist() for name, a in arrays.items()
+            if a.dtype.kind in "biuf" and np.isfinite(a.astype(float)).any()}
 
 
-def emit_svg(table, path: str) -> None:
-    """Render a minimal polyline chart (first numeric column = abscissa,
-    one polyline per remaining numeric column, no external assets)."""
-    names, cols = _numeric_columns(table)
+def _svg_lines(table: dict[str, Sequence[Any]]) -> list[str]:
+    """The chart emit_svg writes; DomainError if it would draw no line."""
+    cols = _numeric_columns(table)
+    names = list(cols)
+    xs = cols[names[0]] if names else []
+    series = [(label, cols[label]) for label in names[1:]]
+    points = [[(x, y) for x, y in zip(xs, col)
+               if math.isfinite(x) and math.isfinite(y)] for _, col in series]
+    if not any(len(line) >= 2 for line in points):
+        raise DomainError("--svg draws no line here: a chart needs a numeric "
+                          "first column and another with two finite points")
     width, height, margin = 640.0, 480.0, 60.0
+    finite = [v for _, col in series for v in col if math.isfinite(v)]
+    x_fin = [v for v in xs if math.isfinite(v)]
+    x0, x1 = min(x_fin), max(x_fin)
+    y0, y1 = min(finite), max(finite)
+    x_span = (x1 - x0) or 1.0
+    y_span = (y1 - y0) or 1.0
+
+    def sx(v: float) -> float:
+        return margin + (v - x0) / x_span * (width - 2 * margin)
+
+    def sy(v: float) -> float:
+        return height - margin - (v - y0) / y_span * (height - 2 * margin)
+
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(width)}" '
         f'height="{int(height)}" viewBox="0 0 {int(width)} {int(height)}">',
         f'<rect width="{int(width)}" height="{int(height)}" fill="white"/>',
+        f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
+        f'y2="{height - margin}" stroke="black"/>',
+        f'<line x1="{margin}" y1="{margin}" x2="{margin}" '
+        f'y2="{height - margin}" stroke="black"/>',
     ]
-    if len(names) >= 2 and len(table) >= 1:
-        xs = cols[0]
-        series = list(zip(names[1:], cols[1:]))
-        finite = [v for _, col in series for v in col if math.isfinite(v)]
-        x_fin = [v for v in xs if math.isfinite(v)]
-        if finite and x_fin:
-            x0, x1 = min(x_fin), max(x_fin)
-            y0, y1 = min(finite), max(finite)
-            x_span = (x1 - x0) or 1.0
-            y_span = (y1 - y0) or 1.0
-
-            def sx(v: float) -> float:
-                return margin + (v - x0) / x_span * (width - 2 * margin)
-
-            def sy(v: float) -> float:
-                return height - margin - (v - y0) / y_span * (height - 2 * margin)
-
-            parts.append(
-                f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
-                f'y2="{height - margin}" stroke="black"/>')
-            parts.append(
-                f'<line x1="{margin}" y1="{margin}" x2="{margin}" '
-                f'y2="{height - margin}" stroke="black"/>')
-            for k, (label, col) in enumerate(series):
-                color = _SVG_COLORS[k % len(_SVG_COLORS)]
-                points = " ".join(
-                    f"{sx(x):.2f},{sy(y):.2f}"
-                    for x, y in zip(xs, col)
-                    if math.isfinite(x) and math.isfinite(y)
-                )
-                parts.append(f'<polyline fill="none" stroke="{color}" '
-                             f'points="{points}"/>')
-                parts.append(f'<text x="{margin + 8}" y="{margin + 16 + 14 * k}" '
-                             f'font-size="12" fill="{color}">{label}</text>')
-            parts.append(f'<text x="{margin}" y="{height - margin + 28}" '
-                         f'font-size="12">{names[0]}: {x0:.6g} .. {x1:.6g}</text>')
-            parts.append(f'<text x="8" y="{margin - 12}" font-size="12">'
-                         f'{y0:.6g} .. {y1:.6g}</text>')
+    for k, ((label, _), line) in enumerate(zip(series, points)):
+        color = _SVG_COLORS[k % len(_SVG_COLORS)]
+        text = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in line)
+        parts.append(f'<polyline fill="none" stroke="{color}" points="{text}"/>')
+        parts.append(f'<text x="{margin + 8}" y="{margin + 16 + 14 * k}" '
+                     f'font-size="12" fill="{color}">{label}</text>')
+    parts.append(f'<text x="{margin}" y="{height - margin + 28}" '
+                 f'font-size="12">{names[0]}: {x0:.6g} .. {x1:.6g}</text>')
+    parts.append(f'<text x="8" y="{margin - 12}" font-size="12">'
+                 f'{y0:.6g} .. {y1:.6g}</text>')
     parts.append("</svg>")
-    _write_atomic(path, parts)
+    return parts
 
 
-def _select(table, names: Sequence[str]) -> SimpleTable:
-    """The named columns of any table, in the given order."""
-    header = table.column_names()
-    index = [header.index(name) for name in names]
-    rows = (table.row_values(i) for i in range(len(table)))
-    return SimpleTable(list(names), [[row[j] for j in index] for row in rows])
+def emit_svg(table: dict[str, Sequence[Any]], path: str) -> None:
+    """Render a table (column name -> column) as a polyline chart: the first
+    numeric column is the abscissa, each other one a polyline.  A chart
+    that would draw no line is a DomainError, and nothing is written."""
+    _write_atomic(path, _svg_lines(table))
 
 
-def _rows_table(cls, rows: Sequence[Any]) -> SimpleTable:
+def _select(table: harness.LdpTable, names: Sequence[str]) -> dict[str, Sequence]:
+    """The named columns of an LdpTable, in the given order."""
+    columns = table.columns()
+    return {name: columns[name] for name in names}
+
+
+def _rows_table(cls, rows: Sequence[Any]) -> dict[str, list]:
     """One column per field of the dataclass cls, one row per record."""
-    names = [f.name for f in fields(cls)]
-    return SimpleTable(names, [[getattr(row, name) for name in names]
-                               for row in rows])
+    return {f.name: [getattr(row, f.name) for row in rows] for f in fields(cls)}
 
 
 # --- option resolution --------------------------------------------------------
@@ -241,15 +202,18 @@ def _load_config(path: str | None) -> dict[str, str]:
     if not path:
         return {}
     config: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DomainError(f"config line without '=': {raw.strip()!r}")
-            key, value = line.split("=", 1)
-            config[key.strip()] = value.strip()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for raw in fh:
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise DomainError(f"config line without '=': {raw.strip()!r}")
+                key, value = line.split("=", 1)
+                config[key.strip()] = value.strip()
+    except UnicodeDecodeError:
+        raise DomainError(f"config file {path!r} is not UTF-8 text") from None
     return config
 
 
@@ -261,8 +225,9 @@ def _grid(text: str) -> list[float]:
         lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise DomainError(f"grid must be min:max:steps, got {text!r}") from None
-    if steps < 1 or not lo < hi:
-        raise DomainError(f"grid needs steps >= 1 and min < max, got {text!r}")
+    if steps < 1 or not lo < hi or not math.isfinite(hi - lo):
+        raise DomainError(f"grid needs steps >= 1 and finite min < max, "
+                          f"got {text!r}")
     return [float(v) for v in np.linspace(lo, hi, steps)]
 
 
@@ -335,28 +300,24 @@ def _cmd_rate(res: _Resolver, out: str):
     grid = res.require("grid", _grid)
     if res.args.target == "edge":
         fn = left_rate if res.get("side", default="left") == "left" else right_rate
-        table = SimpleTable(["x", "psi"], [[x, fn(x)] for x in grid])
+        table = {"x": grid, "psi": [fn(x) for x in grid]}
     else:
         p = res.require("p")
-        table = SimpleTable(["s", "energy", "entropy"], [
-            [s, energy_excess(p, s), entropy_excess(p, s)] for s in grid])
-    return table, f"wrote {len(table)} rows to {out}"
+        table = {"s": grid, "energy": [energy_excess(p, s) for s in grid],
+                 "entropy": [entropy_excess(p, s) for s in grid]}
+    return table, f"wrote {len(grid)} rows to {out}"
 
 
 def _cmd_eq(res: _Resolver, out: str | None):
     p = res.require("p")
     s = res.require("s")
     measure = equilibrium_measure(p, s)
-    row = {
-        "p": p,
-        "s": s,
-        "inner_radius": measure.inner_radius,
-        "outer_radius": measure.outer_radius,
-        "typical_value": typical_value(p, s),
-        "energy_excess": energy_excess(p, s),
-        "entropy_excess": entropy_excess(p, s),
-    }
-    return (SimpleTable(list(row), [list(row.values())]),
+    row = {"p": p, "s": s, "inner_radius": measure.inner_radius,
+           "outer_radius": measure.outer_radius,
+           "typical_value": typical_value(p, s),
+           "energy_excess": energy_excess(p, s),
+           "entropy_excess": entropy_excess(p, s)}
+    return ({key: [value] for key, value in row.items()},
             "\n".join(f"{key} = {_format_cell(value)}" for key, value in row.items()))
 
 
@@ -366,20 +327,20 @@ def _cmd_exact(res: _Resolver, out: str | None):
     if which == "moment":
         p = res.require("p")
         value = exact_moment(n, p)
-        return SimpleTable(["n", "p", "mean"], [[n, p, value]]), \
+        return {"n": [n], "p": [p], "mean": [value]}, \
             f"mean = {_format_cell(value)}"
     grid = res.require("grid", _grid)
     if which == "edge-cdf":
-        table = SimpleTable(["x", "log_cdf"], [[x, edge_cdf_log(n, x)] for x in grid])
+        table = {"x": grid, "log_cdf": [edge_cdf_log(n, x) for x in grid]}
     elif which == "edge-pdf":
-        table = SimpleTable(["x", "log_pdf"], [[x, edge_pdf_log(n, x)] for x in grid])
+        table = {"x": grid, "log_pdf": [edge_pdf_log(n, x) for x in grid]}
     else:  # mgf
         p = res.require("p")
-        table = SimpleTable(["s", "log_mgf", "estimated_relative_error"])
-        for s in grid:
-            r = mgf_log(n, p, s)
-            table.add(s, r.log_value, r.estimated_relative_error)
-    return table, f"wrote {len(table)} rows to {out}"
+        results = [mgf_log(n, p, s) for s in grid]
+        table = {"s": grid, "log_mgf": [r.log_value for r in results],
+                 "estimated_relative_error":
+                     [r.estimated_relative_error for r in results]}
+    return table, f"wrote {len(grid)} rows to {out}"
 
 
 def _cmd_sample(res: _Resolver, out: str):
@@ -389,17 +350,11 @@ def _cmd_sample(res: _Resolver, out: str):
     if res.args.target == "kostlan":
         batch = sample_kostlan(n, res.require("count"), p, seed)
     else:
-        batch = sample_mcmc(
-            n,
-            res.get("beta", default=2.0),
-            res.require("sweeps"),
-            res.get("burnin", default=0),
-            res.get("thinning", default=1),
-            p,
-            seed,
-            res.get("step", default=0.25),
-        )
-    return FloatColumn("value", batch.values), (
+        batch = sample_mcmc(n, res.get("beta", default=2.0), res.require("sweeps"),
+                            res.get("burnin", default=0),
+                            res.get("thinning", default=1), p, seed,
+                            res.get("step", default=0.25))
+    return {"value": batch.values}, (
         f"{batch.sampler_id}: {batch.count} draws, mean {batch.mean():.6g} -> {out}")
 
 
@@ -428,14 +383,14 @@ def _cmd_verify(res: _Resolver, out: str):
             note = (f"; ESS {table.metadata['ess']:.0f} of "
                     f"{table.metadata['draws']} draws")
         worst = max(abs(r.residual) for r in table.rows)
-        return table, (f"left tail n={n} beta={beta}: "
+        return table.columns(), (f"left tail n={n} beta={beta}: "
                        f"max |residual| {worst:.3e}{note}")
 
     if which == "right-tail":
         n = res.require("n")
         table = harness.right_tail_table(n, res.require("grid", _grid))
         worst = max(abs(r.residual) for r in table.rows)
-        return table, f"right tail n={n}: max |residual| {worst:.3e}"
+        return table.columns(), f"right tail n={n}: max |residual| {worst:.3e}"
 
     if which == "mgf":
         p = res.require("p")
@@ -445,15 +400,13 @@ def _cmd_verify(res: _Resolver, out: str):
                               "at coupling 2; rerun with --beta 2")
         sizes = res.require("n", lambda text: [int(k) for k in text.split(",")])
         grid = res.require("grid", _grid)
-        table = SimpleTable(["s", "extracted_coefficient",
-                             "predicted_coefficient", "residual",
-                             "untested_beta_flag"])
-        flag = harness.untested_beta(beta)
-        for s in grid:
-            extracted = harness.extract_subleading(p, s, sizes)
-            predicted = harness.subleading_coefficient(p, s, beta)
-            table.add(s, extracted, predicted, extracted - predicted, flag)
-        worst = max(abs(row[3]) for row in table.data)
+        extracted = [harness.extract_subleading(p, s, sizes) for s in grid]
+        predicted = [harness.subleading_coefficient(p, s, beta) for s in grid]
+        residual = [e - q for e, q in zip(extracted, predicted)]
+        table = {"s": grid, "extracted_coefficient": extracted,
+                 "predicted_coefficient": predicted, "residual": residual,
+                 "untested_beta_flag": [harness.untested_beta(beta)] * len(grid)}
+        worst = max(abs(r) for r in residual)
         return table, f"subleading p={p} sizes={sizes}: max |residual| {worst:.3e}"
 
     if which == "cumulants":
@@ -468,8 +421,8 @@ def _cmd_verify(res: _Resolver, out: str):
         report = harness.gumbel_check(res.require("n"),
                                       res.get("draws", default=10_000),
                                       res.get("seed", default=DEFAULT_SEED))
-        table = SimpleTable(["n", "draws", "ks_distance", "low_n"], [[
-            report.n, report.draws, report.ks_distance, report.low_n]])
+        table = {"n": [report.n], "draws": [report.draws],
+                 "ks_distance": [report.ks_distance], "low_n": [report.low_n]}
         note = " (low n)" if report.low_n else ""
         return table, (f"extreme-value check n={report.n}: "
                        f"KS {report.ks_distance:.4f}{note}")
@@ -489,12 +442,11 @@ def _cmd_fig(res: _Resolver, out: str):
     which = res.args.number
     n = res.get("n", default=250 if which <= 2 else 50)
     if which == 1:
-        cols = ["x", "finite_n_value", "prediction", "residual"]
-        table = SimpleTable(["side", *cols])
-        for side, t in (("left", harness.left_tail_table(n, _grid("0.30:0.99:70"))),
-                        ("right", harness.right_tail_table(n, _grid("1.05:2.5:60")))):
-            for row in _select(t, cols).data:
-                table.add(side, *row)
+        left = harness.left_tail_table(n, _grid("0.30:0.99:70")).columns()
+        right = harness.right_tail_table(n, _grid("1.05:2.5:60")).columns()
+        table = {"side": ["left"] * len(left["x"]) + ["right"] * len(right["x"]),
+                 **{name: left[name] + right[name] for name in
+                    ("x", "finite_n_value", "prediction", "residual")}}
     elif which == 2:
         table = _select(harness.left_tail_table(n, _grid("0.1:0.99:90")),
                         ["x", "scaled_gap", "scaled_gap_prediction"])
@@ -503,7 +455,8 @@ def _cmd_fig(res: _Resolver, out: str):
         table = _select(harness.mgf_table(n, p, _grid(grid_text)),
                         ["s", "finite_n_value", "prediction", "residual",
                          "subleading_gap", "subleading_prediction"])
-    return table, f"figure {which}: wrote {len(table)} rows to {out}"
+    rows = len(next(iter(table.values())))
+    return table, f"figure {which}: wrote {rows} rows to {out}"
 
 
 # --- parser and dispatch ------------------------------------------------------
@@ -577,10 +530,11 @@ def run(argv: Sequence[str]) -> int:
         optional = (args.command, res.target) in _OUT_OPTIONAL
         out = res.get("out") if optional else res.require("out")
         table, message = args.handler(res, out)
+        svg = _svg_lines(table) if args.svg else None
         if out or not optional:
             emit_csv(table, out)
-            if args.svg:
-                emit_svg(table, os.path.splitext(out)[0] + ".svg")
+            if svg:
+                _write_atomic(os.path.splitext(out)[0] + ".svg", svg)
         print(message)
         return 0
     except (Ocp2dError, OSError) as exc:

@@ -95,14 +95,20 @@ class LdpTable:
             if len(col) != len(self.rows):
                 raise DomainError(f"extra column {name!r} has wrong length")
 
+    def columns(self) -> dict[str, tuple[float, ...]]:
+        """Every column by name, in CSV order."""
+        rows = self.rows
+        return {self.abscissa_label: tuple(row.abscissa for row in rows),
+                "finite_n_value": tuple(row.finite_n_value for row in rows),
+                "prediction": tuple(row.prediction for row in rows),
+                "residual": tuple(row.residual for row in rows),
+                **self.extra_columns}
+
     def column_names(self) -> list[str]:
-        return [self.abscissa_label, "finite_n_value", "prediction",
-                "residual", *self.extra_columns]
+        return list(self.columns())
 
     def row_values(self, i: int) -> list[float]:
-        row = self.rows[i]
-        base = [row.abscissa, row.finite_n_value, row.prediction, row.residual]
-        return base + [col[i] for col in self.extra_columns.values()]
+        return [col[i] for col in self.columns().values()]
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -1,5 +1,6 @@
 """Command-line interface: grammar, IO contracts, and reproducibility."""
 
+import hashlib
 import math
 import os
 import re
@@ -11,8 +12,8 @@ import pytest
 
 import ocp2d
 from ocp2d import exact_moment, left_rate
-from ocp2d.cli import (DEFAULT_SEED, FloatColumn, SimpleTable, _format_cell,
-                       _grid, build_parser, emit_csv, run)
+from ocp2d.cli import (DEFAULT_SEED, _format_cell, _grid, build_parser,
+                       emit_csv, run)
 
 
 def read_csv(path):
@@ -34,7 +35,8 @@ def test_grid_is_inclusive_linspace():
 def test_grid_rejects_malformed():
     from ocp2d import DomainError
 
-    for bad in ("1:2", "2:1:5", "a:b:c", "1:2:0", ""):
+    for bad in ("1:2", "2:1:5", "a:b:c", "1:2:0", "", "0:inf:5", "-inf:0:5",
+                "nan:1:3", "-1e308:1e308:3"):
         with pytest.raises(DomainError):
             _grid(bad)
 
@@ -42,10 +44,8 @@ def test_grid_rejects_malformed():
 # --- CSV contract --------------------------------------------------------------
 
 def test_emit_csv_full_precision_round_trip(tmp_path):
-    table = SimpleTable(["a", "b"])
     values = [(1.0 / 3.0, 1e-300), (math.pi, 2.0 ** 0.5)]
-    for row in values:
-        table.add(*row)
+    table = {"a": [a for a, _ in values], "b": [b for _, b in values]}
     path = str(tmp_path / "t.csv")
     emit_csv(table, path)
     header, rows = read_csv(path)
@@ -67,17 +67,23 @@ def test_float_column_csv_matches_the_per_row_text(tmp_path):
     values = np.array([0.1, 1.0 / 3.0, -0.0, 0.0, 1e-300, 5e-324, 1e300,
                        2.0 ** 53, math.nan, math.inf, -math.inf, -2.5])
     column, rows = tmp_path / "column.csv", tmp_path / "rows.csv"
-    emit_csv(FloatColumn("value", values), str(column))
-    emit_csv(SimpleTable(["value"], [[float(v)] for v in values]), str(rows))
+    emit_csv({"value": values}, str(column))
+    emit_csv({"value": [float(v) for v in values]}, str(rows))
     assert column.read_text() == rows.read_text()
     assert column.read_text().splitlines()[:4] == [
         "value", "0.10000000000000001", "0.33333333333333331", "-0"]
 
 
+def test_emit_csv_rejects_ragged_columns(tmp_path):
+    from ocp2d import DomainError
+
+    with pytest.raises(DomainError, match="unequal length"):
+        emit_csv({"x": [1.0, 2.0], "y": [3.0]}, str(tmp_path / "r.csv"))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_emit_csv_leaves_no_temp_files(tmp_path):
-    table = SimpleTable(["x"])
-    table.add(1.5)
-    emit_csv(table, str(tmp_path / "out.csv"))
+    emit_csv({"x": [1.5]}, str(tmp_path / "out.csv"))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
 
 
@@ -95,10 +101,8 @@ def test_outputs_follow_umask(tmp_path, capsys):
 
 
 def test_emit_csv_ends_with_newline(tmp_path):
-    table = SimpleTable(["x"])
-    table.add(2.0)
     path = str(tmp_path / "o.csv")
-    emit_csv(table, path)
+    emit_csv({"x": [2.0]}, path)
     with open(path, "rb") as fh:
         assert fh.read().endswith(b"\n")
 
@@ -379,11 +383,104 @@ def test_options_the_command_does_not_read_are_domain_errors(
     assert not out.exists()
 
 
+def test_config_file_that_is_not_utf8_is_domain_error(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_bytes(b"p = 1\xff\n")
+    out = tmp_path / "m.csv"
+    assert run(["rate", "moment", "--config", str(cfg), "--grid", "0:1:3",
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "c.cfg" in err and "UTF-8" in err
+    assert not out.exists()
+
+
 def test_config_file_malformed_line(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("p 2\n")
     assert run(["eq", "--config", str(cfg)]) == 1
     capsys.readouterr()
+
+
+# --- pinned output bytes -------------------------------------------------------
+
+# SHA-256 of the CSV, and of the SVG where --svg draws a chart, that one
+# small run of each subcommand target and figure writes.
+_PINNED_OUTPUTS = {
+    "rate edge --side right --grid 1.1:2:7 --svg": (
+        "0aaed5f45e2ddfb797c5cd2b608ba328a7e4c02eecff1d2614d0d927dd2a0972",
+        "7f92b213e51fedfb12604ff9ee4853bb57beeda3b473ea269e93d6a25ade25bd"),
+    "rate moment --p 1 --grid=-0.4:1:5 --svg": (
+        "d8fa46b201fad58dab067657c2dded487d893e0749dc7f2c60fcdd1c9028c572",
+        "13cd83669cfe324fe38cc4e5680d0b402118d85a6476e99d391960669d2682f7"),
+    "eq --p 1 --s -0.4": (
+        "da4e78693c6629b283850331129b10d28cad5308bc9bb2b0e860a82bd98379c5",
+        None),
+    "exact edge-cdf --n 40 --grid 0.6:1.2:5 --svg": (
+        "c10f5933201e563fedde29aef1459a3b62e737cdcb4f50a6731c8be138cf3b0e",
+        "c2fed921c1e46910602569b6b2725e74851c2d9fa6ad022e3e8d3b7cd4685112"),
+    "exact edge-pdf --n 40 --grid 0.8:1.4:5 --svg": (
+        "903653d01e46459e584023c34318ddd2d76347c0c44ea07c3dbb36c1c9e9ce78",
+        "99b12d681bdd35fab7ccb887b226239ff7bf2ff03bb47cccb960368bca343766"),
+    "exact mgf --n 12 --p 1 --grid=-0.4:1:4 --svg": (
+        "4203242e5cc8bb57af919fcf160fcf419cde2508f779fdd5f39f2dc806934c51",
+        "20f7a52d21aca6af3894c205177644f0815fdf73aa123168974cbcbe0827d840"),
+    "exact moment --n 10 --p 2": (
+        "d9447477a3713f0d85bd7929474c2fd126a68b431a8ed5733bc7ed5619aa55ad",
+        None),
+    "sample kostlan --n 50 --count 500 --p inf --seed 7": (
+        "75807efaff40e953abdd6b34ec6ca184139156cd8bdb934ecdbe8f34a84110be",
+        None),
+    "sample mcmc --n 8 --sweeps 60 --burnin 10 --p 2 --beta 4 --seed 7": (
+        "b89a6064f4be55bb4213cca6cbd8feb53abb7de3f754bae4e3c671b75715d7c1",
+        None),
+    "verify left-tail --n 40 --grid 0.4:0.9:5 --svg": (
+        "aa0eac35b8d0781fe3ecb8df4490550001ed231b9ff3c73272d74fce459a4210",
+        "29eefa0da8a5128438ac06f8401ad2292a92d372110cb6da6db11b192c9b163c"),
+    "verify left-tail --n 6 --beta 4 --grid 0.5:0.9:3 "
+    "--sweeps 200 --burnin 20 --seed 7 --svg": (
+        "64e083e0c9978925301de219b11b303597ec994a44a3db3aaba4324686ed2e92",
+        "d1475a9b8327a1ae205c7a3889834d99a40b5ff8dc323f45c65e1b35daae19e6"),
+    "verify right-tail --n 40 --grid 1.2:2:5 --svg": (
+        "5f70551f250d21ced49296a80ffe597fbaa596ba085bace12f668eae06de0972",
+        "0725eaf60ab6c1d43de5b74b679771ceabfae610e0bb68f15efd084be0309bfe"),
+    "verify mgf --n 10,20,40 --p 2 --grid 0.2:1:3 --svg": (
+        "158affba933e6281d8facea55c0c638e81138d27e857a0e6ebd3b1b2f4109f65",
+        "d8103b249073e9de926775e302dc8649bcd4651b6e4f633d01898efd1db1257e"),
+    "verify cumulants --p 2 --n 50 --svg": (
+        "644c6314fcf7746350df3e1819131da69ab6ec2c9969d4866ec210a4b565d0f1",
+        "72ea6c1a10a024f412cb8cdd3a4ff8049f756f547081060893932c350d61accb"),
+    "verify gumbel --n 200 --draws 500 --seed 7": (
+        "c3fc1c43974dea3ca7bb3e90a614cb441356dd85284b4967acecfd57068905c8",
+        None),
+    "verify transition --p 1 --svg": (
+        "57db03f96c574d0bdc2f8a27db4abfc5f74333ace3c197d895011933fefab5aa",
+        "b6587b56caf285fd6ee383d880b7fa475191f18dce2ff0b277d24100ccd23c48"),
+    "fig 1 --n 20 --svg": (
+        "6c7d4a12ac62fa6fd9ef68c3105a851b179d7fee08d58cf7313aab95145758bb",
+        "d1aa112fa2c8f71868eb40fca510d8f7d516a54e39e1ab631d47d47555eb4836"),
+    "fig 2 --n 20 --svg": (
+        "7570c21b477e1c8040309e43c2506529446d1d4bc468a1d177045566daff102b",
+        "595dab141485869c92d68f953ff884f082fd32bd3aa847c8f05dd6c85c61586c"),
+    "fig 3 --n 12 --svg": (
+        "face1098c42de11ddad4e095143a8c7e2bb98cfdcf18e8b897102a65fb2e6fb6",
+        "0de04035a603493080ab6f97d9b6328df5f2966659208b4c921fc9a78941edb0"),
+    "fig 4 --n 12 --svg": (
+        "ebc40cd254464481cb87d0d2e3fa8f67e2e76b04a746320c3943cf08396ca1c4",
+        "3bbaede666c00f081cd75878d0265d41679ca4be7270984b784bae797f24a82f"),
+}
+
+
+@pytest.mark.parametrize("command", list(_PINNED_OUTPUTS))
+def test_cli_outputs_are_pinned(tmp_path, capsys, command):
+    csv_digest, svg_digest = _PINNED_OUTPUTS[command]
+    out = tmp_path / "o.csv"
+    assert run(command.split() + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_digest
+    svg = tmp_path / "o.svg"
+    assert svg.exists() == (svg_digest is not None)
+    if svg_digest:
+        assert hashlib.sha256(svg.read_bytes()).hexdigest() == svg_digest
 
 
 # --- thread-count independence ------------------------------------------------------
@@ -481,6 +578,21 @@ def test_svg_written_alongside_csv(tmp_path, capsys):
     assert svg.exists()
     body = svg.read_text()
     assert "<svg" in body and "polyline" in body
+
+
+@pytest.mark.parametrize("args", [
+    ["sample", "kostlan", "--n", "10", "--p", "2", "--count", "50"],
+    ["sample", "mcmc", "--n", "5", "--sweeps", "20", "--p", "2"],
+    ["verify", "gumbel", "--n", "200", "--draws", "50"],
+    ["eq", "--p", "1", "--s", "-0.4"],
+    ["exact", "moment", "--n", "10", "--p", "2"],
+    ["rate", "edge", "--grid", "0.5:0.6:1"],
+], ids=["kostlan", "mcmc", "gumbel", "eq", "exact-moment", "one-point-grid"])
+def test_svg_that_draws_no_line_is_refused(tmp_path, capsys, args):
+    out = tmp_path / "o.csv"
+    assert run(args + ["--out", str(out), "--svg"]) == 1
+    assert "--svg draws no line" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_parser_builds_help_without_side_effects():

@@ -63,6 +63,16 @@ def test_table_row_access():
     assert len(table) == 1
 
 
+def test_table_columns_agree_with_rows():
+    table = left_tail_table(40, [0.4, 0.6, 0.8])
+    columns = table.columns()
+    assert list(columns) == table.column_names()
+    assert all(len(col) == len(table) for col in columns.values())
+    for i in range(len(table)):
+        assert [col[i] for col in columns.values()] == table.row_values(i)
+    assert columns["residual"] == tuple(row.residual for row in table.rows)
+
+
 # --- left/right tail tables ------------------------------------------------------
 
 def test_left_tail_table_recomputes():
