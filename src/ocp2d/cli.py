@@ -19,12 +19,14 @@ effect: every command runs serially.
 Grids are given as min:max:steps (steps = number of points, inclusive
 endpoints, finite bounds); config files hold key=value lines overridden by
 flags.  A flag or config key that the command does not read is an error
-(exit 1).
+(exit 1).  The argument parser is built on the first call to run and reused
+by every later call in the process; parsing leaves no state in it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -203,7 +205,7 @@ def _load_config(path: str | None) -> dict[str, str]:
         return {}
     config: dict[str, str] = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for raw in fh:
                 line = raw.split("#", 1)[0].strip()
                 if not line:
@@ -266,6 +268,8 @@ class _Resolver:
         elif isinstance(value, str) and cast is not str:
             try:
                 value = cast(value)
+            except Ocp2dError:
+                raise
             except ValueError as exc:
                 raise DomainError(f"bad value for --{name}: {value!r}") from exc
         return default if value is None else value
@@ -491,7 +495,10 @@ _COMMON = ("config", "out", "svg", "threads")
 _OUT_OPTIONAL = {("eq", None), ("exact", "moment")}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call; every run shares
+    it, so callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="ocp2d",
         description="Radial statistics of the trapped 2D log-gas: rate "
@@ -518,7 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv: Sequence[str]) -> int:
     """Execute one subcommand; 0 on success, 1 on domain/runtime/file
-    errors, 2 on usage errors."""
+    errors, 2 on usage errors.  The parser is built on the first call and
+    reused by later ones."""
     parser = build_parser()
     try:
         args = parser.parse_args(list(argv))

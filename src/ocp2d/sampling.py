@@ -93,7 +93,9 @@ def radial_statistic(config: PlasmaConfig, p: float) -> float:
 
 def _statistic(positions: np.ndarray, p: float) -> float:
     r = np.hypot(positions[:, 0], positions[:, 1])
-    return float(r.max()) if p == math.inf else math.fsum(r**p) / r.size
+    if p == math.inf:
+        return float(r.max())
+    return math.fsum((r**p).tolist()) / r.size  # fsum is slow on numpy scalars
 
 
 def hamiltonian(config: PlasmaConfig) -> float:

@@ -371,6 +371,10 @@ def test_config_side_outside_choices_is_domain_error(tmp_path, capsys):
       "--seed", "3"], None, "--sweeps"),
     *[(["verify", "left-tail", "--n", "40", "--grid", "0.3:0.9:3", "--beta", "2"],
        f"{key} = 3\n", key) for key in ("sweeps", "burnin", "thinning", "seed")],
+    # a grid that _grid refuses reports _grid's own reason, flag or config
+    *[(["rate", "edge", "--side", "left", *flag], config, "finite min < max")
+      for grid in ("0:inf:5", "2:1:5")
+      for flag, config in ((["--grid", grid], None), ([], f"grid = {grid}\n"))],
 ])
 def test_options_the_command_does_not_read_are_domain_errors(
         tmp_path, capsys, args, config, word):
@@ -392,6 +396,17 @@ def test_config_file_that_is_not_utf8_is_domain_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "c.cfg" in err and "UTF-8" in err
     assert not out.exists()
+
+
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    outputs = []
+    for name, mark in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_bytes(mark + b"p = 1\ns = 0\n")
+        out = tmp_path / f"{name}.csv"
+        assert run(["eq", "--config", str(cfg), "--out", str(out)]) == 0
+        outputs.append((capsys.readouterr().out, out.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_config_file_malformed_line(tmp_path, capsys):
@@ -616,6 +631,43 @@ def test_cli_import_loads_no_scipy(tmp_path):
                 tmp_path)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
+
+
+def test_parser_is_built_on_the_first_run_and_reused(tmp_path):
+    r = _python("import argparse, sys\n"
+                "built = []\n"
+                "init = argparse.ArgumentParser.__init__\n"
+                "def counting(self, *a, **k):\n"
+                "    built.append(1)\n"
+                "    init(self, *a, **k)\n"
+                "argparse.ArgumentParser.__init__ = counting\n"
+                "from ocp2d.cli import run\n"
+                "counts = [len(built)]\n"
+                "for _ in range(2):\n"
+                "    run(['eq', '--p', '1', '--s', '0'])\n"
+                "    counts.append(len(built))\n"
+                "print(*counts, file=sys.stderr)", tmp_path)  # stdout: eq's summary
+    assert r.returncode == 0, r.stderr
+    counts = [int(v) for v in r.stderr.split()]
+    assert counts[0] == 0 < counts[1] == counts[2]
+
+
+def test_reused_parser_carries_no_state_between_runs(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("p = 1\ngrid = -0.4:1:5\n")
+    valid = [["sample", "kostlan", "--n", "20", "--count", "50", "--p", "2"],
+             ["rate", "moment", "--config", str(cfg)]]
+    assert run(["sample", "kostlan", "--n", "20", "--seed", "3", "--bogus"]) == 2
+    assert run(["sample", "kostlan", "--n", "20", "--count", "50", "--p", "2",
+                "--seed", "-1", "--out", str(tmp_path / "bad.csv")]) == 1
+    for k, argv in enumerate(valid):
+        here, fresh = tmp_path / f"here{k}.csv", tmp_path / f"fresh{k}.csv"
+        assert run(argv + ["--out", str(here)]) == 0
+        r = _python("import sys\nfrom ocp2d.cli import run\n"
+                    f"sys.exit(run({argv + ['--out', str(fresh)]!r}))", tmp_path)
+        assert r.returncode == 0, r.stderr
+        assert here.read_bytes() == fresh.read_bytes()
+    capsys.readouterr()
 
 
 def test_fig3_runs_with_scipy_blocked(tmp_path):
