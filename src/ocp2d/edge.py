@@ -157,7 +157,7 @@ class GumbelScaling:
 def gumbel_scaling(n: int) -> GumbelScaling:
     """Scaling constants scale = sqrt(4 n g), center = 1 + sqrt(g/(4n)) with
     g the log factor; requires g > 0, i.e. n >= 164."""
-    n = int(n)
+    n = check_size(n, "gumbel_scaling: n", 2)
     g = gumbel_log_factor(n)
     if g <= 0.0:
         raise DomainError(

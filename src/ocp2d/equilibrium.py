@@ -31,7 +31,7 @@ from .errors import (
     check_positive,
     check_size,
 )
-from .quadrature import checked_sum, estimate, nodes
+from .quadrature import integrate
 
 __all__ = [
     "StabilityDomain",
@@ -231,24 +231,27 @@ def energy_excess(p: float, s: float) -> float:
         + 0.5 * (radius ** 2 / 2.0 + s * radius ** p - math.log(radius) - 0.75)
 
 
+def _checked(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
+             what: str, tol: float = 1e-10) -> float:
+    """int_lo^hi f for an array callable, checked against its estimate."""
+    value, err = integrate(f, lo, hi, tol)
+    if not (math.isfinite(value) and err <= tol):
+        raise NumericalError(f"quadrature for {what} did not converge: "
+                             f"estimated error {err:.3e}")
+    return float(value)
+
+
 def _quad_checked(f: Callable[[float], float], lo: float, hi: float,
                   what: str, tol: float = 1e-10) -> float:
-    """int_lo^hi f for a scalar callable, node by node: on the 2h rule (even
-    nodes, checked against 4h), on every node only if that estimate fails."""
-    x, weights = nodes(lo, hi)
-    values = np.empty(x.size)
-    values[::2] = [f(float(r)) for r in x[::2]]
-    value, err = estimate(2.0 * values[::2] * weights[::2])
-    if math.isfinite(value) and err <= tol:
-        return float(value)
-    values[1::2] = [f(float(r)) for r in x[1::2]]
-    return checked_sum(values * weights, what, tol)
+    """int_lo^hi f for a scalar callable, node by node."""
+    return _checked(lambda x: np.fromiter(map(f, x.tolist()), float, x.size),
+                    lo, hi, what, tol)
 
 
 def entropy_excess(p: float, s: float) -> float:
     """Tilted entropy integral S_p(s) = int rho ln(rho/r) dr - ln 2.
 
-    Computed by the double-exponential rule on the whole node array.  On a
+    Computed by the double-exponential rule on whole node arrays.  On a
     disk with p < 2 the integral is taken in v = r^p, where
     rho dr = (2 v^k + s p^2)/p dv with k = (2 - p)/p and the only singularity
     left is ln v at 0 (in r it is r^{p-1} ln r).  For p >= 2 the r-integrand
@@ -262,15 +265,17 @@ def entropy_excess(p: float, s: float) -> float:
     p, s = measure.p, measure.s
     if p < 2.0 and measure.inner_radius == 0.0:
         k = (2.0 - p) / p
-        v, weights = nodes(0.0, measure.outer_radius ** p)
-        a = 2.0 * v ** k + s * p * p
-        values = a / p * (np.log(a) - k * np.log(v))
+
+        def values(v: np.ndarray) -> np.ndarray:
+            a = 2.0 * v ** k + s * p * p
+            return a / p * (np.log(a) - k * np.log(v))
+        lo, hi = 0.0, measure.outer_radius ** p
     else:
-        r, weights = nodes(measure.inner_radius, measure.outer_radius)
-        rho = 2.0 * r + s * p * p * r ** (p - 1.0)
-        values = rho * np.log(rho / r)
-    value = checked_sum(values * weights, f"entropy excess at p={p}, s={s}")
-    return value - math.log(2.0)
+        def values(r: np.ndarray) -> np.ndarray:
+            rho = 2.0 * r + s * p * p * r ** (p - 1.0)
+            return rho * np.log(rho / r)
+        lo, hi = measure.inner_radius, measure.outer_radius
+    return _checked(values, lo, hi, f"entropy excess at p={p}, s={s}") - math.log(2.0)
 
 
 def closed_form_energy(p: float, s: float) -> float:
@@ -375,10 +380,10 @@ class Piece:
     [lo, hi], with an optional analytic cumulative (mass of this piece on
     [lo, r]).  Without it, cumulative mass is obtained by quadrature.
 
-    The density must be smooth inside (lo, hi): the double-exponential rule
-    converges slowly across a kink or jump and then raises NumericalError,
-    so split such a density into pieces at its kinks.  Algebraic or log
-    singularities at lo and hi are fine."""
+    The density must be smooth inside (lo, hi): across a kink or jump the
+    double-exponential rule still fails its estimate at its finest step,
+    h = 1/128, and raises NumericalError, so split such a density there.
+    Algebraic or log singularities at lo and hi are fine."""
 
     lo: float
     hi: float

@@ -5,8 +5,8 @@ Every error raised on purpose derives from :class:`Ocp2dError`, so callers
 genuine bugs.  ``DomainError`` and its subclasses double as ``ValueError``
 and ``NumericalError`` as ``RuntimeError`` so that idiomatic ``except``
 clauses keep working.  The shared argument validators are
-``check_positive`` (a finite real > 0) and ``check_size`` (an integer >= a
-minimum); the ``DomainError`` of each names the argument and its value.
+``check_positive`` (a finite real > 0) and ``check_size`` (a whole number
+>= a minimum); the ``DomainError`` of each names the argument and its value.
 """
 
 from __future__ import annotations
@@ -56,8 +56,14 @@ def check_positive(value: float, name: str) -> float:
 
 
 def check_size(value: int, name: str, minimum: int = 1) -> int:
-    """int(value); DomainError naming it unless it is >= minimum."""
-    value = int(value)
-    if value < minimum:
-        raise DomainError(f"{name} must be >= {minimum}, got {value}")
-    return value
+    """value as an int; DomainError naming it unless it is a whole number
+    >= minimum (an int, an integral float, or the text of an int)."""
+    try:
+        size = int(value) if float(value).is_integer() else None
+    except (TypeError, ValueError, OverflowError):
+        size = None
+    if size is None:
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if size < minimum:
+        raise DomainError(f"{name} must be >= {minimum}, got {size}")
+    return size

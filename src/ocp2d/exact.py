@@ -17,7 +17,7 @@ import numpy as np
 
 from .equilibrium import stability_domain
 from .errors import DomainError, NumericalError, check_positive, check_size
-from .quadrature import estimate, nodes
+from .quadrature import integrate
 from .specfun import log_reg_lower_gamma
 
 __all__ = [
@@ -125,7 +125,7 @@ def exact_moment(n: int, p: float) -> float:
 # sinh-sinh for mgf_log, exp-sinh and tanh-sinh for the truncated integral.
 
 _MGF_BLOCK = 32
-_REFINE = 1e-12
+_TOL = 1e-12      # absolute, on integrands of peak 1 (and unit width in mgf_log)
 _MAX_START_OFFSET = 512.0
 _NEWTON_STEPS = 300
 _EPS = float(np.finfo(float).eps)
@@ -169,10 +169,10 @@ class MgfResult:
     coupling 2, with the quadrature's own error estimate.
 
     estimated_relative_error is the sum over factors of the rule's estimate
-    (h against 2h, or h/2 against h where refined) relative to the factor,
-    plus eps times the summed magnitudes of each factor's peak terms
-    l mode, e^mode and c e^{q mode} (the last weighted by 1 + |q mode| for
-    the rounding of its exponent), over max(1, |log_value|).  The second
+    (from the last three steps of its walk) relative to the factor, plus
+    eps times the summed magnitudes of each factor's peak terms l mode,
+    e^mode and c e^{q mode} (the last weighted by 1 + |q mode| for the
+    rounding of its exponent), over max(1, |log_value|).  The second
     part is the rounding floor: it dominates where a mode lies far right,
     where the peak terms reach 1e25 and cancel.
     """
@@ -190,8 +190,8 @@ def mgf_log(n: int, p: float, s: float) -> MgfResult:
     Each factor is int_0^inf t^{l-1} exp(-t - 2 s n (t/n)^{p/2}) dt / Gamma(l);
     the integrals are evaluated after the substitution t = e^v, where the
     integrand e^{h(v)} is smooth and unimodal for every admissible (p, s).
-    Newton finds all n modes at once; sinh-sinh nodes scaled to the width
-    at each mode take the factors _MGF_BLOCK at a time, so memory stays
+    Newton finds all n modes at once; one sinh-sinh walk in x = (v - mode)
+    / width takes the factors _MGF_BLOCK at a time, so memory stays
     O(_MGF_BLOCK x nodes).  A mode too far out for h to resolve its peak
     (v near 333 at n = 40, p = 1.99, s = -2.6) is a NumericalError.
     """
@@ -205,7 +205,6 @@ def mgf_log(n: int, p: float, s: float) -> MgfResult:
     q = 0.5 * p
     c = 2.0 * s * n ** (1.0 - q)
     ell = np.arange(1.0, n + 1.0)
-    rule, midpoints = nodes(-math.inf, math.inf), nodes(-math.inf, math.inf, True)
     main, err = np.empty(n), np.empty(n)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         mode = _modes(ell, c, q)
@@ -217,20 +216,16 @@ def mgf_log(n: int, p: float, s: float) -> MgfResult:
             blk = slice(b, b + _MGF_BLOCK)
             el, e, cm, wd = (a[blk, None] for a in (ell, e_mode, c_mode, width))
 
-            def terms(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+            def factor(x: np.ndarray) -> np.ndarray:
                 # e^{h(mode + u) - h(mode)} on u = width x; far out in x,
                 # inf - inf stands for a vanishing tail, while an overflow
                 # stays inf and fails the check below
                 u = wd * x
                 g = np.exp(el * u - e * np.expm1(u) - cm * np.expm1(q * u))
-                return np.nan_to_num(g, nan=0.0, posinf=math.inf) * (wd * weights)
+                return np.nan_to_num(g, nan=0.0, posinf=math.inf)
 
-            main[blk], err[blk] = estimate(terms(*rule))
-            if not (err[blk] <= _REFINE * main[blk]).all():
-                # a long tail one side of a sharp wall (small p): go to h/2
-                fine = 0.5 * (main[blk] + terms(*midpoints).sum(axis=-1))
-                err[blk] = np.abs(fine - main[blk])
-                main[blk] = fine
+            value, error = integrate(factor, -math.inf, math.inf, _TOL)
+            main[blk], err[blk] = width[blk] * value, width[blk] * error
     if not (np.isfinite(peak) & np.isfinite(main) & (main > 0.0)).all():
         raise NumericalError("log-axis quadrature collapsed to zero or overflowed")
     log_value = math.fsum(peak + np.log(main) - _log_factorials(n))
@@ -272,9 +267,9 @@ def log_truncated_gamma_integral(n: int, x: float, xi: float) -> float:
     peak = a * mode - e_mode
     body = 0.0
     for lo, hi in ((-math.inf, 0.0), (0.0, upper - mode)):
-        u, weights = nodes(lo, hi)
         with np.errstate(over="ignore"):
-            body += float((np.exp(a * u - e_mode * np.expm1(u)) * weights).sum())
+            body += float(integrate(lambda u: np.exp(a * u - e_mode * np.expm1(u)),
+                                    lo, hi, _TOL)[0])
     quadrature = peak + math.log(body)
     if abs(quadrature - identity) > 1e-8 * max(1.0, abs(identity)):
         raise NumericalError(

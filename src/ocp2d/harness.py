@@ -243,7 +243,7 @@ def mgf_table(n: int, p: float, s_grid: Sequence[float]) -> LdpTable:
     limit (the 1/n coefficient at coupling 2), and the quadrature error
     estimate.
     """
-    n = int(n)
+    n = check_size(n, "particle number n")
     ss = sorted(float(s) for s in s_grid)
     if not ss:
         raise DomainError("empty tilt grid")
@@ -277,7 +277,7 @@ def extract_subleading(p: float, s: float, n_list: Sequence[int]) -> float:
     the coefficients exactly (more are fitted by least squares) and c1 is
     the extrapolated 1/n coefficient.
     """
-    sizes = [int(n) for n in n_list]
+    sizes = [check_size(n, "size n") for n in n_list]
     if len(sizes) < 3 or sorted(set(sizes)) != sizes:
         raise DomainError("need at least three strictly increasing sizes")
     limit = energy_excess(p, s)

@@ -425,7 +425,7 @@ _PINNED_OUTPUTS = {
         "0aaed5f45e2ddfb797c5cd2b608ba328a7e4c02eecff1d2614d0d927dd2a0972",
         "7f92b213e51fedfb12604ff9ee4853bb57beeda3b473ea269e93d6a25ade25bd"),
     "rate moment --p 1 --grid=-0.4:1:5 --svg": (
-        "d8fa46b201fad58dab067657c2dded487d893e0749dc7f2c60fcdd1c9028c572",
+        "32e9824cec985af7f4040fb8314ffaa231bf4444a63cc769aeb7ed47293dc95c",
         "13cd83669cfe324fe38cc4e5680d0b402118d85a6476e99d391960669d2682f7"),
     "eq --p 1 --s -0.4": (
         "da4e78693c6629b283850331129b10d28cad5308bc9bb2b0e860a82bd98379c5",
@@ -437,7 +437,7 @@ _PINNED_OUTPUTS = {
         "903653d01e46459e584023c34318ddd2d76347c0c44ea07c3dbb36c1c9e9ce78",
         "99b12d681bdd35fab7ccb887b226239ff7bf2ff03bb47cccb960368bca343766"),
     "exact mgf --n 12 --p 1 --grid=-0.4:1:4 --svg": (
-        "4203242e5cc8bb57af919fcf160fcf419cde2508f779fdd5f39f2dc806934c51",
+        "bd545799d05712795ce29dc99acf5e2ae5252697bc59c5cfa59e8a9a261b5296",
         "20f7a52d21aca6af3894c205177644f0815fdf73aa123168974cbcbe0827d840"),
     "exact moment --n 10 --p 2": (
         "d9447477a3713f0d85bd7929474c2fd126a68b431a8ed5733bc7ed5619aa55ad",
@@ -459,7 +459,7 @@ _PINNED_OUTPUTS = {
         "5f70551f250d21ced49296a80ffe597fbaa596ba085bace12f668eae06de0972",
         "0725eaf60ab6c1d43de5b74b679771ceabfae610e0bb68f15efd084be0309bfe"),
     "verify mgf --n 10,20,40 --p 2 --grid 0.2:1:3 --svg": (
-        "158affba933e6281d8facea55c0c638e81138d27e857a0e6ebd3b1b2f4109f65",
+        "e74dfe28f27d4eb706c18985e9b33e23e328b522448d8e0213196556586ce276",
         "d8103b249073e9de926775e302dc8649bcd4651b6e4f633d01898efd1db1257e"),
     "verify cumulants --p 2 --n 50 --svg": (
         "644c6314fcf7746350df3e1819131da69ab6ec2c9969d4866ec210a4b565d0f1",
@@ -477,10 +477,10 @@ _PINNED_OUTPUTS = {
         "7570c21b477e1c8040309e43c2506529446d1d4bc468a1d177045566daff102b",
         "595dab141485869c92d68f953ff884f082fd32bd3aa847c8f05dd6c85c61586c"),
     "fig 3 --n 12 --svg": (
-        "face1098c42de11ddad4e095143a8c7e2bb98cfdcf18e8b897102a65fb2e6fb6",
+        "2bef805b6c7644a8e7fedeb7bf8cc69f30875670cf0306cab7cdf2fbeca48d62",
         "0de04035a603493080ab6f97d9b6328df5f2966659208b4c921fc9a78941edb0"),
     "fig 4 --n 12 --svg": (
-        "ebc40cd254464481cb87d0d2e3fa8f67e2e76b04a746320c3943cf08396ca1c4",
+        "c4ca3eec5c40be8d8295369afadef9b94ec0499df5728b6499764faa2f994e2e",
         "3bbaede666c00f081cd75878d0265d41679ca4be7270984b784bae797f24a82f"),
 }
 

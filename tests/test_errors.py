@@ -11,10 +11,14 @@ from ocp2d import (
     MetropolisChain,
     PlasmaConfig,
     edge_cdf_log,
+    extract_subleading,
     gumbel_check,
+    gumbel_scaling,
     leading_cumulant,
     left_tail_prediction,
     log_gamma,
+    mgf_log,
+    mgf_table,
     radial_statistic,
     sample_kostlan,
     sample_mcmc,
@@ -48,6 +52,13 @@ def test_check_size_names_the_argument(minimum):
         check_size(minimum - 1, "widgets", minimum)
 
 
+@pytest.mark.parametrize("value", [12.5, math.inf, -math.inf, math.nan, "3.5",
+                                   "x", None])
+def test_check_size_refuses_what_is_not_a_whole_number(value):
+    with pytest.raises(DomainError, match="widgets must be an integer, got "):
+        check_size(value, "widgets")
+
+
 @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
 def test_check_positive_rejects(value):
     with pytest.raises(DomainError, match="radius x must be finite and > 0"):
@@ -70,6 +81,13 @@ def test_check_positive_rejects(value):
     (lambda: subleading_coefficient(1.0, 0.1, 0.0), "coupling beta"),
     (lambda: transition_scan(1.0, step=-0.01), "step must be finite and > 0"),
     (lambda: log_gamma(0.0), "a must be finite and > 0, got 0.0"),
+    (lambda: mgf_log(12.5, 1.0, 0.1),
+     "particle number n must be an integer, got 12.5"),
+    (lambda: mgf_table(math.inf, 1.0, [0.1]),
+     "particle number n must be an integer, got inf"),
+    (lambda: extract_subleading(1.0, 0.1, [10, 20, math.nan]),
+     "size n must be an integer, got nan"),
+    (lambda: gumbel_scaling(200.5), "gumbel_scaling: n must be an integer"),
 ])
 def test_callers_name_the_argument(call, word):
     with pytest.raises(DomainError, match=re.escape(word)):

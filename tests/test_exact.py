@@ -173,6 +173,9 @@ def test_mgf_log_against_mpmath_quadrature(n, p, s):
         total += mpmath.log(val) - mpmath.loggamma(ell)
     res = mgf_log(n, p, s)
     assert res.log_value == pytest.approx(float(total), rel=1e-9)
+    # the error estimate is honest at ordinary points too
+    measured = abs(res.log_value - float(total)) / abs(float(total))
+    assert res.estimated_relative_error >= measured
 
 
 def test_mgf_log_derivative_recovers_moment():

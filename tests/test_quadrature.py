@@ -1,40 +1,70 @@
-"""The fixed-node double-exponential rule shared by the exact and equilibrium layers."""
+"""The level-walking double-exponential rule shared by the exact and equilibrium layers."""
 
 import math
 
 import numpy as np
-import pytest
 
-from ocp2d.quadrature import estimate, nodes
+from ocp2d import exact
+from ocp2d.quadrature import integrate
+
+
+def _counted(f, sizes):
+    def g(x):
+        sizes.append(x.size)
+        return f(x)
+    return g
 
 
 def test_sinh_sinh_gaussian():
-    x, weights = nodes(-math.inf, math.inf)
-    value, err = estimate(np.exp(-x * x) * weights)
+    sizes = []
+    value, err = integrate(_counted(lambda x: np.exp(-x * x), sizes),
+                           -math.inf, math.inf, 1e-15)
     assert abs(value - math.sqrt(math.pi)) <= 1e-15
-    assert err < 1e-14
+    assert err <= 1e-15
+    assert sizes == [231]
 
 
-@pytest.mark.parametrize("midpoints", [False, True])
-def test_midpoints_are_the_rule_shifted_by_half_a_step(midpoints):
-    # each node set is a trapezoid rule in t on its own, so their mean is
-    # the rule at h/2
-    x, weights = nodes(-math.inf, math.inf, midpoints)
-    gauss = float((np.exp(-50.0 * x * x) * weights).sum())
-    assert gauss == pytest.approx(math.sqrt(math.pi / 50.0), rel=1e-15)
-    x, weights = nodes(0.0, 1.0, midpoints)
-    assert float((np.sqrt(x) * weights).sum()) == pytest.approx(2.0 / 3.0, rel=1e-15)
+def test_each_step_evaluates_only_the_nodes_it_adds():
+    seen = []
+
+    def kink(x):
+        seen.append(x)
+        return np.abs(x - 0.3) * np.exp(-x * x)
+
+    integrate(kink, -math.inf, math.inf, 1e-10)
+    assert [x.size for x in seen] == [231, 230, 460]
+    assert np.unique(np.concatenate(seen)).size == 921
 
 
-def test_row_wise_estimate_matches_each_row():
-    rng = np.random.default_rng(3)
-    decay = np.exp(-np.abs(np.arange(461) - 230) / 30.0)
-    rows = rng.standard_normal((5, 461)) * decay
-    values, errs = estimate(rows)
-    for row, value, err in zip(rows, values, errs):
-        assert estimate(row) == (value, err)
-    # the 2h rule on the even nodes: t = 0 sits at an odd index of 231
-    values, errs = estimate(rows[:, ::2])
-    for row, value, err in zip(rows[:, ::2], values, errs):
-        assert estimate(row) == (value, err)
+def test_small_p_wall_walks_to_the_finest_step(monkeypatch):
+    # p = 0.05: a long left tail and the e^v wall (see test_exact); the
+    # coarser steps disagree, so the walk goes on to h = 1/128
+    sizes = []
+    monkeypatch.setattr(exact, "integrate", lambda f, lo, hi, tol:
+                        integrate(_counted(f, sizes), lo, hi, tol))
+    exact.mgf_log(1, 0.05, 32.65)
+    assert sizes == [231, 230, 460]
 
+
+def test_every_row_of_a_batch_meets_the_tolerance():
+    # Gaussians from wide to narrow: alone, the widest rows stop at
+    # h = 1/32 and the narrowest need h = 1/128; together they walk on
+    # until every row's estimate is within tol
+    scale = np.geomspace(0.1, 30.0, 7)[:, None]
+    tol = 1e-12
+    sizes = []
+    value, err = integrate(_counted(lambda x: np.exp(-(scale * x) ** 2), sizes),
+                           -math.inf, math.inf, tol)
+    assert sizes == [231, 230, 460]
+    assert value.shape == err.shape == (7,)
+    assert (err <= tol).all()
+    assert (np.abs(value - math.sqrt(math.pi) / scale[:, 0]) <= tol).all()
+
+
+def test_kink_is_reported_after_the_last_step():
+    sizes = []
+    value, err = integrate(_counted(lambda x: np.abs(x - 0.3), sizes),
+                           0.0, 1.0, 1e-10)
+    assert sum(sizes) == 921
+    assert err > 1e-10
+    assert abs(value - 0.29) <= err
