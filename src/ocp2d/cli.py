@@ -44,7 +44,7 @@ from .equilibrium import (
     typical_value,
 )
 from .errors import DomainError, Ocp2dError, check_size
-from .exact import edge_cdf_log, edge_pdf_log, exact_moment, mgf_log
+from .exact import _mgf_grid, edge_cdf_log, edge_pdf_log, exact_moment
 from .sampling import sample_kostlan, sample_mcmc
 
 __all__ = ["DEFAULT_SEED", "run", "main", "emit_csv", "emit_svg"]
@@ -340,7 +340,7 @@ def _cmd_exact(res: _Resolver, out: str | None):
         table = {"x": grid, "log_pdf": [edge_pdf_log(n, x) for x in grid]}
     else:  # mgf
         p = res.require("p")
-        results = [mgf_log(n, p, s) for s in grid]
+        results = _mgf_grid(n, p, grid)
         table = {"s": grid, "log_mgf": [r.log_value for r in results],
                  "estimated_relative_error":
                      [r.estimated_relative_error for r in results]}

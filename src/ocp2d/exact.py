@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -125,19 +126,23 @@ def exact_moment(n: int, p: float) -> float:
 # sinh-sinh for mgf_log, exp-sinh and tanh-sinh for the truncated integral.
 
 _MGF_BLOCK = 32
+_GRID_ROWS = 1024  # (tilt, factor) rows per Newton solve in _mgf_grid
 _TOL = 1e-12      # absolute, on integrands of peak 1 (and unit width in mgf_log)
 _MAX_START_OFFSET = 512.0
 _NEWTON_STEPS = 300
 _EPS = float(np.finfo(float).eps)
 
 
-def _modes(ell: np.ndarray, c: float, q: float) -> np.ndarray:
+def _modes(ell: np.ndarray, c: np.ndarray, q: float,
+           locate: Callable[[np.ndarray], str]) -> np.ndarray:
     """Per element, the root of g(v) = e^v + c q e^{qv} - ell: the mode of
     h(v) = ell v - e^v - c e^{qv}.  Right of it g is increasing and convex
     for every admissible (p, s) (for c < 0, g > 0 gives e^v > |c| q e^{qv},
     and q <= 1), so Newton started where g > 0 descends onto it without
     overshooting.  The start is ln ell (g > 0 there if c > 0), else ln ell
     + 1, 2, 4, ..., _MAX_START_OFFSET; far out, a step moves v by about 1.
+    Every element walks on its own, so its mode does not depend on the
+    others.  locate(mask) says where the masked elements failed.
     """
     def newton(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         e, cq = np.exp(v), c * q * np.exp(q * v)
@@ -150,17 +155,20 @@ def _modes(ell: np.ndarray, c: float, q: float) -> np.ndarray:
     while not (g > 0.0).all():
         if offset > _MAX_START_OFFSET:
             raise NumericalError("mode search: no v with g > 0 within the step "
-                                 f"budget (ln ell + {_MAX_START_OFFSET:g})")
+                                 f"budget (ln ell + {_MAX_START_OFFSET:g}) "
+                                 + locate(~(g > 0.0)))
         v = np.where(g > 0.0, v, log_ell + offset)
         g, step = newton(v)
         offset *= 2.0
     for _ in range(_NEWTON_STEPS):
         step = np.where(g > 0.0, step, 0.0)   # g <= 0 only by rounding at the root
-        if not (v - step != v).any():
+        moving = v - step != v
+        if not moving.any():
             return v
         v = v - step
         g, step = newton(v)
-    raise NumericalError("Newton iteration for the mode did not converge")
+    raise NumericalError("Newton iteration for the mode did not converge "
+                         + locate(moving))
 
 
 @dataclass(frozen=True)
@@ -174,7 +182,9 @@ class MgfResult:
     e^mode and c e^{q mode} (the last weighted by 1 + |q mode| for the
     rounding of its exponent), over max(1, |log_value|).  The second
     part is the rounding floor: it dominates where a mode lies far right,
-    where the peak terms reach 1e25 and cancel.
+    where the peak terms reach 1e25 and cancel.  Every factor is solved and
+    integrated on its own, so a result is the same bits whether it comes
+    from mgf_log or from a grid of tilts evaluated in one pass.
     """
 
     n: int
@@ -184,35 +194,47 @@ class MgfResult:
     estimated_relative_error: float
 
 
-def mgf_log(n: int, p: float, s: float) -> MgfResult:
-    """ln <exp(-2 n^2 s moment_p)> at coupling 2 via n log-axis integrals.
+def _mgf_grid(n: int, p: float, s_grid: Sequence[float]) -> list[MgfResult]:
+    """mgf_log at every tilt of s_grid, in grid order, in one pass.
 
-    Each factor is int_0^inf t^{l-1} exp(-t - 2 s n (t/n)^{p/2}) dt / Gamma(l);
-    the integrals are evaluated after the substitution t = e^v, where the
-    integrand e^{h(v)} is smooth and unimodal for every admissible (p, s).
-    Newton finds all n modes at once; one sinh-sinh walk in x = (v - mode)
-    / width takes the factors _MGF_BLOCK at a time, so memory stays
-    O(_MGF_BLOCK x nodes).  A mode too far out for h to resolve its peak
-    (v near 333 at n = 40, p = 1.99, s = -2.6) is a NumericalError.
+    Every tilt is checked against the stability domain first.  The factors
+    (tilt, l) of the nonzero tilts become rows: whole tilts of at most
+    _GRID_ROWS rows (one tilt when n is larger) share one Newton solve and
+    are integrated _MGF_BLOCK rows at a time, across tilt boundaries.  A
+    tilt of 0 gives exactly MgfResult(n, p, 0.0, 0.0, 0.0).
     """
     n = check_size(n, "particle number n")
     p = check_positive(p, "moment exponent p")
-    s = float(s)
-    if s == 0.0:
-        return MgfResult(n, p, 0.0, 0.0, 0.0)
-    stability_domain(p).require(s)
+    ss = [float(s) for s in s_grid]
+    domain = stability_domain(p)
+    tilts = [domain.require(s) for s in ss if s != 0.0]
+    per_pass = max(1, _GRID_ROWS // n)
+    pairs = []
+    for i in range(0, len(tilts), per_pass):
+        pairs += _mgf_rows(n, p, tilts[i:i + per_pass])
+    found = iter(pairs)
+    return [MgfResult(n, p, s, *next(found)) if s != 0.0
+            else MgfResult(n, p, 0.0, 0.0, 0.0) for s in ss]
 
+
+def _mgf_rows(n: int, p: float, tilts: list[float]) -> list[tuple[float, float]]:
+    """(log_value, estimated_relative_error) at each nonzero tilt."""
     q = 0.5 * p
-    c = 2.0 * s * n ** (1.0 - q)
-    ell = np.arange(1.0, n + 1.0)
-    main, err = np.empty(n), np.empty(n)
+    c = np.repeat([2.0 * s * n ** (1.0 - q) for s in tilts], n)
+    ell = np.tile(np.arange(1.0, n + 1.0), len(tilts))
+    main, err = np.empty(len(ell)), np.empty(len(ell))
+
+    def locate(failed: np.ndarray) -> str:
+        bad = dict.fromkeys(np.repeat(tilts, n)[failed].tolist())
+        return f"at n = {n}, p = {p!r}, s = {', '.join(map(repr, bad))}"
+
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        mode = _modes(ell, c, q)
+        mode = _modes(ell, c, q, locate)
         e_mode = np.exp(mode)
         c_mode = c * np.exp(q * mode)
         peak = ell * mode - e_mode - c_mode
         width = 1.0 / np.sqrt(e_mode + q * q * c_mode)      # 1/sqrt(-h''(mode))
-        for b in range(0, n, _MGF_BLOCK):
+        for b in range(0, len(ell), _MGF_BLOCK):
             blk = slice(b, b + _MGF_BLOCK)
             el, e, cm, wd = (a[blk, None] for a in (ell, e_mode, c_mode, width))
 
@@ -226,15 +248,35 @@ def mgf_log(n: int, p: float, s: float) -> MgfResult:
 
             value, error = integrate(factor, -math.inf, math.inf, _TOL)
             main[blk], err[blk] = width[blk] * value, width[blk] * error
-    if not (np.isfinite(peak) & np.isfinite(main) & (main > 0.0)).all():
-        raise NumericalError("log-axis quadrature collapsed to zero or overflowed")
-    log_value = math.fsum(peak + np.log(main) - _log_factorials(n))
+    good = np.isfinite(peak) & np.isfinite(main) & (main > 0.0)
+    if not good.all():
+        raise NumericalError("log-axis quadrature collapsed to zero or overflowed "
+                             + locate(~good))
+    log_values = [math.fsum(row) for row in
+                  (peak + np.log(main)).reshape(-1, n) - _log_factorials(n)]
     # Each peak term l v, e^v and c e^{qv} is rounded to eps; c e^{qv} also
     # carries the rounding of its exponent qv, which exp magnifies by |qv|.
-    rounding = _EPS * float((np.abs(ell * mode) + e_mode + np.abs(c_mode)
-                             * (1.0 + np.abs(q * mode))).sum())
-    err_rel = (float((err / main).sum()) + rounding) / max(1.0, abs(log_value))
-    return MgfResult(n, p, s, log_value, err_rel)
+    rounding = _EPS * (np.abs(ell * mode) + e_mode + np.abs(c_mode)
+                       * (1.0 + np.abs(q * mode))).reshape(-1, n).sum(axis=1)
+    rel = (err / main).reshape(-1, n).sum(axis=1)
+    return [(lv, (r + f) / max(1.0, abs(lv)))
+            for lv, r, f in zip(log_values, rel.tolist(), rounding.tolist())]
+
+
+def mgf_log(n: int, p: float, s: float) -> MgfResult:
+    """ln <exp(-2 n^2 s moment_p)> at coupling 2 via n log-axis integrals.
+
+    Each factor is int_0^inf t^{l-1} exp(-t - 2 s n (t/n)^{p/2}) dt / Gamma(l);
+    the integrals are evaluated after the substitution t = e^v, where the
+    integrand e^{h(v)} is smooth and unimodal for every admissible (p, s).
+    Newton finds all n modes at once; one sinh-sinh walk in x = (v - mode)
+    / width takes the factors _MGF_BLOCK at a time, so memory stays
+    O(_MGF_BLOCK x nodes).  A mode too far out for h to resolve its peak
+    (v near 333 at n = 40, p = 1.99, s = -2.6) is a NumericalError.  This
+    is the grid routine _mgf_grid at one tilt, the route mgf_table takes
+    for a whole grid.
+    """
+    return _mgf_grid(n, p, [s])[0]
 
 
 def log_truncated_gamma_integral(n: int, x: float, xi: float) -> float:

@@ -28,7 +28,7 @@ from .equilibrium import (
     transition_order,
 )
 from .errors import DomainError, check_positive, check_size
-from .exact import edge_cdf_log, edge_pdf_log, mgf_log
+from .exact import _mgf_grid, edge_cdf_log, edge_pdf_log, mgf_log
 from .sampling import sample_kostlan, sample_mcmc
 
 __all__ = [
@@ -239,22 +239,18 @@ def untested_beta(beta: float) -> bool:
 def mgf_table(n: int, p: float, s_grid: Sequence[float]) -> LdpTable:
     """Tilted free energy -(1/(2 n^2)) ln MGF vs. its large-n limit.
 
-    Extra columns: the magnified gap n (finite - limit), its predicted
-    limit (the 1/n coefficient at coupling 2), and the quadrature error
-    estimate.
+    The whole grid goes through exact's grid routine in one pass; each row
+    is the same bits as mgf_log(n, p, s) alone.  Extra columns: the
+    magnified gap n (finite - limit), its predicted limit (the 1/n
+    coefficient at coupling 2), and the quadrature error estimate.
     """
     n = check_size(n, "particle number n")
     ss = sorted(float(s) for s in s_grid)
     if not ss:
         raise DomainError("empty tilt grid")
-
-    def work(s: float) -> tuple[float, float, float]:
-        res = mgf_log(n, p, s)
-        return (-res.log_value / (2.0 * n * n), energy_excess(p, s),
-                res.estimated_relative_error)
-
-    triples = _map_ordered(work, ss)
-    rows = _make_rows(ss, [(fin, pred) for fin, pred, _ in triples])
+    results = _mgf_grid(n, p, ss)
+    rows = _make_rows(ss, [(-res.log_value / (2.0 * n * n), energy_excess(p, s))
+                           for res, s in zip(results, ss)])
     gap = tuple(n * row.residual for row in rows)
     gap_pred = tuple(subleading_coefficient(p, s) for s in ss)
     return LdpTable(
@@ -265,7 +261,8 @@ def mgf_table(n: int, p: float, s_grid: Sequence[float]) -> LdpTable:
         extra_columns={
             "subleading_gap": gap,
             "subleading_prediction": gap_pred,
-            "quadrature_error": tuple(err for _, _, err in triples),
+            "quadrature_error": tuple(res.estimated_relative_error
+                                      for res in results),
         },
     )
 

@@ -5,8 +5,10 @@ limits call for: tanh-sinh on [lo, hi] (nodes lo + d for t <= 0, hi - d for
 t > 0, d = (hi - lo)/2 e^{-|u|}/cosh u, so offsets down to ~1e-25 keep their
 digits), exp-sinh on [lo, inf) or mirrored, sinh-sinh on (-inf, inf).
 `integrate` walks the steps h = 1/32, 1/64 and 1/128; the integrand sees
-only the nodes each step adds (231, 230, 460).  The walk stops once every
-row's error estimate is <= tol.  With e1 = |S_h - S_2h| and e2 = |S_h - S_4h|
+only the nodes each step adds (231, 230, 460).  Each row stops on its own,
+at the first step whose error estimate for that row is <= tol, and the walk
+ends once every row has stopped, so a row's result does not depend on the
+rows that share its call.  With e1 = |S_h - S_2h| and e2 = |S_h - S_4h|
 (at h = 1/32, all three sums on its 231 nodes), the estimate is Bailey,
 Jeyabalan & Li's (2005) e1^(ln e1 / ln e2), as the error about squares when
 h halves.  Its floors are e1^2, the rounding eps sum |terms| and the two
@@ -47,9 +49,12 @@ def _rule(lo: float, hi: float, part: slice) -> tuple[np.ndarray, np.ndarray]:
 def integrate(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
               tol: float) -> tuple[np.ndarray, np.ndarray]:
     """int_lo^hi f along the last axis of f(nodes), and each row's error
-    estimate; either limit may be infinite.  Past h = 1/128 the value is
-    returned whatever its estimate: err > tol is the caller's to judge."""
+    estimate; either limit may be infinite.  A row keeps the value and
+    estimate of the first step at which its estimate is <= tol; a row that
+    never gets there returns its h = 1/128 value, whatever its estimate:
+    err > tol is the caller's to judge."""
     cum, mag = [0.0], 0.0      # running sums over the classes, and of |terms|
+    done, value, err = False, 0.0, 0.0
     for ends in _STEPS:
         x, weights = _rule(lo, hi, slice(ends[0], ends[-1]))
         terms = f(x) * weights
@@ -59,12 +64,17 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
             cum.append(cum[-1] + terms[..., a - ends[0]:b - ends[0]].sum(axis=-1))
         mag = mag + abs(terms).sum(axis=-1)
         h = 2.0 ** -(len(cum) + 1)
-        value = h * cum[-1]
-        e1, e2 = abs(value - 2.0 * h * cum[-2]), abs(value - 4.0 * h * cum[-3])
+        step = h * cum[-1]
+        e1, e2 = abs(step - 2.0 * h * cum[-2]), abs(step - 4.0 * h * cum[-3])
         with np.errstate(divide="ignore", invalid="ignore"):
             guess = np.where((e1 < e2) & (e2 < 1.0),
                              e1 ** (np.log(e1) / np.log(e2)), e1)
-        err = np.maximum.reduce([guess, e1 * e1, _EPS * h * mag, h * outer])
-        if (err <= tol).all():
+        estimate = np.maximum.reduce([guess, e1 * e1, _EPS * h * mag, h * outer])
+        # stopped rows keep what they had; [()] turns a 0-d result back
+        # into a scalar
+        value = np.where(done, value, step)[()]
+        err = np.where(done, err, estimate)[()]
+        done = err <= tol
+        if done.all():
             break
     return value, err

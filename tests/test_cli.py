@@ -477,7 +477,7 @@ _PINNED_OUTPUTS = {
         "7570c21b477e1c8040309e43c2506529446d1d4bc468a1d177045566daff102b",
         "595dab141485869c92d68f953ff884f082fd32bd3aa847c8f05dd6c85c61586c"),
     "fig 3 --n 12 --svg": (
-        "2bef805b6c7644a8e7fedeb7bf8cc69f30875670cf0306cab7cdf2fbeca48d62",
+        "df33a73b72610c431baf62c4d9b5c21ff15cee5818298e592c40c06709232a77",
         "0de04035a603493080ab6f97d9b6328df5f2966659208b4c921fc9a78941edb0"),
     "fig 4 --n 12 --svg": (
         "c4ca3eec5c40be8d8295369afadef9b94ec0499df5728b6499764faa2f994e2e",

@@ -11,6 +11,7 @@ from ocp2d import (
     StabilityError,
     edge_cdf_log,
     edge_pdf_log,
+    exact,
     exact_moment,
     log_truncated_gamma_integral,
     mgf_log,
@@ -239,6 +240,25 @@ def test_mgf_log_mode_far_out_is_a_numerical_error():
     # mode near v = 3300: beyond the search for a Newton start
     with pytest.raises(NumericalError, match="no v with g > 0"):
         mgf_log(40, 1.999, -2.6)
+
+
+def test_mgf_grid_checks_every_tilt_before_any_work(monkeypatch):
+    calls = []
+    monkeypatch.setattr(exact, "_modes", lambda *a: calls.append("_modes"))
+    monkeypatch.setattr(exact, "integrate", lambda *a: calls.append("integrate"))
+    with pytest.raises(StabilityError, match="s=-0.6"):
+        exact._mgf_grid(10, 2.0, [0.5, 1.0, -0.6, 0.0])
+    assert calls == []
+
+
+def test_mgf_grid_errors_name_the_failing_tilts(monkeypatch):
+    # a collapsed quadrature: see test_mgf_table_error_names_the_tilt
+    with pytest.raises(NumericalError, match=r"no v with g > 0 .* s = -2.6$"):
+        exact._mgf_grid(40, 1.999, [1.0, -2.6, 0.5])
+    monkeypatch.setattr(exact, "_NEWTON_STEPS", 1)
+    with pytest.raises(NumericalError,
+                       match=r"did not converge at n = 12, p = 1.0, s = 0.5, 2.0$"):
+        exact._mgf_grid(12, 1.0, [0.5, 0.0, 2.0])
 
 
 def test_mgf_log_validation():

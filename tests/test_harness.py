@@ -8,6 +8,7 @@ import pytest
 from ocp2d import (
     DomainError,
     LdpRow,
+    NumericalError,
     LdpTable,
     SingularityError,
     cumulant_check,
@@ -28,6 +29,7 @@ from ocp2d import (
     transition_scan,
     untested_beta,
 )
+from ocp2d.cli import _grid, run
 
 
 # --- table container invariants ------------------------------------------------
@@ -157,6 +159,35 @@ def test_mgf_table_columns_and_values():
     assert len(gaps) == len(preds) == len(errs) == 2
     for g, row in zip(gaps, table.rows):
         assert g == pytest.approx(n * row.residual, rel=1e-13)
+
+
+@pytest.mark.parametrize("n,p,grid", [(12, 1.0, "-3:5:65"), (50, 2.0, "-0.45:5:60")],
+                         ids=["fig3", "fig4"])
+def test_mgf_grid_outputs_equal_single_tilts(tmp_path, capsys, n, p, grid):
+    # mgf_table and `exact mgf` evaluate the whole grid in one pass; every
+    # row is the same bits as mgf_log at its tilt alone.  fig 3's grid holds
+    # s = 0 and s = 0.5, whose factor l = 3 walks on to h = 1/64 while its
+    # block-mates stop; at n = 50 a tilt spans two blocks
+    ss = _grid(grid)
+    alone = [mgf_log(n, p, s) for s in ss]
+    table = mgf_table(n, p, ss)
+    assert [row.finite_n_value for row in table.rows] == \
+        [-res.log_value / (2.0 * n * n) for res in alone]
+    assert list(table.extra_columns["quadrature_error"]) == \
+        [res.estimated_relative_error for res in alone]
+    out = tmp_path / "mgf.csv"
+    assert run(["exact", "mgf", "--n", str(n), "--p", str(p), f"--grid={grid}",
+                "--out", str(out)]) == 0
+    capsys.readouterr()
+    cells = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [(float(v), float(e)) for _, v, e in cells] == \
+        [(res.log_value, res.estimated_relative_error) for res in alone]
+
+
+def test_mgf_table_error_names_the_tilt():
+    with pytest.raises(NumericalError, match="collapsed to zero or overflowed "
+                                             "at n = 40, p = 1.99, s = -2.6$"):
+        mgf_table(40, 1.99, [0.5, -2.6])
 
 
 def test_extract_subleading_exact_solve_on_synthetic_data(monkeypatch):

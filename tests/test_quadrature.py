@@ -68,3 +68,18 @@ def test_kink_is_reported_after_the_last_step():
     assert sum(sizes) == 921
     assert err > 1e-10
     assert abs(value - 0.29) <= err
+
+
+def test_each_row_stops_on_its_own():
+    # the Gaussians above plus a kink row that never meets tol: each row
+    # keeps the value and estimate of its own first step within tol, bit for
+    # bit what it gives alone, whatever rows share the call
+    scale = np.geomspace(0.1, 30.0, 7)
+    rows = [lambda x, a=a: np.exp(-(a * x) ** 2) for a in scale]
+    rows.append(lambda x: np.abs(x - 0.3) * np.exp(-x * x))
+    value, err = integrate(lambda x: np.stack([f(x) for f in rows]),
+                           -math.inf, math.inf, 1e-12)
+    alone = [integrate(f, -math.inf, math.inf, 1e-12) for f in rows]
+    assert value.tolist() == [float(v) for v, _ in alone]
+    assert err.tolist() == [float(e) for _, e in alone]
+    assert err[0] <= 1e-12 < err[-1]
