@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -378,7 +377,7 @@ def leading_cumulant(p: float, beta: float, n: int, order: int) -> float:
 class Piece:
     """One absolutely continuous piece of a radial measure: density f on
     [lo, hi], with an optional analytic cumulative (mass of this piece on
-    [lo, r]).  Without it, cumulative mass is obtained by quadrature.
+    [lo, r]).  Without it, masses are integrals of f; hi may be inf.
 
     The density must be smooth inside (lo, hi): across a kink or jump the
     double-exponential rule still fails its estimate at its finest step,
@@ -415,9 +414,14 @@ class TiltedPotential:
 HARMONIC = TiltedPotential()
 
 
-def _piece_quad(piece: Piece, lo: float, hi: float) -> float:
-    return _quad_checked(piece.density, lo, hi, "piecewise cumulative mass",
-                         tol=1e-9)
+def _piece_mass(piece: Piece, a: float, b: float) -> float:
+    """Mass of the piece on [a, b]."""
+    a, b = max(a, piece.lo), min(b, piece.hi)
+    if a >= b:
+        return 0.0
+    if piece.cumulative is None:
+        return _quad_checked(piece.density, a, b, "piece mass", tol=1e-9)
+    return piece.cumulative(b) - (piece.cumulative(a) if a > piece.lo else 0.0)
 
 
 @dataclass(frozen=True)
@@ -432,32 +436,16 @@ class RadialMeasure:
     def circular_law(cls) -> "RadialMeasure":
         return cls(pieces=(Piece(0.0, 1.0, lambda r: 2.0 * r, lambda r: r * r),))
 
-    @cached_property
-    def _tail_masses(self) -> tuple[float | None, ...]:
-        """Exp-sinh mass of each half-infinite piece without a cumulative,
-        computed once: nested functionals ask for it at every node."""
-        return tuple(
-            _piece_quad(piece, piece.lo, math.inf)
-            if piece.hi == math.inf and piece.cumulative is None else None
-            for piece in self.pieces)
+    def _continuous_mass(self, a: float, b: float) -> float:
+        return math.fsum([_piece_mass(piece, a, b) for piece in self.pieces])
 
     def continuous_mass_below(self, r: float) -> float:
-        parts = []
-        for piece, tail_mass in zip(self.pieces, self._tail_masses):
-            if r <= piece.lo:
-                continue
-            top = min(r, piece.hi)
-            if piece.cumulative is not None:
-                parts.append(piece.cumulative(top))
-            elif tail_mass is None:
-                parts.append(_piece_quad(piece, piece.lo, top))
-            elif top == math.inf:
-                parts.append(tail_mass)
-            else:
-                # [lo, top] far out in the tail is too wide for the finite
-                # rule; subtract the exp-sinh tail beyond top instead.
-                parts.append(tail_mass - _piece_quad(piece, top, math.inf))
-        return math.fsum(parts)
+        """Mass of the pieces on [0, r]: beyond r = 1 the total less the
+        mass above r, as a finite rule on [lo, r] far out in a tail fails."""
+        if r <= 1.0:
+            return self._continuous_mass(0.0, r)
+        return self._continuous_mass(0.0, math.inf) \
+            - self._continuous_mass(r, math.inf)
 
     def total_mass(self) -> float:
         return self.continuous_mass_below(math.inf) \
@@ -482,59 +470,45 @@ def mean_field_energy(measure: RadialMeasure,
     """Mean-field energy -1/2 iint ln max(r, r') dmu dmu' + int V dmu.
 
     The angular average of the planar log kernel between circles of radii
-    r and r' is ln max(r, r'), which reduces the double integral to nested
-    one-dimensional double-exponential quadratures, with the densities
-    evaluated node by node; singular rings interact through the same kernel
-    and carry finite self-energy -(m^2/2) ln a.
+    r and r' is ln max(r, r') (Newton's theorem; Saff & Totik 1997).  With
+    M(t) = mu([0, t]), rings included, and U = 1 - M the mass above t,
+    ln m = int_1^inf 1[m > t] dt/t - int_0^1 1[m <= t] dt/t for m = max(r, r')
+    and Pr[max <= t] = M(t)^2 turn the pair term into one integral of the
+    mass profile:
+
+        1/2 int_0^1 M(t)^2/t dt - 1/2 int_1^inf U(t) (2 - U(t))/t dt.
+
+    The integral splits at 1, at every piece end and at every ring radius,
+    so a ring is a jump of M between two intervals and adds a constant to
+    each: M counts the rings at or below an interval's left end, U those
+    at or above its right end.  Above 1 only the mass beyond t enters, an
+    exp-sinh tail on a half-infinite piece.
     Absolute accuracy ~1e-10.  The uniform unit disk gives 3/8.
     """
     measure._validate()
+    pieces, rings = measure.pieces, measure.rings
+    cuts = sorted({0.0, 1.0, *(ring.radius for ring in rings),
+                   *(end for piece in pieces for end in (piece.lo, piece.hi))})
+    parts = []
+    for a, b in zip(cuts, cuts[1:]):
+        if b <= 1.0:
+            held = math.fsum([ring.mass for ring in rings if ring.radius <= a])
 
-    def pair_cc() -> float:
-        # -1/2 iint f(r) f(r') ln max = -int f(r) ln(r) M(r) dr with M the
-        # cumulative continuous mass, by symmetry of the kernel.
-        parts = []
-        for piece in measure.pieces:
-            parts.append(_quad_checked(
-                lambda r: piece.density(r) * math.log(r)
-                * measure.continuous_mass_below(r),
-                piece.lo, piece.hi, "bulk-bulk energy"))
-        return -math.fsum(parts)
+            def pair(t: float) -> float:
+                m = held + measure._continuous_mass(0.0, t)
+                return m * m / t
+        else:
+            held = math.fsum([ring.mass for ring in rings if ring.radius >= b])
 
-    def pair_cr() -> float:
-        parts = []
-        for ring in measure.rings:
-            a, m = ring.radius, ring.mass
-            inner = measure.continuous_mass_below(a) * math.log(a)
-            outer = 0.0
-            for piece in measure.pieces:
-                if piece.hi > a:
-                    outer += _quad_checked(
-                        lambda r: piece.density(r) * math.log(r),
-                        max(piece.lo, a), piece.hi, "bulk-ring energy")
-            parts.append(m * (inner + outer))
-        return -math.fsum(parts)
-
-    def pair_rr() -> float:
-        parts = []
-        rings = measure.rings
-        for i, ring in enumerate(rings):
-            parts.append(0.5 * ring.mass ** 2 * math.log(ring.radius))
-            for other in rings[i + 1:]:
-                parts.append(ring.mass * other.mass
-                             * math.log(max(ring.radius, other.radius)))
-        return -math.fsum(parts)
-
-    def confinement() -> float:
-        parts = [
-            _quad_checked(lambda r: potential(r) * piece.density(r),
-                          piece.lo, piece.hi, "confinement energy")
-            for piece in measure.pieces
-        ]
-        parts.extend(ring.mass * potential(ring.radius) for ring in measure.rings)
-        return math.fsum(parts)
-
-    return pair_cc() + pair_cr() + pair_rr() + confinement()
+            def pair(t: float) -> float:
+                u = held + measure._continuous_mass(t, math.inf)
+                return -u * (2.0 - u) / t
+        parts.append(0.5 * _quad_checked(pair, a, b, "pair energy"))
+    parts.extend(_quad_checked(lambda r: potential(r) * piece.density(r),
+                               piece.lo, piece.hi, "confinement energy")
+                 for piece in pieces)
+    parts.extend(ring.mass * potential(ring.radius) for ring in rings)
+    return math.fsum(parts)
 
 
 def entropy_functional(measure: RadialMeasure) -> float:

@@ -104,12 +104,6 @@ class LdpTable:
                 "residual": tuple(row.residual for row in rows),
                 **self.extra_columns}
 
-    def column_names(self) -> list[str]:
-        return list(self.columns())
-
-    def row_values(self, i: int) -> list[float]:
-        return [col[i] for col in self.columns().values()]
-
     def __len__(self) -> int:
         return len(self.rows)
 

@@ -62,7 +62,6 @@ class PlasmaConfig:
 
     positions: np.ndarray  # shape (n, 2)
     beta: float = 2.0
-    n: int = 0
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float)
@@ -72,10 +71,10 @@ class PlasmaConfig:
             raise DomainError("positions must be finite")
         check_positive(self.beta, "coupling beta")
         object.__setattr__(self, "positions", pos)
-        if self.n == 0:
-            object.__setattr__(self, "n", pos.shape[0])
-        elif self.n != pos.shape[0]:
-            raise DomainError(f"n={self.n} but {pos.shape[0]} positions given")
+
+    @property
+    def n(self) -> int:
+        return self.positions.shape[0]
 
     def radii(self) -> np.ndarray:
         return np.hypot(self.positions[:, 0], self.positions[:, 1])

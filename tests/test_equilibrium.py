@@ -298,6 +298,37 @@ def test_half_infinite_piece_mass_is_integrated_once(monkeypatch):
     assert lower_limits.count(0.0) == 1
 
 
+@pytest.mark.parametrize("r", [0.5, 1.0, 10.0, 1e6, 1e12, math.inf])
+def test_half_infinite_mass_below_without_cumulative(r):
+    # beyond r = 1 the mass below is the total less the exp-sinh tail above
+    # r: a finite rule on [0, 1e12] misses the Gaussian's mass
+    exponential = RadialMeasure(pieces=(Piece(0.0, math.inf, lambda t: math.exp(-t)),))
+    gaussian = RadialMeasure(pieces=(
+        Piece(0.0, math.inf, lambda t: 2.0 * t * math.exp(-t * t)),))
+    assert exponential.continuous_mass_below(r) == pytest.approx(
+        -math.expm1(-r), abs=1e-12)
+    assert gaussian.continuous_mass_below(r) == pytest.approx(
+        -math.expm1(-r * r), abs=1e-12)
+
+
+@pytest.mark.parametrize("with_cumulative", [True, False])
+def test_two_rings_inside_and_outside_the_unit_circle(with_cumulative):
+    # disk of mass m0 on [0, a] plus rings (b, m1) inside and (c, m2)
+    # outside the unit circle: every bulk-ring and ring-ring pair in closed form
+    m0, a = 0.5, 0.6
+    (b, m1), (c, m2) = (0.8, 0.3), (1.5, 0.2)
+    cumulative = (lambda r: m0 * r * r / (a * a)) if with_cumulative else None
+    mu = RadialMeasure(
+        pieces=(Piece(0.0, a, lambda r: 2.0 * m0 * r / (a * a), cumulative),),
+        rings=(RingMass(b, m1), RingMass(c, m2)))
+    closed = -0.5 * m0 ** 2 * (math.log(a) - 0.25) - m0 * m1 * math.log(b) \
+        - m0 * m2 * math.log(c) - m1 * m2 * math.log(c) \
+        - 0.5 * m1 ** 2 * math.log(b) - 0.5 * m2 ** 2 * math.log(c) \
+        + m0 * a * a / 4.0 + m1 * b * b / 2.0 + m2 * c * c / 2.0
+    assert closed == pytest.approx(0.43163247601755017, abs=1e-15)
+    assert mean_field_energy(mu) == pytest.approx(closed, abs=1e-12)
+
+
 def test_kinked_density_needs_a_split_at_the_kink():
     def tent(r):
         return 4.0 * r if r < 0.5 else 4.0 * (1.0 - r)

@@ -58,21 +58,24 @@ def test_table_extra_column_length_checked():
 def test_table_row_access():
     rows = (LdpRow(0.5, 1.25, 1.0, 0.25),)
     table = LdpTable("x", rows, {"n": 10}, {"gap": (0.5,)})
-    assert table.column_names() == [
+    columns = table.columns()
+    assert list(columns) == [
         "x", "finite_n_value", "prediction", "residual", "gap"
     ]
-    assert table.row_values(0) == [0.5, 1.25, 1.0, 0.25, 0.5]
+    assert [col[0] for col in columns.values()] == [0.5, 1.25, 1.0, 0.25, 0.5]
     assert len(table) == 1
 
 
 def test_table_columns_agree_with_rows():
     table = left_tail_table(40, [0.4, 0.6, 0.8])
     columns = table.columns()
-    assert list(columns) == table.column_names()
+    assert list(columns) == ["x", "finite_n_value", "prediction", "residual",
+                             *table.extra_columns]
     assert all(len(col) == len(table) for col in columns.values())
-    for i in range(len(table)):
-        assert [col[i] for col in columns.values()] == table.row_values(i)
-    assert columns["residual"] == tuple(row.residual for row in table.rows)
+    for i, row in enumerate(table.rows):
+        assert [col[i] for col in columns.values()] == [
+            row.abscissa, row.finite_n_value, row.prediction, row.residual,
+            *(col[i] for col in table.extra_columns.values())]
 
 
 # --- left/right tail tables ------------------------------------------------------
