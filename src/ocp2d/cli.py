@@ -60,23 +60,15 @@ _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b",
 # --- tables and emission ------------------------------------------------------
 
 
-def _format_cell(value: Any) -> str:
-    if type(value) is float:  # most cells: skip the isinstance chain
-        return "%.17g" % value
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return "%.17g" % float(value)
-    return str(value)
-
-
 def _format_column(column: Sequence[Any]) -> list[str]:
-    """The CSV text of each cell; a float array in one pass, as _format_cell."""
-    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
-        return ["%.17g" % v for v in column.tolist()]
-    return [_format_cell(v) for v in column]
+    """The CSV text of each cell, by the numpy dtype kind of the column:
+    17 significant digits for reals, 1/0 for bools, str for the rest."""
+    a = np.asarray(column)
+    if a.dtype.kind == "f":
+        return ["%.17g" % v for v in a.tolist()]
+    if a.dtype.kind == "b":
+        return ["1" if v else "0" for v in a.tolist()]
+    return [str(v) for v in a.tolist()]
 
 
 def _write_atomic(path: str, lines: list[str]) -> None:
@@ -321,8 +313,9 @@ def _cmd_eq(res: _Resolver, out: str | None):
            "typical_value": typical_value(p, s),
            "energy_excess": energy_excess(p, s),
            "entropy_excess": entropy_excess(p, s)}
-    return ({key: [value] for key, value in row.items()},
-            "\n".join(f"{key} = {_format_cell(value)}" for key, value in row.items()))
+    table = {key: [value] for key, value in row.items()}
+    return table, "\n".join(f"{key} = {_format_column(col)[0]}"
+                            for key, col in table.items())
 
 
 def _cmd_exact(res: _Resolver, out: str | None):
@@ -332,7 +325,7 @@ def _cmd_exact(res: _Resolver, out: str | None):
         p = res.require("p")
         value = exact_moment(n, p)
         return {"n": [n], "p": [p], "mean": [value]}, \
-            f"mean = {_format_cell(value)}"
+            f"mean = {_format_column([value])[0]}"
     grid = res.require("grid", _grid)
     if which == "edge-cdf":
         table = {"x": grid, "log_cdf": [edge_cdf_log(n, x) for x in grid]}

@@ -201,6 +201,8 @@ class EquilibriumMeasure:
 
 
 def equilibrium_measure(p: float, s: float) -> EquilibriumMeasure:
+    """The tilted equilibrium measure at exponent p and tilt s, supported
+    on [inner_radius, outer_radius] = support_radii(p, s)."""
     r_in, r_out = support_radii(p, s)
     return EquilibriumMeasure(float(p), float(s), r_in, r_out)
 
@@ -358,10 +360,11 @@ def leading_cumulant(p: float, beta: float, n: int, order: int) -> float:
     n = check_size(n, "particle number n")
     if order not in (1, 2, 3):
         raise DomainError(f"cumulant order must be 1, 2 or 3, got {order}")
-    if p < 2.0 and order >= 4.0 / (2.0 - p):
+    trans = transition_order(p)
+    if not trans.analytic and order >= trans.order:
         raise SingularityError(
             f"cumulant of order {order} does not exist for p={p}: the energy "
-            f"excess has a transition of order {transition_order(p).order}"
+            f"excess has a transition of order {trans.order}"
         )
     if order == 1:
         return 2.0 / (2.0 + p)

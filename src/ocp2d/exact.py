@@ -107,14 +107,21 @@ def edge_pdf_log(n: int, x: float) -> float:
 def exact_moment(n: int, p: float) -> float:
     """Mean of the radial p-moment: n^{-1-p/2} sum_k Gamma(k+p/2)/Gamma(k).
 
-    Tends to 2/(2+p) as n grows.
+    Tends to 2/(2+p) as n grows.  The terms grow with k; where n times the
+    last one leaves the normal doubles, they are summed relative to it and
+    n^{-1-p/2} joins the log.  A mean beyond the doubles is a DomainError.
     """
     n = check_size(n, "particle number n")
     p = check_positive(p, "moment exponent p")
-    total = math.fsum(
-        math.exp(math.lgamma(k + 0.5 * p) - math.lgamma(k)) for k in range(1, n + 1)
-    )
-    return n ** (-1.0 - 0.5 * p) * total
+    logs = (math.lgamma(k + 0.5 * p) - math.lgamma(k) for k in range(1, n + 1))
+    top = math.lgamma(n + 0.5 * p) - math.lgamma(n)
+    if top + math.log(n) < 700.0:  # then n^{-1-p/2} > e^{-701} is normal too
+        return n ** (-1.0 - 0.5 * p) * math.fsum(math.exp(v) for v in logs)
+    shifted = math.fsum(math.exp(v - top) for v in logs)
+    try:
+        return math.exp(top + math.log(shifted) - (1.0 + 0.5 * p) * math.log(n))
+    except OverflowError:
+        raise DomainError(f"the mean overflows a double at n={n}, p={p}") from None
 
 
 # --- log-axis integrals on the double-exponential rule -----------------------

@@ -331,27 +331,21 @@ def cumulant_check(p: float, beta: float, n: int,
     # energy is analytic there for every p, whereas any stencil reaching
     # into s < 0 picks up the one-sided singular part at the transition
     # (e.g. an O(h^{2/3}) bias in the second difference at p = 1/2).
-    richardson = [
-        (4.0 * _onesided_derivative(p, k, 5e-4, +1)[0]
-         - _onesided_derivative(p, k, 1e-3, +1)[0]) / 3.0
-        for k in (1, 2, 3)
-    ]
-
     # Map tilted-energy derivatives to cumulants of the statistic: the
     # generating function is -(beta n^2) E(s) in the tilt s, so
     # kappa_1 = E'(0), kappa_2 = -E''(0)/(beta n^2),
     # kappa_3 = E'''(0)/(beta n^2)^2.
     scale = beta * n * n
-    numeric = {1: richardson[0], 2: -richardson[1] / scale,
-               3: richardson[2] / (scale * scale)}
     rows = []
     for order in orders:
-        if order not in numeric:
-            raise DomainError(f"cumulant order must be 1, 2, or 3, got {order}")
-        predicted = leading_cumulant(p, beta, n, order)
-        rel = abs(numeric[order] - predicted) / abs(predicted)
-        rows.append(CumulantRow(order, numeric[order], predicted, rel,
-                                rel <= tolerance))
+        predicted = leading_cumulant(p, beta, n, order)  # raises unless it exists
+        k = int(order)
+        richardson = (4.0 * _onesided_derivative(p, k, 5e-4, +1)[0]
+                      - _onesided_derivative(p, k, 1e-3, +1)[0]) / 3.0
+        numeric = (richardson, -richardson / scale,
+                   richardson / (scale * scale))[k - 1]
+        rel = abs(numeric - predicted) / abs(predicted)
+        rows.append(CumulantRow(order, numeric, predicted, rel, rel <= tolerance))
     return CumulantReport(p, beta, n, tolerance, tuple(rows))
 
 
@@ -420,18 +414,13 @@ class TransitionReport:
         return None
 
 
-def _onesided_weights(order: int) -> np.ndarray:
-    """Weights w_j on nodes j = 0..order+1 with sum w_j f(j h) =
-    h^order f^(order)(0) + O(h^{order+2}).
-
-    Up to order _MAX_SCAN_ORDER every exact weight is a multiple of 1/2
-    (checked in rational arithmetic), so rounding 2 w to integers removes
-    the roundoff of the float solve."""
-    m = order + 2
-    v = np.array([[float(j) ** k for j in range(m)] for k in range(m)])
-    rhs = np.zeros(m)
-    rhs[order] = math.factorial(order)
-    return np.round(2.0 * np.linalg.solve(v, rhs)) / 2.0
+def _onesided_weights(m: int) -> np.ndarray:
+    """Weights w_j on nodes j = 0..m+1 with sum w_j f(j h) =
+    h^m f^(m)(0) + O(h^{m+2}): the differences Delta^m - (m/2) Delta^{m+1}
+    in closed form, w_j = (-1)^{m-j} (C(m, j) + (m/2) C(m+1, j)), each a
+    multiple of 1/2."""
+    return np.array([(-1) ** (m - j) * (math.comb(m, j) + m / 2 * math.comb(m + 1, j))
+                     for j in range(m + 2)])
 
 
 def _onesided_derivative(p: float, order: int, h: float,
@@ -471,12 +460,8 @@ def transition_scan(p: float, s_window: float = 0.45,
     if p == 2.0:
         s_window = min(s_window, 0.45)  # stability boundary at -1/2
     trans = transition_order(p)
-    if trans.analytic:
-        expected = None
-        top = 4
-    else:
-        expected = trans.order
-        top = min(expected, _MAX_SCAN_ORDER)
+    expected = trans.order
+    top = 4 if trans.analytic else min(expected, _MAX_SCAN_ORDER)
 
     rows = []
     for order in range(1, top + 1):

@@ -106,8 +106,8 @@ def hamiltonian(config: PlasmaConfig) -> float:
     coincident = np.flatnonzero(d == 0.0)
     if coincident.size:
         raise SingularityError(f"coincident particles at index {i[coincident[0]]}")
-    confinement = 0.5 * n * math.fsum(pos[:, 0] ** 2 + pos[:, 1] ** 2)
-    return confinement - math.fsum(np.log(d))
+    confinement = 0.5 * n * math.fsum((pos[:, 0] ** 2 + pos[:, 1] ** 2).tolist())
+    return confinement - math.fsum(np.log(d).tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,13 +135,13 @@ class SampleBatch:
         return int(self.values.size)
 
     def mean(self) -> float:
-        return math.fsum(self.values) / self.count
+        return math.fsum(self.values.tolist()) / self.count
 
     def variance(self) -> float:
         if self.count < 2:
             raise DomainError("variance needs at least two draws")
         m = self.mean()
-        return math.fsum((self.values - m) ** 2) / (self.count - 1)
+        return math.fsum(((self.values - m) ** 2).tolist()) / (self.count - 1)
 
     def std_error(self) -> float:
         return math.sqrt(self.variance() / self.count)
@@ -396,10 +396,11 @@ def sample_mcmc(n: int, beta: float, sweeps: int, burn_in: int, thinning: int,
     ``NumericalError`` is raised; the difference is kept in the metadata
     as ``energy_drift_error``.
     """
-    sweeps, burn_in, thinning = int(sweeps), int(burn_in), int(thinning)
-    if burn_in < 0 or sweeps <= burn_in:
+    sweeps = check_size(sweeps, "sweeps")
+    burn_in = check_size(burn_in, "burn_in", 0)
+    thinning = check_size(thinning, "thinning")
+    if sweeps <= burn_in:
         raise DomainError(f"need sweeps > burn_in >= 0, got {sweeps}, {burn_in}")
-    check_size(thinning, "thinning")
     if sweeps - burn_in < thinning:
         raise DomainError("no sweeps left to record after burn-in and thinning")
     p = _check_exponent(p)

@@ -27,13 +27,6 @@ _MAX_ITER = 10_000
 _EPS = 2.220446049250313e-16
 
 
-def _check_finite(name: str, value: float) -> float:
-    value = float(value)
-    if math.isnan(value) or math.isinf(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-    return value
-
-
 def log_gamma(a: float) -> float:
     """Natural log of the gamma function for positive real ``a``."""
     return math.lgamma(check_positive(a, "a"))
@@ -83,12 +76,21 @@ def _log_upper_cf(a: float, y: float) -> float:
     )
 
 
-def _validate_gamma_args(a: float, y: float) -> tuple[float, float]:
+def _log_p_or_q(a: float, y: float) -> tuple[bool, float]:
+    """(True, ln P(a, y)) below y = a + 1, else (False, ln Q(a, y)): each
+    branch where it converges fast and carries no cancellation.  y = 0
+    gives (True, -inf).  DomainError unless a > 0 and y >= 0 are finite."""
     a = check_positive(a, "a")
-    y = _check_finite("y", y)
+    y = float(y)
+    if not math.isfinite(y):
+        raise DomainError(f"y must be finite, got {y!r}")
     if y < 0.0:
         raise DomainError(f"incomplete gamma requires y >= 0, got y={y}")
-    return a, y
+    if y == 0.0:
+        return True, -math.inf
+    if y < a + 1.0:
+        return True, _log_lower_series(a, y)
+    return False, _log_upper_cf(a, y)
 
 
 def log_reg_lower_gamma(a: float, y: float) -> float:
@@ -97,35 +99,22 @@ def log_reg_lower_gamma(a: float, y: float) -> float:
     Stays accurate when P underflows: values below -1e5 are routine for
     the far left tail of the edge distribution.  Returns ``-inf`` at y=0.
     """
-    a, y = _validate_gamma_args(a, y)
-    if y == 0.0:
-        return -math.inf
-    if y < a + 1.0:
-        return _log_lower_series(a, y)
-    log_q = _log_upper_cf(a, y)
-    # P = 1 - Q; Q <= ~0.5 in this branch so log1p is safe.
-    return math.log1p(-math.exp(log_q))
+    lower, v = _log_p_or_q(a, y)
+    # P = 1 - Q; Q <= ~0.5 on the upper branch so log1p is safe.
+    return v if lower else math.log1p(-math.exp(v))
 
 
 def reg_lower_gamma(a: float, y: float) -> float:
     """P(a, y) = gamma(a, y) / Gamma(a), in [0, 1]."""
-    a, y = _validate_gamma_args(a, y)
-    if y == 0.0:
-        return 0.0
-    if y < a + 1.0:
-        return math.exp(_log_lower_series(a, y))
-    return -math.expm1(_log_upper_cf(a, y))
+    lower, v = _log_p_or_q(a, y)
+    return math.exp(v) if lower else -math.expm1(v)
 
 
 def reg_upper_gamma(a: float, y: float) -> float:
     """Q(a, y) = 1 - P(a, y), evaluated on its own branch when that is the
     accurate one (large ``y``)."""
-    a, y = _validate_gamma_args(a, y)
-    if y == 0.0:
-        return 1.0
-    if y < a + 1.0:
-        return -math.expm1(_log_lower_series(a, y))
-    return math.exp(_log_upper_cf(a, y))
+    lower, v = _log_p_or_q(a, y)
+    return -math.expm1(v) if lower else math.exp(v)
 
 
 def log_lower_gamma(a: float, y: float) -> float:

@@ -24,3 +24,9 @@ def test_quick_tour_names_are_exported():
 
 def test_every_exported_name_resolves():
     assert [name for name in ocp2d.__all__ if not hasattr(ocp2d, name)] == []
+
+
+def test_every_exported_callable_has_a_docstring():
+    assert [name for name in ocp2d.__all__
+            if callable(getattr(ocp2d, name))
+            and not (getattr(ocp2d, name).__doc__ or "").strip()] == []

@@ -12,7 +12,7 @@ import pytest
 
 import ocp2d
 from ocp2d import exact_moment, left_rate
-from ocp2d.cli import (DEFAULT_SEED, _format_cell, _grid, build_parser,
+from ocp2d.cli import (DEFAULT_SEED, _format_column, _grid, build_parser,
                        emit_csv, run)
 
 
@@ -58,7 +58,7 @@ def test_emit_csv_full_precision_round_trip(tmp_path):
 def test_csv_cells_have_fixed_text():
     cells = [True, False, 7, np.int64(-3), 0.1, np.float64(1.0 / 3.0),
              math.nan, math.inf, -0.0, "x"]
-    assert [_format_cell(v) for v in cells] == [
+    assert [_format_column([v])[0] for v in cells] == [
         "1", "0", "7", "-3", "0.10000000000000001", "0.33333333333333331",
         "nan", "inf", "-0", "x"]
 
@@ -170,6 +170,13 @@ def test_exact_moment_prints_value(capsys):
     assert run(["exact", "moment", "--n", "10", "--p", "2"]) == 0
     out = capsys.readouterr().out
     assert float(out.split("=")[1]) == pytest.approx(exact_moment(10, 2.0))
+
+
+def test_exact_moment_prints_a_mean_whose_terms_overflow(capsys):
+    assert run(["exact", "moment", "--n", "2000", "--p", "200"]) == 0
+    out = capsys.readouterr().out
+    assert float(out.split("=")[1]) == pytest.approx(0.118673095455804646,
+                                                     rel=1e-12)
 
 
 def test_exact_edge_cdf_table(tmp_path, capsys):
@@ -464,6 +471,9 @@ _PINNED_OUTPUTS = {
     "verify cumulants --p 2 --n 50 --svg": (
         "644c6314fcf7746350df3e1819131da69ab6ec2c9969d4866ec210a4b565d0f1",
         "72ea6c1a10a024f412cb8cdd3a4ff8049f756f547081060893932c350d61accb"),
+    "verify cumulants --p 0.5 --n 50 --svg": (
+        "866e422b547e3044e0303d90d0bfcb221b29e88d86ea3f2eb370002e2b0f1bb0",
+        "49e962298230e67a9309801ca5b947111161d1eaa59420eb307d611c72cca97b"),
     "verify gumbel --n 200 --draws 500 --seed 7": (
         "c3fc1c43974dea3ca7bb3e90a614cb441356dd85284b4967acecfd57068905c8",
         None),

@@ -118,6 +118,28 @@ def test_exact_moment_against_mpmath(n, p):
     assert exact_moment(n, p) == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("n,p", [(2000, 200.0), (2000, 190.0),
+                                 (10, 400.0), (5000, 170.0)])
+def test_exact_moment_whose_terms_overflow_against_mpmath(n, p):
+    # the last term, e^{lgamma(n + p/2) - lgamma(n)}, times n leaves the
+    # doubles, though the mean does not
+    with mpmath.workdps(30):
+        half = mpmath.mpf(p) / 2
+        total = mpmath.fsum(mpmath.exp(mpmath.loggamma(k + half)
+                                       - mpmath.loggamma(k)) for k in range(1, n + 1))
+        want = float(total * mpmath.mpf(n) ** (-1 - half))
+    assert exact_moment(n, p) == pytest.approx(want, rel=1e-12)
+
+
+def test_exact_moment_keeps_the_plain_sum_where_it_fits():
+    assert exact_moment(50, 2.0) == 0.51000000000000034
+
+
+def test_exact_moment_beyond_the_doubles_is_a_domain_error():
+    with pytest.raises(DomainError, match="overflows"):
+        exact_moment(3, 500.0)
+
+
 def test_exact_moment_tends_to_flat_disk_average():
     # ensemble average tends to 2/(2+p) as n grows
     for p in (1.0, 3.0):

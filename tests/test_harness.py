@@ -258,6 +258,21 @@ def test_cumulant_check_requesting_missing_order_raises():
         cumulant_check(0.5, 2.0, 50, orders=(3,))
 
 
+def test_cumulant_check_differentiates_only_the_reported_orders(monkeypatch):
+    import ocp2d.harness as harness
+
+    calls = []
+
+    def spy(p, s):
+        calls.append(s)
+        return energy_excess(p, s)
+
+    monkeypatch.setattr(harness, "energy_excess", spy)
+    report = cumulant_check(0.5, 2.0, 50)
+    assert [row.order for row in report.rows] == [1, 2]
+    assert len(calls) == 14  # orders 1 and 2: (3 + 4) nodes at two steps
+
+
 def test_cumulant_check_general_coupling():
     report = cumulant_check(2.0, 4.0, 32)
     assert report.all_passed
@@ -341,12 +356,18 @@ def test_transition_scan_validation():
         transition_scan(1.0, step=0.0)
 
 
-@pytest.mark.parametrize("order", range(1, 7))
+@pytest.mark.parametrize("order", range(1, 11))
 def test_onesided_weights_are_exact(order):
+    from fractions import Fraction
+
     from ocp2d.harness import _onesided_weights
 
-    w = _onesided_weights(order)
+    # In exact rationals the weights solve sum_j w_j j^k = order! [k == order],
+    # k = 0..order+1, whose Vandermonde matrix on distinct nodes is
+    # invertible: they are its exact solution.
+    w = [Fraction(float(x)) for x in _onesided_weights(order)]
     assert len(w) == order + 2
     for k in range(order + 2):
-        got = math.fsum(wj * j**k for j, wj in enumerate(w))
+        got = sum(wj * j**k for j, wj in enumerate(w))
         assert got == (math.factorial(order) if k == order else 0)
+

@@ -575,3 +575,16 @@ def test_mcmc_validation():
         sample_mcmc(5, -2.0, sweeps=20, burn_in=5, thinning=1, p=1.0, seed=0)
     with pytest.raises(DomainError, match="seed"):
         sample_mcmc(5, 2.0, sweeps=20, burn_in=5, thinning=1, p=1.0, seed=-1)
+
+
+@pytest.mark.parametrize("sweeps,burn_in,thinning,name", [
+    (100.7, 10, 1, "sweeps"),
+    (math.inf, 10, 1, "sweeps"),
+    (math.nan, 10, 1, "sweeps"),
+    (100, 10.5, 1, "burn_in"),
+    (100, 10, 1.5, "thinning"),
+    (100, -1, 1, "burn_in"),
+])
+def test_mcmc_counts_must_be_whole_numbers(sweeps, burn_in, thinning, name):
+    with pytest.raises(DomainError, match=name):
+        sample_mcmc(8, 2.0, sweeps, burn_in, thinning, p=2, seed=1)
