@@ -47,7 +47,7 @@ from .errors import DomainError, Ocp2dError, check_size
 from .exact import _mgf_grid, edge_cdf_log, edge_pdf_log, exact_moment
 from .sampling import sample_kostlan, sample_mcmc
 
-__all__ = ["DEFAULT_SEED", "run", "main", "emit_csv", "emit_svg"]
+__all__ = ["DEFAULT_SEED", "run", "main", "emit_csv"]
 
 # Fixed default seed so that every sampling command is reproducible out of
 # the box; pass --seed to change it.
@@ -105,7 +105,7 @@ def _numeric_columns(table: dict[str, Sequence[Any]]) -> dict[str, list[float]]:
 
 
 def _svg_lines(table: dict[str, Sequence[Any]]) -> list[str]:
-    """The chart emit_svg writes; DomainError if it would draw no line."""
+    """The chart that --svg writes; DomainError if it would draw no line."""
     cols = _numeric_columns(table)
     names = list(cols)
     xs = cols[names[0]] if names else []
@@ -150,13 +150,6 @@ def _svg_lines(table: dict[str, Sequence[Any]]) -> list[str]:
                  f'{y0:.6g} .. {y1:.6g}</text>')
     parts.append("</svg>")
     return parts
-
-
-def emit_svg(table: dict[str, Sequence[Any]], path: str) -> None:
-    """Render a table (column name -> column) as a polyline chart: the first
-    numeric column is the abscissa, each other one a polyline.  A chart
-    that would draw no line is a DomainError, and nothing is written."""
-    _write_atomic(path, _svg_lines(table))
 
 
 def _select(table: harness.LdpTable, names: Sequence[str]) -> dict[str, Sequence]:

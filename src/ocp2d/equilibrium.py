@@ -57,6 +57,7 @@ __all__ = [
 # Hard numerical guard at the p = 2 stability boundary: the support radius
 # grows like (1 + 2s)^{-1/2} and overflows any tolerance just above -1/2.
 _P2_GUARD = -0.5 + 1e-6
+_LOG_MAX = float(np.log(np.finfo(float).max))  # largest v = ln R^2 with a double R^2
 
 
 @dataclass(frozen=True)
@@ -105,66 +106,45 @@ def stability_domain(p: float) -> StabilityDomain:
     return StabilityDomain(p, 0.0, False)
 
 
-def _inner_radius(p: float, s: float) -> float:
-    if p < 2.0 and s < 0.0:
-        return (-s * p) ** (1.0 / (2.0 - p))
-    return 0.0
-
-
 def support_radii(p: float, s: float) -> tuple[float, float]:
     """Inner and outer support radii of the tilted equilibrium measure.
 
-    The outer radius solves R^2 + s p R^p = 1 on the branch beyond the
-    inner radius; it is found by bracketed bisection with a Newton polish.
+    An annulus (p < 2, s < 0) has r_in = (-s p)^{1/(2-p)}, a disk 0.  The
+    outer radius R solves R^2 + s p R^p = 1 beyond r_in; in v = ln R^2 that
+    is g(v) = e^v + s p e^{pv/2} - 1 = 0, the mode equation of `exact._modes`
+    at l = 1, c = 2s, q = p/2.  Where g > 0, g is increasing and convex (on
+    an annulus e^v > |s p| e^{pv/2} there, and p/2 < 1), so Newton from the
+    first v = max(0, ln r_in^2) + 0, 1, 2, 4, ... with g > 0 descends onto
+    the root without overshooting, until v stops moving; one Newton step in
+    r then removes the rounding of e^{v/2}.  An R^2 above the largest
+    double, or an R below its reciprocal, is a NumericalError.
     """
     p = check_positive(p, "moment exponent p")
     s = stability_domain(p).require(s)
     if s == 0.0:
         return 0.0, 1.0
-    r_in = _inner_radius(p, s)
+    sp, q = s * p, 0.5 * p
+    annular = p < 2.0 and sp < 0.0
+    start = max(0.0, 2.0 * math.log(-sp) / (2.0 - p)) if annular else 0.0
 
-    def g(r: float) -> float:
-        return r * r + s * p * r ** p - 1.0
+    def newton(v: float) -> tuple[float, float]:
+        e, t = math.exp(v), sp * math.exp(q * v)
+        return e + t - 1.0, (e + t - 1.0) / (e + q * t)
 
-    def dg(r: float) -> float:
-        return 2.0 * r + s * p * p * r ** (p - 1.0)
-
-    lo = max(r_in, 1e-12)
-    hi = 1.0 if s > 0.0 else max(1.0, lo)
-    if s < 0.0:
-        grown = 0
-        while g(hi) <= 0.0:
-            hi *= 2.0
-            grown += 1
-            if grown > 200:
-                raise NumericalError(
-                    f"outer radius bracket failed to expand: p={p}, s={s}"
-                )
-    if g(lo) > 0.0:
-        raise NumericalError(f"outer radius bracket invalid at p={p}, s={s}")
-
-    while hi - lo > 1e-8 * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if g(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    r = 0.5 * (lo + hi)
-    for _ in range(50):
-        step = g(r) / dg(r)
-        nxt = r - step
-        if not (lo <= nxt <= hi):
-            nxt = 0.5 * (lo + hi)
-        if g(nxt) <= 0.0:
-            lo = nxt
-        else:
-            hi = nxt
-        r = nxt
-        if abs(step) <= 1e-14 * max(1.0, r):
-            break
-    else:
-        raise NumericalError(f"outer radius Newton polish stalled: p={p}, s={s}")
-    return r_in, r
+    v, offset = min(start, _LOG_MAX), 1.0
+    g, step = newton(v)
+    while not g > 0.0 and v < _LOG_MAX:   # beyond _LOG_MAX, e^v overflows
+        v, offset = min(start + offset, _LOG_MAX), 2.0 * offset
+        g, step = newton(v)
+    while g > 0.0 and v - step != v:
+        v -= step
+        g, step = newton(v)
+    if not -2.0 * _LOG_MAX < v < _LOG_MAX:
+        raise NumericalError(f"outer radius leaves the doubles at p={p}, s={s}")
+    r = math.exp(0.5 * v)
+    r -= (r * r + sp * r ** p - 1.0) / (2.0 * r + sp * p * r ** (p - 1.0))
+    r_in = (-sp) ** (1.0 / (2.0 - p)) if annular else 0.0
+    return r_in, max(r, r_in)
 
 
 @dataclass(frozen=True)
@@ -207,13 +187,27 @@ def equilibrium_measure(p: float, s: float) -> EquilibriumMeasure:
     return EquilibriumMeasure(float(p), float(s), r_in, r_out)
 
 
-def typical_value(p: float, s: float) -> float:
-    """Value of the radial p-moment under the tilted equilibrium measure."""
+def _closed_form(what: str, p: float, s: float,
+                 terms: Callable[[float, float, float, float], float]) -> float:
+    """terms(p, s, r_in, R) at validated (p, s), or a NumericalError naming
+    p and s where it leaves the doubles (R^4 does from R of about 1e77)."""
     p = check_positive(p, "moment exponent p")
     r, radius = support_radii(p, s)
     s = float(s)
-    return (2.0 / (2.0 + p)) * (radius ** (p + 2.0) - r ** (p + 2.0)) \
-        + (s * p / 2.0) * (radius ** (2.0 * p) - r ** (2.0 * p))
+    try:
+        value = terms(p, s, r, radius)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise NumericalError(f"{what} leaves the doubles at p={p}, s={s}")
+    return value
+
+
+def typical_value(p: float, s: float) -> float:
+    """Value of the radial p-moment under the tilted equilibrium measure."""
+    return _closed_form("typical value", p, s, lambda p, s, r, radius:
+        (2.0 / (2.0 + p)) * (radius ** (p + 2.0) - r ** (p + 2.0))
+        + (s * p / 2.0) * (radius ** (2.0 * p) - r ** (2.0 * p)))
 
 
 def energy_excess(p: float, s: float) -> float:
@@ -223,13 +217,11 @@ def energy_excess(p: float, s: float) -> float:
     grows linearly with slope ``typical_value`` (it is the Legendre-type
     integral of the typical value in the tilt).
     """
-    p = check_positive(p, "moment exponent p")
-    r, radius = support_radii(p, s)
-    s = float(s)
-    return (radius ** 4 - r ** 4) / 8.0 \
-        + (4.0 * s + s * p * p) / (4.0 * (p + 2.0)) * (radius ** (p + 2.0) - r ** (p + 2.0)) \
-        + (s * s * p / 4.0) * (radius ** (2.0 * p) - r ** (2.0 * p)) \
-        + 0.5 * (radius ** 2 / 2.0 + s * radius ** p - math.log(radius) - 0.75)
+    return _closed_form("energy excess", p, s, lambda p, s, r, radius:
+        (radius ** 4 - r ** 4) / 8.0
+        + (4.0 * s + s * p * p) / (4.0 * (p + 2.0)) * (radius ** (p + 2.0) - r ** (p + 2.0))
+        + (s * s * p / 4.0) * (radius ** (2.0 * p) - r ** (2.0 * p))
+        + 0.5 * (radius ** 2 / 2.0 + s * radius ** p - math.log(radius) - 0.75))
 
 
 def _checked(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,

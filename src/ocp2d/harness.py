@@ -327,6 +327,8 @@ def cumulant_check(p: float, beta: float, n: int,
         trans = transition_order(p)
         top = 3 if trans.analytic else min(3, trans.order - 1)
         orders = tuple(range(1, top + 1))
+    if len(orders) == 0:
+        raise DomainError("cumulant orders must name at least one order, got none")
     # Forward second-order stencils on the positive-tilt side only: the
     # energy is analytic there for every p, whereas any stencil reaching
     # into s < 0 picks up the one-sided singular part at the transition

@@ -295,6 +295,8 @@ def test_verify_right_tail(tmp_path, capsys):
     (["verify", "transition", "--p", "1", "--step", "0"], "step"),
     (["verify", "transition", "--p", "1", "--step", "-0.01"], "step"),
     (["verify", "transition", "--p", "1", "--step", "nan"], "step"),
+    (["eq", "--p", "1.99", "--s", "-50"], "p=1.99, s=-50.0"),
+    (["rate", "moment", "--p", "1.99", "--grid=-3:-2:2"], "p=1.99, s=-3.0"),
 ])
 def test_out_of_domain_inputs_exit_one(tmp_path, capsys, args, word):
     out = tmp_path / "o.csv"
@@ -330,11 +332,13 @@ def test_command_writes_csv_header(tmp_path, capsys, args, config, header):
     assert (tmp_path / "o.svg").exists() == ("--svg" in args)
 
 
-def test_verify_mgf_rejects_other_couplings(capsys):
+def test_verify_mgf_rejects_other_couplings(tmp_path, capsys):
+    out = tmp_path / "o.csv"
     rc = run(["verify", "mgf", "--p", "1", "--beta", "4",
-              "--grid", "0.5:1:1", "--n", "25,50,100"])
+              "--grid", "0.5:1:1", "--n", "25,50,100", "--out", str(out)])
     assert rc == 1
-    capsys.readouterr()
+    assert "coupling 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --- config files ----------------------------------------------------------------
@@ -478,7 +482,7 @@ _PINNED_OUTPUTS = {
         "c3fc1c43974dea3ca7bb3e90a614cb441356dd85284b4967acecfd57068905c8",
         None),
     "verify transition --p 1 --svg": (
-        "57db03f96c574d0bdc2f8a27db4abfc5f74333ace3c197d895011933fefab5aa",
+        "ebe6134b012c8ed8e97d741b11040443830fe28fc5d03e5fa4dd2747963b5816",
         "b6587b56caf285fd6ee383d880b7fa475191f18dce2ff0b277d24100ccd23c48"),
     "fig 1 --n 20 --svg": (
         "6c7d4a12ac62fa6fd9ef68c3105a851b179d7fee08d58cf7313aab95145758bb",
@@ -487,10 +491,10 @@ _PINNED_OUTPUTS = {
         "7570c21b477e1c8040309e43c2506529446d1d4bc468a1d177045566daff102b",
         "595dab141485869c92d68f953ff884f082fd32bd3aa847c8f05dd6c85c61586c"),
     "fig 3 --n 12 --svg": (
-        "df33a73b72610c431baf62c4d9b5c21ff15cee5818298e592c40c06709232a77",
+        "b289e02cecc254b1acd1e838e5a50639169aab5249217006343593bcb25a58dd",
         "0de04035a603493080ab6f97d9b6328df5f2966659208b4c921fc9a78941edb0"),
     "fig 4 --n 12 --svg": (
-        "c4ca3eec5c40be8d8295369afadef9b94ec0499df5728b6499764faa2f994e2e",
+        "54dc2fffeac1d2a3c9452c5d06a0a9ed136ba0905d6a9309de4d6fc35622d866",
         "3bbaede666c00f081cd75878d0265d41679ca4be7270984b784bae797f24a82f"),
 }
 

@@ -1,6 +1,9 @@
 """Tilted equilibrium measures, their thermodynamics, and the transition ladder."""
 
 import math
+import random
+import re
+import sys
 
 import mpmath
 import numpy as np
@@ -27,6 +30,7 @@ from ocp2d import (
     transition_order,
     typical_value,
 )
+from ocp2d.exact import _modes
 
 
 # --- stability domains -------------------------------------------------------
@@ -83,6 +87,88 @@ def test_support_becomes_annular_for_weak_negative_tilt():
     rs = np.linspace(r_in, r_out, 50)
     dens = [measure.density(float(r)) for r in rs]
     assert min(dens) > 0.0
+
+
+def _reference_outer_radius(p, s):
+    """R from the 40-digit root in v = ln R^2 of e^v + s p e^{pv/2} - 1,
+    bisected between a point at or below it (ln r_in^2 on an annulus, where
+    the left side is -1) and the first point above it found by doubling."""
+    with mpmath.workdps(40):
+        P, S = mpmath.mpf(p), mpmath.mpf(s)
+        g = lambda v: mpmath.exp(v) + S * P * mpmath.exp(P * v / 2) - 1
+        if p < 2 and s < 0:
+            lo = 2 * mpmath.log(-S * P) / (2 - P)
+        else:
+            lo = mpmath.mpf(-1)
+            while g(lo) > 0:
+                lo *= 2
+        width = mpmath.mpf(1)
+        while g(lo + width) <= 0:
+            width *= 2
+        hi = lo + width
+        while hi - lo > mpmath.mpf(10) ** -36 * max(1, abs(lo)):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if g(mid) <= 0 else (lo, mid)
+        return mpmath.exp(lo / 2)
+
+
+def _sweep_cases(count, seed):
+    """(p, s) drawn as in the support-radius sweep: p from the listed
+    exponents and U(0.01, 8), s from U(-3, 5), U(-100, 100) and
+    +-10^U(-8, 6); s is clipped to s >= -0.4999 at p = 2 and replaced by
+    |s| at p > 2."""
+    rng = random.Random(seed)
+    fixed = [0.01, 0.1, 0.5, 1, 1.5, 1.9, 1.99, 1.999, 2, 3, 4, 8]
+    cases = []
+    for _ in range(count):
+        p = float(rng.choice(fixed + [rng.uniform(0.01, 8)]))
+        s = rng.choice([rng.uniform(-3, 5), rng.uniform(-100, 100),
+                        10 ** rng.uniform(-8, 6) * rng.choice([-1, 1])])
+        s = max(s, -0.4999) if p == 2 else abs(s) if p > 2 else s
+        cases.append((p, s))
+    return cases
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_support_radii_sweep_against_mpmath(seed):
+    # added cases: a disk of radius 2.04e-12, one of radius 2.5e-18, an
+    # annulus less than one ulp wide at r_in = 3.6e74, radii beyond the
+    # doubles (R^2 near 1e400, R near 1e-400) and two near their edges
+    cases = _sweep_cases(80, seed) + [
+        (0.3701637125820248, 57386.003410941725), (0.01, 150.0), (1.99, -2.797),
+        (1.99, -50.0), (1.99, -3.0), (0.01, 1e6), (8.0, 1e300)]
+    for p, s in cases:
+        ref = _reference_outer_radius(p, s)
+        if not (ref ** 2 < sys.float_info.max and ref >= sys.float_info.min):
+            with pytest.raises(NumericalError, match=re.escape(f"p={p}, s={s}")):
+                support_radii(p, s)
+            continue
+        r_in, r_out = support_radii(p, s)
+        assert abs(r_out - ref) <= 1e-12 * ref, (p, s)
+        assert r_out >= r_in
+
+
+def test_support_radii_solve_the_mode_equation_of_the_exact_mgf():
+    # in v = ln R^2 the outer radius is the mode of exact._modes at l = 1,
+    # c = 2s, q = p/2: disks, annuli, the quadratic tilt and p > 2
+    grid = [(p, s) for p in (0.3, 1.0, 1.5, 1.9) for s in (-1.0, -0.4, 0.5, 4.0, 60.0)] \
+        + [(2.0, s) for s in (-0.45, -0.2, 0.5, 4.0)] \
+        + [(p, s) for p in (3.0, 8.0) for s in (0.01, 1.0, 200.0)]
+    for p, s in grid:
+        mode = _modes(np.ones(1), np.array([2.0 * s]), p / 2.0, lambda mask: "")
+        r_out = support_radii(p, s)[1]
+        assert r_out ** 2 == pytest.approx(math.exp(mode[0]), rel=1e-14), (p, s)
+
+
+@pytest.mark.parametrize("f,p,s,radius", [
+    (typical_value, 1.99, -3.0, 3.96e77),       # R^4 overflows
+    (energy_excess, 1.99, -3.0, 3.96e77),
+    (energy_excess, 0.01, -1.0893039390979322e155, 8e76),  # a product does
+])
+def test_closed_forms_beyond_the_doubles_are_numerical_errors(f, p, s, radius):
+    assert support_radii(p, s)[1] == pytest.approx(radius, rel=1e-2)
+    with pytest.raises(NumericalError, match=re.escape(f"p={p}, s={s}")):
+        f(p, s)
 
 
 def test_equilibrium_measure_normalized():

@@ -217,6 +217,14 @@ def test_extract_subleading_quadratic_tilt_closed_form():
     assert got == pytest.approx(0.25 * math.log1p(2 * s), abs=1e-10)
 
 
+@pytest.mark.parametrize("s", [-0.3, 0.5, 2.0])
+def test_extract_subleading_fits_four_sizes_by_least_squares(s):
+    # four sizes take the least-squares branch, as in the README's
+    # verify mgf --n 50,100,200,400
+    got = extract_subleading(2.0, s, [25, 50, 100, 200])
+    assert got == pytest.approx(0.25 * math.log1p(2.0 * s), abs=1e-10)
+
+
 def test_extract_subleading_validation():
     with pytest.raises(DomainError):
         extract_subleading(1.0, 0.5, [25, 50])
@@ -256,6 +264,12 @@ def test_cumulant_check_skips_orders_beyond_transition():
 def test_cumulant_check_requesting_missing_order_raises():
     with pytest.raises(SingularityError):
         cumulant_check(0.5, 2.0, 50, orders=(3,))
+
+
+def test_cumulant_check_without_orders_is_a_domain_error():
+    # a check that checks nothing must not read as a pass
+    with pytest.raises(DomainError, match="at least one order"):
+        cumulant_check(1.0, 2.0, 10, orders=())
 
 
 def test_cumulant_check_differentiates_only_the_reported_orders(monkeypatch):
