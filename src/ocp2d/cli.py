@@ -390,7 +390,7 @@ def _cmd_verify(res: _Resolver, out: str):
                               "at coupling 2; rerun with --beta 2")
         sizes = res.require("n", lambda text: [int(k) for k in text.split(",")])
         grid = res.require("grid", _grid)
-        extracted = [harness.extract_subleading(p, s, sizes) for s in grid]
+        extracted = harness._subleading_fit(p, grid, sizes)  # both ascend in s
         predicted = [harness.subleading_coefficient(p, s, beta) for s in grid]
         residual = [e - q for e, q in zip(extracted, predicted)]
         table = {"s": grid, "extracted_coefficient": extracted,

@@ -133,7 +133,6 @@ def exact_moment(n: int, p: float) -> float:
 # sinh-sinh for mgf_log, exp-sinh and tanh-sinh for the truncated integral.
 
 _MGF_BLOCK = 32
-_GRID_ROWS = 1024  # (tilt, factor) rows per Newton solve in _mgf_grid
 _TOL = 1e-12      # absolute, on integrands of peak 1 (and unit width in mgf_log)
 _MAX_START_OFFSET = 512.0
 _NEWTON_STEPS = 300
@@ -205,8 +204,7 @@ def _mgf_grid(n: int, p: float, s_grid: Sequence[float]) -> list[MgfResult]:
     """mgf_log at every tilt of s_grid, in grid order, in one pass.
 
     Every tilt is checked against the stability domain first.  The factors
-    (tilt, l) of the nonzero tilts become rows: whole tilts of at most
-    _GRID_ROWS rows (one tilt when n is larger) share one Newton solve and
+    (tilt, l) of all nonzero tilts become the rows of one Newton solve and
     are integrated _MGF_BLOCK rows at a time, across tilt boundaries.  A
     tilt of 0 gives exactly MgfResult(n, p, 0.0, 0.0, 0.0).
     """
@@ -214,12 +212,7 @@ def _mgf_grid(n: int, p: float, s_grid: Sequence[float]) -> list[MgfResult]:
     p = check_positive(p, "moment exponent p")
     ss = [float(s) for s in s_grid]
     domain = stability_domain(p)
-    tilts = [domain.require(s) for s in ss if s != 0.0]
-    per_pass = max(1, _GRID_ROWS // n)
-    pairs = []
-    for i in range(0, len(tilts), per_pass):
-        pairs += _mgf_rows(n, p, tilts[i:i + per_pass])
-    found = iter(pairs)
+    found = iter(_mgf_rows(n, p, [domain.require(s) for s in ss if s != 0.0]))
     return [MgfResult(n, p, s, *next(found)) if s != 0.0
             else MgfResult(n, p, 0.0, 0.0, 0.0) for s in ss]
 
@@ -280,8 +273,9 @@ def mgf_log(n: int, p: float, s: float) -> MgfResult:
     / width takes the factors _MGF_BLOCK at a time, so memory stays
     O(_MGF_BLOCK x nodes).  A mode too far out for h to resolve its peak
     (v near 333 at n = 40, p = 1.99, s = -2.6) is a NumericalError.  This
-    is the grid routine _mgf_grid at one tilt, the route mgf_table takes
-    for a whole grid.
+    is _mgf_grid at one tilt.  Whole grids take _mgf_grid itself: `exact
+    mgf`, and mgf_table, on which fig 3, fig 4, extract_subleading and
+    `verify mgf` build.
     """
     return _mgf_grid(n, p, [s])[0]
 

@@ -28,7 +28,7 @@ from .equilibrium import (
     transition_order,
 )
 from .errors import DomainError, check_positive, check_size
-from .exact import _mgf_grid, edge_cdf_log, edge_pdf_log, mgf_log
+from .exact import _mgf_grid, edge_cdf_log, edge_pdf_log
 from .sampling import sample_kostlan, sample_mcmc
 
 __all__ = [
@@ -236,7 +236,8 @@ def mgf_table(n: int, p: float, s_grid: Sequence[float]) -> LdpTable:
     The whole grid goes through exact's grid routine in one pass; each row
     is the same bits as mgf_log(n, p, s) alone.  Extra columns: the
     magnified gap n (finite - limit), its predicted limit (the 1/n
-    coefficient at coupling 2), and the quadrature error estimate.
+    coefficient at coupling 2), and the quadrature error estimate.  The
+    1/n fit of extract_subleading reads the gap column, one table per size.
     """
     n = check_size(n, "particle number n")
     ss = sorted(float(s) for s in s_grid)
@@ -261,28 +262,26 @@ def mgf_table(n: int, p: float, s_grid: Sequence[float]) -> LdpTable:
     )
 
 
-def extract_subleading(p: float, s: float, n_list: Sequence[int]) -> float:
-    """Extrapolated limit of n (finite-n free energy - its n=inf limit).
-
-    Models the magnified gap as c1 + c2/n + c3/n^2; three sizes determine
-    the coefficients exactly (more are fitted by least squares) and c1 is
-    the extrapolated 1/n coefficient.
-    """
+def _subleading_fit(p: float, s_grid: Sequence[float],
+                    n_list: Sequence[int]) -> list[float]:
+    """c1 at every tilt of s_grid, ascending: one mgf_table per size, then
+    one least-squares fit of each tilt's gaps to c1 + c2/n + c3/n^2."""
     sizes = [check_size(n, "size n") for n in n_list]
     if len(sizes) < 3 or sorted(set(sizes)) != sizes:
         raise DomainError("need at least three strictly increasing sizes")
-    limit = energy_excess(p, s)
-    gaps = []
-    for n in sizes:
-        finite = -mgf_log(n, p, s).log_value / (2.0 * n * n)
-        gaps.append(n * (finite - limit))
-    a = np.array([[1.0, 1.0 / n, 1.0 / n**2] for n in sizes])
-    y = np.array(gaps)
-    if len(sizes) == 3:
-        coeff = np.linalg.solve(a, y)
-    else:
-        coeff, *_ = np.linalg.lstsq(a, y, rcond=None)
-    return float(coeff[0])
+    gaps = [mgf_table(n, p, s_grid).extra_columns["subleading_gap"] for n in sizes]
+    a = [[1.0, 1.0 / n, 1.0 / n**2] for n in sizes]
+    return np.linalg.lstsq(a, gaps, rcond=None)[0][0].tolist()
+
+
+def extract_subleading(p: float, s: float, n_list: Sequence[int]) -> float:
+    """Extrapolated limit of n (finite-n free energy - its n=inf limit).
+
+    Fits the magnified gap at each size to c1 + c2/n + c3/n^2 by least
+    squares (three sizes determine it exactly); c1 is the extrapolated 1/n
+    coefficient.  This is the one-tilt case of the grid fit of `verify mgf`.
+    """
+    return _subleading_fit(p, [s], n_list)[0]
 
 
 # --- cumulants ---------------------------------------------------------------

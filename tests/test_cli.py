@@ -470,8 +470,8 @@ _PINNED_OUTPUTS = {
         "5f70551f250d21ced49296a80ffe597fbaa596ba085bace12f668eae06de0972",
         "0725eaf60ab6c1d43de5b74b679771ceabfae610e0bb68f15efd084be0309bfe"),
     "verify mgf --n 10,20,40 --p 2 --grid 0.2:1:3 --svg": (
-        "e74dfe28f27d4eb706c18985e9b33e23e328b522448d8e0213196556586ce276",
-        "d8103b249073e9de926775e302dc8649bcd4651b6e4f633d01898efd1db1257e"),
+        "ad03207fbced585ee57995953d65b6ae242e929f975012a94ae094980bb54e52",
+        "ead25b231a31e92fe71ceeae96d4e9e140c0acf558132932df74f590d508d6dd"),
     "verify cumulants --p 2 --n 50 --svg": (
         "644c6314fcf7746350df3e1819131da69ab6ec2c9969d4866ec210a4b565d0f1",
         "72ea6c1a10a024f412cb8cdd3a4ff8049f756f547081060893932c350d61accb"),

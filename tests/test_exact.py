@@ -264,6 +264,12 @@ def test_mgf_log_mode_far_out_is_a_numerical_error():
         mgf_log(40, 1.999, -2.6)
 
 
+def test_mgf_grid_beyond_a_thousand_rows_equals_single_tilts():
+    # 2200 (tilt, factor) rows share one Newton solve and one block walk
+    ss = [0.5, -0.3]
+    assert exact._mgf_grid(1100, 1.0, ss) == [mgf_log(1100, 1.0, s) for s in ss]
+
+
 def test_mgf_grid_checks_every_tilt_before_any_work(monkeypatch):
     calls = []
     monkeypatch.setattr(exact, "_modes", lambda *a: calls.append("_modes"))

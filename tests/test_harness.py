@@ -10,6 +10,7 @@ from ocp2d import (
     LdpRow,
     NumericalError,
     LdpTable,
+    MgfResult,
     SingularityError,
     cumulant_check,
     edge_cdf_log,
@@ -193,20 +194,21 @@ def test_mgf_table_error_names_the_tilt():
         mgf_table(40, 1.99, [0.5, -2.6])
 
 
-def test_extract_subleading_exact_solve_on_synthetic_data(monkeypatch):
-    # plant a finite-size law with known 1/n coefficient; the three-point
-    # solve must recover it to machine precision
+@pytest.mark.parametrize("sizes", [[20, 40, 80], [20, 40, 80, 160],
+                                   [10, 20, 40, 80, 160]],
+                         ids=["3sizes", "4sizes", "5sizes"])
+def test_extract_subleading_exact_solve_on_synthetic_data(monkeypatch, sizes):
+    # plant a finite-size law with known 1/n coefficient; the least-squares
+    # fit must recover it to machine precision whatever the number of sizes
     import ocp2d.harness as hmod
 
-    def fake_mgf_log(n, p, s):
+    def fake_mgf_grid(n, p, s_grid):
         value = 0.3 + 0.8 / n - 1.7 / (n * n)
-        class R:
-            log_value = -2.0 * n * n * value
-        return R()
+        return [MgfResult(n, p, s, -2.0 * n * n * value, 0.0) for s in s_grid]
 
-    monkeypatch.setattr(hmod, "mgf_log", fake_mgf_log)
+    monkeypatch.setattr(hmod, "_mgf_grid", fake_mgf_grid)
     monkeypatch.setattr(hmod, "energy_excess", lambda p, s: 0.3)
-    got = hmod.extract_subleading(1.0, 0.5, [20, 40, 80])
+    got = hmod.extract_subleading(1.0, 0.5, sizes)
     assert got == pytest.approx(0.8, abs=1e-11)
 
 
@@ -219,10 +221,30 @@ def test_extract_subleading_quadratic_tilt_closed_form():
 
 @pytest.mark.parametrize("s", [-0.3, 0.5, 2.0])
 def test_extract_subleading_fits_four_sizes_by_least_squares(s):
-    # four sizes take the least-squares branch, as in the README's
-    # verify mgf --n 50,100,200,400
+    # four sizes, as in the README's verify mgf --n 50,100,200,400, take
+    # the same least-squares fit as three
     got = extract_subleading(2.0, s, [25, 50, 100, 200])
     assert got == pytest.approx(0.25 * math.log1p(2.0 * s), abs=1e-10)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_extract_subleading_at_zero_tilt_is_zero():
+    # an all-zero grid leaves the exact pass with no nonzero tilts
+    assert extract_subleading(1.0, 0.0, [10, 20, 40]) == 0.0
+
+
+def test_verify_mgf_cells_equal_extract_subleading(tmp_path, capsys):
+    # verify mgf fits the whole grid at once; each cell is the same bits as
+    # the one-tilt fit, on a grid that crosses s = 0 and contains it
+    sizes = [10, 20, 40]
+    out = tmp_path / "sub.csv"
+    assert run(["verify", "mgf", "--n", "10,20,40", "--p", "1", "--grid=-1:1:5",
+                "--out", str(out)]) == 0
+    capsys.readouterr()
+    cells = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [float(row[0]) for row in cells] == _grid("-1:1:5")
+    assert [float(row[1]) for row in cells] == \
+        [extract_subleading(1.0, s, sizes) for s in _grid("-1:1:5")]
 
 
 def test_extract_subleading_validation():
