@@ -114,10 +114,13 @@ def support_radii(p: float, s: float) -> tuple[float, float]:
     is g(v) = e^v + s p e^{pv/2} - 1 = 0, the mode equation of `exact._modes`
     at l = 1, c = 2s, q = p/2.  Where g > 0, g is increasing and convex (on
     an annulus e^v > |s p| e^{pv/2} there, and p/2 < 1), so Newton from the
-    first v = max(0, ln r_in^2) + 0, 1, 2, 4, ... with g > 0 descends onto
-    the root without overshooting, until v stops moving; one Newton step in
-    r then removes the rounding of e^{v/2}.  An R^2 above the largest
-    double, or an R below its reciprocal, is a NumericalError.
+    first v = start + 0, 1, 2, 4, ... with g > 0 descends onto the root
+    without overshooting, until v stops moving; one Newton step in r then
+    removes the rounding of e^{v/2}.  The start is max(0, ln r_in^2) on an
+    annulus; on a disk it is -(2/p) ln(s p) where s p > 1, at which
+    s p e^{pv/2} = 1 and g = e^v > 0, so a huge tilt takes a few steps, not
+    one per 2/p of ln(s p); else 0.  An R^2 above the largest double, or an
+    R below its reciprocal, is a NumericalError.
     """
     p = check_positive(p, "moment exponent p")
     s = stability_domain(p).require(s)
@@ -125,7 +128,10 @@ def support_radii(p: float, s: float) -> tuple[float, float]:
         return 0.0, 1.0
     sp, q = s * p, 0.5 * p
     annular = p < 2.0 and sp < 0.0
-    start = max(0.0, 2.0 * math.log(-sp) / (2.0 - p)) if annular else 0.0
+    if annular:
+        start = max(0.0, 2.0 * math.log(-sp) / (2.0 - p))
+    else:
+        start = -2.0 * math.log(sp) / p if sp > 1.0 else 0.0
 
     def newton(v: float) -> tuple[float, float]:
         e, t = math.exp(v), sp * math.exp(q * v)

@@ -46,27 +46,55 @@ def _log_factorials(m: int) -> np.ndarray:
     return table[:m]
 
 
-def _edge_factors(n: int, y: float) -> tuple[np.ndarray, np.ndarray]:
-    """ln pmf_j(y) for j = 0..n-1 and ln P(k, y) for k = 1..n, at y > 0.
+def _edge_factors(n: int, y: float) -> tuple[int, np.ndarray, np.ndarray]:
+    """ln pmf_j(y) for j = k0..n-1 and ln P(k, y) for k = k0+1..n at y > 0,
+    with the offset k0: the band of edge factors that carries digits.
 
     At integer shape P(k, y) = Pr[Poisson(y) >= k], so every factor comes
-    from one Poisson log-pmf array.  Factors with k <= y take log1p(-Q) with
-    Q the lower cumulative sum; the rest take the upper tail, summed from
-    the far end.  The upper tail is needed only when y < n, and its terms
-    past n + 40 sqrt(n) + 60 fall below e^{-800} pmf_k for every k <= n, so
-    the arrays stay O(n) whatever x is.
+    from one Poisson log-pmf array, here over [k0, top).  Factors with
+    k <= y take log1p(-Q), Q = Pr[Poisson(y) < k] summed from j = k0; the
+    rest take the upper tail, summed from top down.  Away from the edge
+    x = 1 the band is O(sqrt(n)) wide besides the factors y < k <= n, which
+    all carry digits.
+
+    top: the upper tail is needed only when y < n.  For j >= n,
+    pmf_{j+1}/pmf_j <= y/(n+1) = e^{-L}, so from n + 45/L on its terms fall
+    below e^{-45} pmf_n <= e^{-45} P(k, y) for every k <= n, and past the
+    cap n + 40 sqrt(n) + 60, which binds where y is near n, below
+    e^{-800} pmf_n.
+
+    k0: take the anchor a = min(n - 1, floor(y)).  The factor a + 1 makes
+    |ln F| >= pmf_a, and the density's hazard sum >= pmf_a.  The mass left
+    out below the band, T = Pr[Poisson(y) < k0], bounds each left-out Q_k
+    and the error of each Q_k summed from k0, and P(k, y) >= 1/2 for k <= y,
+    so T <= 2^-60/n pmf_a, i.e. ln(pmf_a/T) >= nats = 60 ln 2 + ln n, moves
+    ln F by under 2^-58 |ln F|.  With d = a + 1 - k0, T/pmf_a is at most
+    r^d/(1 - r) by the geometric decay r = a/y of the pmf below a, and at
+    most e^{-(d-1)^2/(2y)} (1 + y) by its Gaussian decay; d is the smaller
+    width that meets nats, the Gaussian one about sqrt(2 nats y).
     """
     if not math.isfinite(y):
         raise DomainError(f"n x^2 must be finite, got {y}")
     lower = min(n, math.floor(y))
-    top = n if lower == n else n + int(40.0 * math.sqrt(n)) + 60
-    j = np.arange(top, dtype=float)
-    log_pmf = j * math.log(y) - y - _log_factorials(top)
-    log_p = np.empty(n)
-    log_q = np.logaddexp.accumulate(log_pmf[:lower])
-    log_p[:lower] = np.log1p(-np.exp(log_q))
-    log_p[lower:] = np.logaddexp.accumulate(log_pmf[:lower:-1])[::-1][:n - lower]
-    return log_pmf[:n], log_p
+    top = n
+    if lower < n:
+        tail = math.ceil(45.0 / math.log((n + 1) / y))
+        top += max(1, min(tail, int(40.0 * math.sqrt(n)) + 60))
+    anchor = min(n - 1, lower)
+    nats = 60.0 * math.log(2.0) + math.log(n)
+    width = 1 + math.ceil(math.sqrt(2.0 * y * (nats + math.log1p(y))))
+    if 0 < anchor < y:
+        r = anchor / y
+        width = min(width, math.ceil((nats - math.log1p(-r)) / -math.log(r)))
+    k0 = max(0, anchor + 1 - width)
+    j = np.arange(k0, top, dtype=float)
+    log_pmf = j * math.log(y) - y - _log_factorials(top)[k0:]
+    log_p = np.empty(n - k0)
+    log_q = np.logaddexp.accumulate(log_pmf[:lower - k0])
+    log_p[:lower - k0] = np.log1p(-np.exp(log_q))
+    log_p[lower - k0:] = np.logaddexp.accumulate(
+        log_pmf[:lower - k0:-1])[::-1][:n - lower]
+    return k0, log_pmf[:n - k0], log_p
 
 
 def edge_cdf_log(n: int, x: float) -> float:
@@ -82,14 +110,14 @@ def edge_cdf_log(n: int, x: float) -> float:
     y = n * x * x
     if y == 0.0:
         return -math.inf
-    return float(_edge_factors(n, y)[1].sum())
+    return float(_edge_factors(n, y)[2].sum())
 
 
 def edge_pdf_log(n: int, x: float) -> float:
     """ln of the probability density of the farthest particle radius.
 
     d/dy P(k, y) = pmf_{k-1}(y), so the density is 2 n x F(x) times
-    sum_k pmf_{k-1} / P(k, y), on the same factor arrays as the CDF.
+    sum_k pmf_{k-1} / P(k, y), on the same band of factors as the CDF.
     Returns -inf where n x^2 underflows to 0.
     """
     n = check_size(n, "particle number n")
@@ -97,7 +125,7 @@ def edge_pdf_log(n: int, x: float) -> float:
     y = n * x * x
     if y == 0.0:
         return -math.inf
-    log_pmf, log_p = _edge_factors(n, y)
+    _, log_pmf, log_p = _edge_factors(n, y)
     terms = log_pmf - log_p
     peak = float(terms.max())
     log_sum = peak + math.log(float(np.exp(terms - peak).sum()))

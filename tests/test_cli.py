@@ -491,10 +491,10 @@ _PINNED_OUTPUTS = {
         "7570c21b477e1c8040309e43c2506529446d1d4bc468a1d177045566daff102b",
         "595dab141485869c92d68f953ff884f082fd32bd3aa847c8f05dd6c85c61586c"),
     "fig 3 --n 12 --svg": (
-        "b289e02cecc254b1acd1e838e5a50639169aab5249217006343593bcb25a58dd",
+        "2e0a09204d004d398aed59d036efd4f1990a688e632c5a6c72111a0413318b46",
         "0de04035a603493080ab6f97d9b6328df5f2966659208b4c921fc9a78941edb0"),
     "fig 4 --n 12 --svg": (
-        "54dc2fffeac1d2a3c9452c5d06a0a9ed136ba0905d6a9309de4d6fc35622d866",
+        "d4f09e0d4179b9ff38bf55aef6e21ad1db21b7c2f1e953405737defe31437a14",
         "3bbaede666c00f081cd75878d0265d41679ca4be7270984b784bae797f24a82f"),
 }
 

@@ -69,7 +69,7 @@ def test_support_radii_untilted_is_unit_disk():
 
 def test_support_radii_quadratic_tilt_closed_form():
     # outer radius solves R^2 (1 + 2s) = 1 when the tilt is quadratic
-    for s in (-0.3, 0.2, 1.0, 4.0):
+    for s in (-0.3, 0.2, 1.0, 4.0, 1e300):
         r_in, r_out = support_radii(2.0, s)
         assert r_in == 0.0
         assert r_out == pytest.approx(1.0 / math.sqrt(1.0 + 2.0 * s), rel=1e-12)
@@ -133,10 +133,11 @@ def _sweep_cases(count, seed):
 def test_support_radii_sweep_against_mpmath(seed):
     # added cases: a disk of radius 2.04e-12, one of radius 2.5e-18, an
     # annulus less than one ulp wide at r_in = 3.6e74, radii beyond the
-    # doubles (R^2 near 1e400, R near 1e-400) and two near their edges
+    # doubles (R^2 near 1e400, R near 1e-400), two near their edges, and a
+    # disk of radius 1e-300 whose e^v underflows at the Newton start
     cases = _sweep_cases(80, seed) + [
         (0.3701637125820248, 57386.003410941725), (0.01, 150.0), (1.99, -2.797),
-        (1.99, -50.0), (1.99, -3.0), (0.01, 1e6), (8.0, 1e300)]
+        (1.99, -50.0), (1.99, -3.0), (0.01, 1e6), (8.0, 1e300), (1.0, 1e300)]
     for p, s in cases:
         ref = _reference_outer_radius(p, s)
         if not (ref ** 2 < sys.float_info.max and ref >= sys.float_info.min):

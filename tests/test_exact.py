@@ -15,6 +15,7 @@ from ocp2d import (
     exact_moment,
     log_truncated_gamma_integral,
     mgf_log,
+    specfun,
 )
 
 mpmath.mp.dps = 40
@@ -28,13 +29,45 @@ def mp_edge_cdf_log(n, x):
     return total
 
 
+def mp_edge_pdf_log(n, x):
+    """ln(2 n x) + ln F + ln sum_k pmf_{k-1}(y) / P(k, y), y = n x^2."""
+    y = mpmath.mpf(n) * mpmath.mpf(x) ** 2
+    factors = [mpmath.gammainc(k, 0, y, regularized=True) for k in range(1, n + 1)]
+    hazard = mpmath.fsum(mpmath.exp((k - 1) * mpmath.log(y) - y - mpmath.loggamma(k)) / f
+                         for k, f in enumerate(factors, start=1))
+    return (mpmath.log(2 * n * mpmath.mpf(x)) + mpmath.fsum(mpmath.log(f) for f in factors)
+            + mpmath.log(hazard))
+
+
 # --- edge CDF ---------------------------------------------------------------
 
+# (2000, 0.99) and (2000, 1.01) lie within 1/sqrt(n) of the edge, where the
+# Gaussian bound sets the low end of the band of factors
 @pytest.mark.parametrize("n,x", [(5, 0.6), (30, 0.8), (30, 1.1), (100, 0.95),
-                                 (2000, 0.3), (2000, 0.9), (250, 1.05)])
+                                 (2000, 0.3), (2000, 0.9), (250, 1.05),
+                                 (2000, 0.99), (2000, 1.01)])
 def test_edge_cdf_log_against_mpmath(n, x):
     want = float(mp_edge_cdf_log(n, x))
     assert edge_cdf_log(n, x) == pytest.approx(want, rel=1e-11, abs=1e-11)
+
+
+@pytest.mark.parametrize("x", [0.9, 0.97, 1.03])
+def test_edge_cdf_log_at_n5000_equals_the_sum_of_scalar_factors(x):
+    # an independent route at a size the 40-digit oracle is too slow for:
+    # one specfun call per factor, summed exactly; at x = 1.03 both routes
+    # agree with mpmath only to about 1e-12 relative
+    n = 5000
+    y = n * x * x
+    want = math.fsum(specfun.log_reg_lower_gamma(k, y) for k in range(1, n + 1))
+    assert edge_cdf_log(n, x) == pytest.approx(want, rel=1e-11, abs=1e-11)
+
+
+def test_edge_band_stays_narrow_away_from_the_edge():
+    # at y = 45000 > n only the factors within a few dozen of k = n carry
+    # digits, so the band does not grow with n
+    n = 20000
+    k0, log_pmf, log_p = exact._edge_factors(n, n * 1.5 ** 2)
+    assert len(log_pmf) == len(log_p) == n - k0 < 200
 
 
 def test_edge_cdf_log_deep_tail_stays_finite():
@@ -63,13 +96,18 @@ def test_edge_cdf_log_validation():
 
 
 def test_edge_cdf_log_far_right_is_zero():
-    # y = n x^2 = 2.5e14: the factor arrays are sized by n, not by y
+    # y = n x^2 = 2.5e14: the band holds the top two factors, not O(y) terms
     assert edge_cdf_log(250, 1e6) == 0.0
 
 
 def test_edge_law_where_n_x2_underflows():
     assert edge_cdf_log(10, 1e-200) == -math.inf
     assert edge_pdf_log(10, 1e-200) == -math.inf
+    # y = 1.04e-322 is subnormal, so (n + 1)/y overflows: the upper tail
+    # still keeps its first term
+    y = 10 * 3.2e-162 * 3.2e-162
+    want = math.fsum(specfun.log_reg_lower_gamma(k, y) for k in range(1, 11))
+    assert edge_cdf_log(10, 3.2e-162) == pytest.approx(want, rel=1e-12)
 
 
 # --- edge pdf ----------------------------------------------------------------
@@ -84,6 +122,11 @@ def test_edge_pdf_log_is_cdf_derivative(n, x):
         )
     )
     assert edge_pdf_log(n, x) == pytest.approx(want, rel=1e-5, abs=1e-5)
+
+
+@pytest.mark.parametrize("n,x", [(250, 1.05), (250, 2.5), (2000, 1.2)])
+def test_edge_pdf_log_against_mpmath(n, x):
+    assert edge_pdf_log(n, x) == pytest.approx(float(mp_edge_pdf_log(n, x)), rel=1e-10)
 
 
 def test_edge_pdf_log_integrates_to_one():

@@ -203,7 +203,12 @@ def test_kostlan_cut_keeps_the_exact_path_rare(n):
     # over y near n this stays below 1e-3 at the production cut
     a = sampling._skipped_shapes(n)
     ys = [y for y in n + math.sqrt(n) * np.linspace(-6.0, 4.0, 41) if y > a]
-    rate = min(math.exp(float(_edge_factors(n, y)[1][a:].sum()))
+
+    def log_top_factors(y):   # the factors k > a of the edge band at y
+        k0, _, log_p = _edge_factors(n, y)
+        return float(log_p[max(a - k0, 0):].sum())
+
+    rate = min(math.exp(log_top_factors(y))
                + math.exp(sampling._tail_log_bound(a, y)) for y in ys)
     assert rate <= 1e-3
 
