@@ -119,7 +119,8 @@ def support_radii(p: float, s: float) -> tuple[float, float]:
     removes the rounding of e^{v/2}.  The start is max(0, ln r_in^2) on an
     annulus; on a disk it is -(2/p) ln(s p) where s p > 1, at which
     s p e^{pv/2} = 1 and g = e^v > 0, so a huge tilt takes a few steps, not
-    one per 2/p of ln(s p); else 0.  An R^2 above the largest double, or an
+    one per 2/p of ln(s p); else 0.  Where s p itself overflows the walk
+    goes to _outer_radius_in_logs.  An R^2 above the largest double, or an
     R below its reciprocal, is a NumericalError.
     """
     p = check_positive(p, "moment exponent p")
@@ -127,6 +128,8 @@ def support_radii(p: float, s: float) -> tuple[float, float]:
     if s == 0.0:
         return 0.0, 1.0
     sp, q = s * p, 0.5 * p
+    if sp == math.inf:
+        return 0.0, _outer_radius_in_logs(p, s)
     annular = p < 2.0 and sp < 0.0
     if annular:
         start = max(0.0, 2.0 * math.log(-sp) / (2.0 - p))
@@ -151,6 +154,28 @@ def support_radii(p: float, s: float) -> tuple[float, float]:
     r -= (r * r + sp * r ** p - 1.0) / (2.0 * r + sp * p * r ** (p - 1.0))
     r_in = (-sp) ** (1.0 / (2.0 - p)) if annular else 0.0
     return r_in, max(r, r_in)
+
+
+def _outer_radius_in_logs(p: float, s: float) -> float:
+    """The outer radius of a disk whose s p overflows (p > 1, s near the
+    largest double): support_radii's Newton in v with s p e^{pv/2} carried
+    as e^{ln s + ln p + pv/2}, from v = -(2/p) ln(s p), where that is 1 and
+    g = e^v > 0.  ln(s p) is rounded near 710, so R is good to about 1e-13.
+    """
+    log_sp, q = math.log(s) + math.log(p), 0.5 * p
+
+    def newton(v: float) -> tuple[float, float]:
+        e, t = math.exp(v), math.exp(log_sp + q * v)
+        return e + t - 1.0, (e + t - 1.0) / (e + q * t)
+
+    v = -log_sp / q
+    g, step = newton(v)
+    while g > 0.0 and v - step != v:
+        v -= step
+        g, step = newton(v)
+    if not -2.0 * _LOG_MAX < v:
+        raise NumericalError(f"outer radius leaves the doubles at p={p}, s={s}")
+    return math.exp(0.5 * v)
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,17 @@ def _log_factorials(m: int) -> np.ndarray:
     return table[:m]
 
 
+def _tail_steps(nats: float, rate: float, m: int, grow: float) -> int:
+    """Fewest steps d from an anchor over which the Poisson log-pmf falls by
+    nats, its first step falling by rate.  The log-pmf is concave: each later
+    step falls at least 1/M more, M = m + grow d (grow 1 up, 0 down), so d
+    steps fall at least d rate + d (d - 1)/(2 M).  Times 2 M that is a
+    quadratic in d; its positive root is taken in the form that does not cancel."""
+    a, b = 2.0 * grow * rate + 1.0, 2.0 * m * rate - 2.0 * grow * nats - 1.0
+    c = 2.0 * m * nats
+    return math.ceil(2.0 * c / (b + math.sqrt(b * b + 4.0 * a * c)))
+
+
 def _edge_factors(n: int, y: float) -> tuple[int, np.ndarray, np.ndarray]:
     """ln pmf_j(y) for j = k0..n-1 and ln P(k, y) for k = k0+1..n at y > 0,
     with the offset k0: the band of edge factors that carries digits.
@@ -53,40 +64,28 @@ def _edge_factors(n: int, y: float) -> tuple[int, np.ndarray, np.ndarray]:
     At integer shape P(k, y) = Pr[Poisson(y) >= k], so every factor comes
     from one Poisson log-pmf array, here over [k0, top).  Factors with
     k <= y take log1p(-Q), Q = Pr[Poisson(y) < k] summed from j = k0; the
-    rest take the upper tail, summed from top down.  Away from the edge
-    x = 1 the band is O(sqrt(n)) wide besides the factors y < k <= n, which
-    all carry digits.
+    rest take the upper tail, summed from top down.
 
-    top: the upper tail is needed only when y < n.  For j >= n,
-    pmf_{j+1}/pmf_j <= y/(n+1) = e^{-L}, so from n + 45/L on its terms fall
-    below e^{-45} pmf_n <= e^{-45} P(k, y) for every k <= n, and past the
-    cap n + 40 sqrt(n) + 60, which binds where y is near n, below
-    e^{-800} pmf_n.
-
-    k0: take the anchor a = min(n - 1, floor(y)).  The factor a + 1 makes
-    |ln F| >= pmf_a, and the density's hazard sum >= pmf_a.  The mass left
-    out below the band, T = Pr[Poisson(y) < k0], bounds each left-out Q_k
-    and the error of each Q_k summed from k0, and P(k, y) >= 1/2 for k <= y,
-    so T <= 2^-60/n pmf_a, i.e. ln(pmf_a/T) >= nats = 60 ln 2 + ln n, moves
-    ln F by under 2^-58 |ln F|.  With d = a + 1 - k0, T/pmf_a is at most
-    r^d/(1 - r) by the geometric decay r = a/y of the pmf below a, and at
-    most e^{-(d-1)^2/(2y)} (1 + y) by its Gaussian decay; d is the smaller
-    width that meets nats, the Gaussian one about sqrt(2 nats y).
+    Each end is _tail_steps from an anchor.  Beyond a cut the pmf ratio is
+    under 1 - 1/(1 + y), so the mass dropped is at most (1 + y) times the
+    first term dropped: at most 2^-60/n times the anchor term, with nats =
+    60 ln 2 + ln n + ln(1 + y).  top (only if y < n): anchor n, first ratio
+    y/(n + 1); pmf_n is below every upper-tail factor and -ln F > 0.45, so
+    ln F moves by under 2^-58 of itself.  k0: anchor a = min(n - 1,
+    floor(y)), first ratio a/y (k0 = 0 at a = 0); |ln F| and the density's
+    hazard sum are at least pmf_a, and P(k, y) >= 1/2 for k <= y, so each
+    moves by under 2^-59 of itself.
     """
     if not math.isfinite(y):
         raise DomainError(f"n x^2 must be finite, got {y}")
     lower = min(n, math.floor(y))
+    nats = 60.0 * math.log(2.0) + math.log(n) + math.log1p(y)
     top = n
-    if lower < n:
-        tail = math.ceil(45.0 / math.log((n + 1) / y))
-        top += max(1, min(tail, int(40.0 * math.sqrt(n)) + 60))
+    if lower < n:   # ln((n + 1)/y), which a subnormal y would overflow
+        top += _tail_steps(nats, math.log(n + 1.0) - math.log(y), n, 1.0)
     anchor = min(n - 1, lower)
-    nats = 60.0 * math.log(2.0) + math.log(n)
-    width = 1 + math.ceil(math.sqrt(2.0 * y * (nats + math.log1p(y))))
-    if 0 < anchor < y:
-        r = anchor / y
-        width = min(width, math.ceil((nats - math.log1p(-r)) / -math.log(r)))
-    k0 = max(0, anchor + 1 - width)
+    k0 = 0 if anchor == 0 else max(0, anchor + 1 - _tail_steps(
+        nats, math.log(y / anchor), anchor, 0.0))
     j = np.arange(k0, top, dtype=float)
     log_pmf = j * math.log(y) - y - _log_factorials(top)[k0:]
     log_p = np.empty(n - k0)

@@ -52,6 +52,7 @@ __all__ = [
 
 _EPS = 2.220446049250313e-16
 _MAX_SCAN_ORDER = 6  # one-sided differences drown in roundoff beyond this
+_JUMP_RATIO = 0.75   # a gap that halving h shrinks by less is a jump
 
 
 def _map_ordered(fn: Callable, items: Sequence) -> list:
@@ -449,8 +450,10 @@ def transition_scan(p: float, s_window: float = 0.45,
     default, clamped so all nodes stay inside the window.  A jump is
     declared when the refined two-sided gap stays above the roundoff floor
     and does not shrink like a truncation artifact (ratio >= 0.75).  The
-    report is ``resolvable`` unless the expected order lies above the cap
-    or its jumps at the step used fall under their roundoff floor.
+    report is ``resolvable`` unless the expected order m lies above the cap,
+    or its jumps at the step used fall under their roundoff floor, or the
+    order below it has a cusp |s|^g, g = 4/(2-p) - (m-1) <= log2(4/3): its
+    gap shrinks by only 2^-g >= 0.75 when h halves, so it reads as a jump.
     """
     p = float(p)
     if not (0.0 < p <= 2.0):
@@ -475,14 +478,16 @@ def transition_scan(p: float, s_window: float = 0.45,
         left2, _ = _onesided_derivative(p, order, 0.5 * h, -1)
         jump2 = right2 - left2
         floor = 100.0 * _EPS * 4.0 * (noise_r + noise_l)
-        stable = abs(jump2) >= 0.75 * abs(jump)
+        stable = abs(jump2) >= _JUMP_RATIO * abs(jump)
         discontinuous = bool(stable and abs(jump2) > floor and abs(jump) > floor)
         rows.append(TransitionRow(order, h, left, right, jump, jump2, floor,
                                   discontinuous))
-    # The expected order is resolved only if it was scanned and both of its
-    # jumps clear its own roundoff floor; a user step can push them under.
+    # The expected order is resolved only if it was scanned, the order below
+    # it shrinks faster than the jump cut, and both of its jumps clear its own
+    # roundoff floor; a user step can push them under.
     last = rows[-1]
     resolvable = trans.analytic or (
         expected <= _MAX_SCAN_ORDER
+        and 2.0 ** -(4.0 / (2.0 - p) - (expected - 1)) < _JUMP_RATIO
         and min(abs(last.jump), abs(last.jump_refined)) > last.noise_floor)
     return TransitionReport(p, expected, resolvable, tuple(rows))

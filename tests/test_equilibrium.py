@@ -133,11 +133,17 @@ def _sweep_cases(count, seed):
 def test_support_radii_sweep_against_mpmath(seed):
     # added cases: a disk of radius 2.04e-12, one of radius 2.5e-18, an
     # annulus less than one ulp wide at r_in = 3.6e74, radii beyond the
-    # doubles (R^2 near 1e400, R near 1e-400), two near their edges, and a
-    # disk of radius 1e-300 whose e^v underflows at the Newton start
+    # doubles (R^2 near 1e400, R near 1e-400 and 4e-616), two near their
+    # edges, a disk of radius 1e-300 whose e^v underflows at the Newton
+    # start, and three disks whose s p overflows a double
+    huge = {(8.0, 1e308): 2.438449420228684e-39, (3.0, 1e308): 1.4938015821857216e-103,
+            (2.0, 1e308): 7.0710678118654752e-155}
     cases = _sweep_cases(80, seed) + [
         (0.3701637125820248, 57386.003410941725), (0.01, 150.0), (1.99, -2.797),
-        (1.99, -50.0), (1.99, -3.0), (0.01, 1e6), (8.0, 1e300), (1.0, 1e300)]
+        (1.99, -50.0), (1.99, -3.0), (0.01, 1e6), (8.0, 1e300), (1.0, 1e300),
+        (0.5, 1e308), *huge]
+    for (p, s), want in huge.items():
+        assert support_radii(p, s)[1] == pytest.approx(want, rel=1e-13)
     for p, s in cases:
         ref = _reference_outer_radius(p, s)
         if not (ref ** 2 < sys.float_info.max and ref >= sys.float_info.min):

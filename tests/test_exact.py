@@ -1,8 +1,10 @@
 """Exact determinantal formulas: edge law, moments, and the tilted partition ratio."""
 
 import math
+import random
 
 import mpmath
+import numpy as np
 import pytest
 
 from ocp2d import (
@@ -42,10 +44,12 @@ def mp_edge_pdf_log(n, x):
 # --- edge CDF ---------------------------------------------------------------
 
 # (2000, 0.99) and (2000, 1.01) lie within 1/sqrt(n) of the edge, where the
-# Gaussian bound sets the low end of the band of factors
+# band of factors reaches furthest on both sides of k = n; at n = 1, 2, 3
+# near the edge its upper tail is many times n terms long
 @pytest.mark.parametrize("n,x", [(5, 0.6), (30, 0.8), (30, 1.1), (100, 0.95),
                                  (2000, 0.3), (2000, 0.9), (250, 1.05),
-                                 (2000, 0.99), (2000, 1.01)])
+                                 (2000, 0.99), (2000, 1.01),
+                                 (1, 0.9), (2, 0.95), (3, 0.99)])
 def test_edge_cdf_log_against_mpmath(n, x):
     want = float(mp_edge_cdf_log(n, x))
     assert edge_cdf_log(n, x) == pytest.approx(want, rel=1e-11, abs=1e-11)
@@ -68,6 +72,47 @@ def test_edge_band_stays_narrow_away_from_the_edge():
     n = 20000
     k0, log_pmf, log_p = exact._edge_factors(n, n * 1.5 ** 2)
     assert len(log_pmf) == len(log_p) == n - k0 < 200
+
+
+def test_edge_band_near_the_edge_is_a_few_sqrt_n_wide(monkeypatch):
+    # the band is [k0, top): the pmf table is read up to top, one ln k! per term
+    tops = []
+    table = exact._log_factorials
+    monkeypatch.setattr(exact, "_log_factorials", lambda m: tops.append(m) or table(m))
+    for n, most in ((250, 430), (2000, 1180)):
+        k0, _, _ = exact._edge_factors(n, n * 0.99 ** 2)
+        assert tops[-1] - k0 <= most
+
+
+def _full_edge_law(n, x, log_factorials):
+    """ln F and the log-density of the edge law from the whole Poisson
+    log-pmf over [0, n + 60 sqrt(n) + 200), with no band."""
+    y = n * x * x
+    top = int(n + 60.0 * math.sqrt(n) + 200.0)
+    log_pmf = np.arange(top) * math.log(y) - y - log_factorials[:top]
+    lower = min(n, math.floor(y))
+    log_p = np.empty(n)
+    log_p[:lower] = np.log1p(-np.exp(np.logaddexp.accumulate(log_pmf[:lower])))
+    log_p[lower:] = np.logaddexp.accumulate(log_pmf[::-1])[::-1][lower + 1:n + 1]
+    terms = log_pmf[:n] - log_p
+    peak = terms.max()
+    hazard = peak + math.log(np.exp(terms - peak).sum())
+    return log_p.sum(), math.log(2.0 * n * x) + log_p.sum() + hazard
+
+
+def test_edge_band_carries_every_digit_of_the_full_arrays():
+    rng = random.Random(2256)
+    size = lambda: min(3000, round(math.exp(rng.uniform(0.0, math.log(3000.0)))))
+    points = [(size(), rng.uniform(0.05, 3.0)) for _ in range(150)]
+    for _ in range(126):
+        n = size()
+        points.append((n, 1.0 + rng.uniform(-1.0, 1.0) / math.sqrt(n)))
+    points += [(n, x) for n in (1, 2, 3, 4) for x in (0.9, 0.95, 0.99, 1.0, 1.01, 1.05)]
+    log_factorials = np.array([math.lgamma(k + 1.0) for k in range(10_000)])
+    for n, x in points:
+        cdf, pdf = _full_edge_law(n, x, log_factorials)
+        assert abs(edge_cdf_log(n, x) - cdf) <= 1e-15 * abs(cdf), (n, x)
+        assert abs(edge_pdf_log(n, x) - pdf) <= 1e-14 * max(1.0, abs(pdf)), (n, x)
 
 
 def test_edge_cdf_log_deep_tail_stays_finite():
@@ -103,8 +148,8 @@ def test_edge_cdf_log_far_right_is_zero():
 def test_edge_law_where_n_x2_underflows():
     assert edge_cdf_log(10, 1e-200) == -math.inf
     assert edge_pdf_log(10, 1e-200) == -math.inf
-    # y = 1.04e-322 is subnormal, so (n + 1)/y overflows: the upper tail
-    # still keeps its first term
+    # y = 1.04e-322 is subnormal, so (n + 1)/y overflows: the top of the
+    # band comes from ln(n + 1) - ln y, which does not
     y = 10 * 3.2e-162 * 3.2e-162
     want = math.fsum(specfun.log_reg_lower_gamma(k, y) for k in range(1, 11))
     assert edge_cdf_log(10, 3.2e-162) == pytest.approx(want, rel=1e-12)

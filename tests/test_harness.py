@@ -375,6 +375,17 @@ def test_transition_scan_reports_an_order_it_did_not_resolve():
     assert not transition_scan(1.5).resolvable
 
 
+def test_transition_scan_calls_only_the_expected_order_resolvable():
+    # below the expected order m lies a cusp |s|^g, g = 4/(2-p) - (m-1); where
+    # g <= log2(4/3) halving h shrinks its gap by no more than the 0.75 cut,
+    # so it reads as a jump (p = 0.05-0.3, 0.7-0.8, 1.05 and 1.25 here)
+    for p in (round(0.05 * i, 2) for i in range(1, 40)):
+        report = transition_scan(p)
+        if report.resolvable:
+            assert report.detected_order == report.expected_order, p
+    assert not transition_scan(0.1).resolvable
+
+
 def test_transition_scan_quadratic_finds_no_jump():
     report = transition_scan(2.0)
     assert report.expected_order is None
