@@ -54,10 +54,15 @@ __all__ = [
     "entropy_functional",
 ]
 
-# Hard numerical guard at the p = 2 stability boundary: the support radius
-# grows like (1 + 2s)^{-1/2} and overflows any tolerance just above -1/2.
+# Numerical guard at the p = 2 stability edge.  It guards the general closed
+# forms, not R = (1 + 2s)^{-1/2}, which is exact for a tilt within about an
+# ulp of s: at p = 2 they cancel terms of size R^4 = (1 + 2s)^{-2}, so against
+# 1/4 log1p(2s) energy_excess is off by 2.3e-12 at s = -0.499, 2.2e-10 at
+# -0.4999 and 1.2e-6 at -0.499999, which the guard lets through; typical_value
+# by 6.3e-13 at -0.4999 and 2.7e-11 at -0.499999.
 _P2_GUARD = -0.5 + 1e-6
-_LOG_MAX = float(np.log(np.finfo(float).max))  # largest v = ln R^2 with a double R^2
+_LOG_MAX = float(np.log(np.finfo(float).max))  # v = ln R^2 below it: R^2 is a double
+_LOG_TINY = float(np.log(np.finfo(float).tiny))  # v at or above twice it: R is normal
 
 
 @dataclass(frozen=True)
@@ -116,28 +121,29 @@ def support_radii(p: float, s: float) -> tuple[float, float]:
     an annulus e^v > |s p| e^{pv/2} there, and p/2 < 1), so Newton from the
     first v = start + 0, 1, 2, 4, ... with g > 0 descends onto the root
     without overshooting, until v stops moving; one Newton step in r then
-    removes the rounding of e^{v/2}.  The start is max(0, ln r_in^2) on an
-    annulus; on a disk it is -(2/p) ln(s p) where s p > 1, at which
-    s p e^{pv/2} = 1 and g = e^v > 0, so a huge tilt takes a few steps, not
-    one per 2/p of ln(s p); else 0.  Where s p itself overflows the walk
-    goes to _outer_radius_in_logs.  An R^2 above the largest double, or an
-    R below its reciprocal, is a NumericalError.
+    removes the rounding of e^{v/2}.  s p is carried as coef e^shift, (s p, 0)
+    or, where s p overflows, (s, ln p), so one Newton serves every tilt.  The
+    start is max(0, ln r_in^2) on an annulus; on a disk it is -(2/p) ln(s p)
+    where s p > 1, at which s p e^{pv/2} = 1 and g = e^v > 0, so a huge tilt
+    takes a few steps, not one per 2/p of ln(s p); else 0.  An R that is not
+    a normal double (2 ln tiny <= v) or whose R^2 overflows (v < ln max) is
+    a NumericalError.
     """
     p = check_positive(p, "moment exponent p")
     s = stability_domain(p).require(s)
     if s == 0.0:
         return 0.0, 1.0
-    sp, q = s * p, 0.5 * p
-    if sp == math.inf:
-        return 0.0, _outer_radius_in_logs(p, s)
-    annular = p < 2.0 and sp < 0.0
+    coef, shift, q = s * p, 0.0, 0.5 * p
+    if coef == math.inf:
+        coef, shift = s, math.log(p)
+    annular = p < 2.0 and coef < 0.0
     if annular:
-        start = max(0.0, 2.0 * math.log(-sp) / (2.0 - p))
+        start = max(0.0, 2.0 * math.log(-coef) / (2.0 - p))
     else:
-        start = -2.0 * math.log(sp) / p if sp > 1.0 else 0.0
+        start = -2.0 * (math.log(coef) + shift) / p if coef > 1.0 else 0.0
 
     def newton(v: float) -> tuple[float, float]:
-        e, t = math.exp(v), sp * math.exp(q * v)
+        e, t = math.exp(v), coef * math.exp(q * v + shift)
         return e + t - 1.0, (e + t - 1.0) / (e + q * t)
 
     v, offset = min(start, _LOG_MAX), 1.0
@@ -148,34 +154,13 @@ def support_radii(p: float, s: float) -> tuple[float, float]:
     while g > 0.0 and v - step != v:
         v -= step
         g, step = newton(v)
-    if not -2.0 * _LOG_MAX < v < _LOG_MAX:
+    if not 2.0 * _LOG_TINY <= v < _LOG_MAX:
         raise NumericalError(f"outer radius leaves the doubles at p={p}, s={s}")
     r = math.exp(0.5 * v)
-    r -= (r * r + sp * r ** p - 1.0) / (2.0 * r + sp * p * r ** (p - 1.0))
-    r_in = (-sp) ** (1.0 / (2.0 - p)) if annular else 0.0
+    t = coef * r ** p * math.exp(shift)
+    r -= (r * r + t - 1.0) / (2.0 * r + p * t / r)
+    r_in = (-coef) ** (1.0 / (2.0 - p)) if annular else 0.0
     return r_in, max(r, r_in)
-
-
-def _outer_radius_in_logs(p: float, s: float) -> float:
-    """The outer radius of a disk whose s p overflows (p > 1, s near the
-    largest double): support_radii's Newton in v with s p e^{pv/2} carried
-    as e^{ln s + ln p + pv/2}, from v = -(2/p) ln(s p), where that is 1 and
-    g = e^v > 0.  ln(s p) is rounded near 710, so R is good to about 1e-13.
-    """
-    log_sp, q = math.log(s) + math.log(p), 0.5 * p
-
-    def newton(v: float) -> tuple[float, float]:
-        e, t = math.exp(v), math.exp(log_sp + q * v)
-        return e + t - 1.0, (e + t - 1.0) / (e + q * t)
-
-    v = -log_sp / q
-    g, step = newton(v)
-    while g > 0.0 and v - step != v:
-        v -= step
-        g, step = newton(v)
-    if not -2.0 * _LOG_MAX < v:
-        raise NumericalError(f"outer radius leaves the doubles at p={p}, s={s}")
-    return math.exp(0.5 * v)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -14,6 +15,19 @@ import ocp2d
 from ocp2d import exact_moment, left_rate
 from ocp2d.cli import (DEFAULT_SEED, _format_column, _grid, build_parser,
                        emit_csv, run)
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_transcripts():
+    """(command, stdout lines) for each `$ ocp2d ...` block of README.md,
+    whose output runs to the closing fence, and each `# prints:` comment."""
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^\$ ocp2d ([^\n]*)\n(.*?)^```", text, re.M | re.S)
+    comments = re.findall(r"^ocp2d (.*?)\s+# prints: (.*)$", text, re.M)
+    return [(command, output.splitlines()) for command, output in blocks] \
+        + [(command, [output]) for command, output in comments]
 
 
 def read_csv(path):
@@ -85,6 +99,15 @@ def test_emit_csv_rejects_ragged_columns(tmp_path):
 def test_emit_csv_leaves_no_temp_files(tmp_path):
     emit_csv({"x": [1.5]}, str(tmp_path / "out.csv"))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+
+
+def test_failed_replace_leaves_no_temp_file(tmp_path, capsys, monkeypatch):
+    def refuse(src, dst):
+        raise OSError(f"cannot replace {dst}")
+    monkeypatch.setattr(os, "replace", refuse)
+    assert run(["eq", "--p", "1", "--s", "0", "--out", str(tmp_path / "e.csv")]) == 1
+    assert "cannot replace" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_outputs_follow_umask(tmp_path, capsys):
@@ -164,6 +187,22 @@ def test_eq_prints_summary(capsys):
     got = dict(line.split(" = ") for line in lines)
     assert float(got["inner_radius"]) == pytest.approx(0.4, rel=1e-12)
     assert float(got["typical_value"]) > 0.0
+
+
+_TRANSCRIPTS = _readme_transcripts()
+
+
+def test_readme_transcripts_are_found():
+    commands = [command for command, _ in _TRANSCRIPTS]
+    assert "eq --p 1 --s -0.4" in commands
+    assert "exact moment --n 2000 --p 200" in commands
+
+
+@pytest.mark.parametrize("command,lines", _TRANSCRIPTS,
+                         ids=[command for command, _ in _TRANSCRIPTS])
+def test_readme_transcripts_match_the_cli(capsys, command, lines):
+    assert run(command.split()) == 0
+    assert capsys.readouterr().out.splitlines() == lines
 
 
 def test_exact_moment_prints_value(capsys):
@@ -425,6 +464,13 @@ def test_config_file_malformed_line(tmp_path, capsys):
     cfg.write_text("p 2\n")
     assert run(["eq", "--config", str(cfg)]) == 1
     capsys.readouterr()
+
+
+def test_config_value_that_does_not_parse_is_domain_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = abc\n")
+    assert run(["exact", "moment", "--p", "2", "--config", str(cfg)]) == 1
+    assert "bad value for --n: 'abc'" in capsys.readouterr().err
 
 
 # --- pinned output bytes -------------------------------------------------------

@@ -17,6 +17,7 @@ from ocp2d import (
     RingMass,
     SingularityError,
     StabilityError,
+    TiltedPotential,
     closed_form_energy,
     closed_form_entropy,
     energy_excess,
@@ -134,16 +135,18 @@ def test_support_radii_sweep_against_mpmath(seed):
     # added cases: a disk of radius 2.04e-12, one of radius 2.5e-18, an
     # annulus less than one ulp wide at r_in = 3.6e74, radii beyond the
     # doubles (R^2 near 1e400, R near 1e-400 and 4e-616), two near their
-    # edges, a disk of radius 1e-300 whose e^v underflows at the Newton
-    # start, and three disks whose s p overflows a double
+    # edges, a subnormal R of 5.6e-309, a disk of radius 1e-300 whose e^v
+    # underflows at the Newton start, and six disks whose s p overflows a
+    # double, three of them where the Newton moves off its start
     huge = {(8.0, 1e308): 2.438449420228684e-39, (3.0, 1e308): 1.4938015821857216e-103,
-            (2.0, 1e308): 7.0710678118654752e-155}
+            (2.0, 1e308): 7.0710678118654752e-155, (1000.0, 1e306): 0.49077261721259197,
+            (50.0, 1e307): 6.699163848424567e-07, (1.5, 1.5e308): 2.703200886921511e-206}
     cases = _sweep_cases(80, seed) + [
         (0.3701637125820248, 57386.003410941725), (0.01, 150.0), (1.99, -2.797),
         (1.99, -50.0), (1.99, -3.0), (0.01, 1e6), (8.0, 1e300), (1.0, 1e300),
-        (0.5, 1e308), *huge]
+        (0.5, 1e308), (1.0000001, 1.7976931e308), *huge]
     for (p, s), want in huge.items():
-        assert support_radii(p, s)[1] == pytest.approx(want, rel=1e-13)
+        assert support_radii(p, s)[1] == pytest.approx(want, rel=1e-15)
     for p, s in cases:
         ref = _reference_outer_radius(p, s)
         if not (ref ** 2 < sys.float_info.max and ref >= sys.float_info.min):
@@ -244,6 +247,9 @@ def test_energy_excess_against_functional_oracle(p, s):
     mu = equilibrium_measure(p, s).as_radial_measure()
     combo = mean_field_energy(mu) + s * typical_value(p, s) - 0.375
     assert combo == pytest.approx(energy_excess(p, s), abs=1e-9)
+    # the same, with the tilt work inside the confinement energy
+    tilted = mean_field_energy(mu, TiltedPotential(p, s)) - 0.375
+    assert tilted == pytest.approx(energy_excess(p, s), abs=1e-9)
 
 
 @pytest.mark.parametrize("p,s", [(1.0, 0.4), (2.0, 0.8)])
@@ -258,6 +264,9 @@ def test_unstable_tilt_raises():
         energy_excess(2.0, -0.5)
     with pytest.raises(StabilityError):
         entropy_excess(3.0, -0.01)
+    # inside the domain, but below the p = 2 guard
+    with pytest.raises(StabilityError, match="values below -0.499999 are rejected"):
+        energy_excess(2.0, -0.4999999)
 
 
 # --- mean-field functionals on the flat disk ---------------------------------
