@@ -63,6 +63,12 @@ __all__ = [
 _P2_GUARD = -0.5 + 1e-6
 _LOG_MAX = float(np.log(np.finfo(float).max))  # v = ln R^2 below it: R^2 is a double
 _LOG_TINY = float(np.log(np.finfo(float).tiny))  # v at or above twice it: R is normal
+# Largest estimated relative error that the rounding of an annulus's width
+# may put into typical_value, energy_excess or entropy_excess (see
+# _check_width).  Over a sweep of annuli at p from 0.05 to 1.9999 against
+# 60-digit mpmath, each returned value is within 5.3 times its estimate.
+_WIDTH_TOLERANCE = 1e-9
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -203,13 +209,35 @@ def equilibrium_measure(p: float, s: float) -> EquilibriumMeasure:
     return EquilibriumMeasure(float(p), float(s), r_in, r_out)
 
 
-def _closed_form(what: str, p: float, s: float,
+def _check_width(what: str, p: float, s: float, r_in: float, radius: float,
+                 gain: Callable[[float], float]) -> None:
+    """A NumericalError naming p and s where rounding leaves the width of
+    the annulus [r_in, R] unresolved for `what`.
+
+    The Newton residual of R, about eps R / (2 - p), and the rounded
+    exponent 1/(2 - p) of r_in, about eps r_in |ln r_in|, move R - r_in by
+    a relative eps R (1/(2 - p) + |ln r_in|) / (R - r_in).  ``gain(p)`` is
+    the factor by which a value's relative error exceeds that: 1 for the
+    typical value, 1/(2 - p) for the energy excess, whose closed form
+    cancels more near p = 2, and 1/p for the entropy excess, which is about
+    ln(1 - p/2) on a thin annulus.  A disk passes.
+    """
+    if r_in > 0.0 and not (
+            _UNIT_ROUNDOFF * radius * (1.0 / (2.0 - p) + abs(math.log(r_in))) * gain(p)
+            <= _WIDTH_TOLERANCE * (radius - r_in)):
+        raise NumericalError(f"{what} needs a wider annulus than rounding "
+                             f"resolves at p={p}, s={s}")
+
+
+def _closed_form(what: str, p: float, s: float, gain: Callable[[float], float],
                  terms: Callable[[float, float, float, float], float]) -> float:
     """terms(p, s, r_in, R) at validated (p, s), or a NumericalError naming
-    p and s where it leaves the doubles (R^4 does from R of about 1e77)."""
+    p and s where the annulus is too thin for it (`_check_width` with
+    ``gain``) or it leaves the doubles (s s p does from s of about 1e154)."""
     p = check_positive(p, "moment exponent p")
     r, radius = support_radii(p, s)
     s = float(s)
+    _check_width(what, p, s, r, radius, gain)
     try:
         value = terms(p, s, r, radius)
     except OverflowError:
@@ -221,7 +249,8 @@ def _closed_form(what: str, p: float, s: float,
 
 def typical_value(p: float, s: float) -> float:
     """Value of the radial p-moment under the tilted equilibrium measure."""
-    return _closed_form("typical value", p, s, lambda p, s, r, radius:
+    return _closed_form("typical value", p, s, lambda p: 1.0,
+                        lambda p, s, r, radius:
         (2.0 / (2.0 + p)) * (radius ** (p + 2.0) - r ** (p + 2.0))
         + (s * p / 2.0) * (radius ** (2.0 * p) - r ** (2.0 * p)))
 
@@ -233,7 +262,8 @@ def energy_excess(p: float, s: float) -> float:
     grows linearly with slope ``typical_value`` (it is the Legendre-type
     integral of the typical value in the tilt).
     """
-    return _closed_form("energy excess", p, s, lambda p, s, r, radius:
+    return _closed_form("energy excess", p, s, lambda p: 1.0 / (2.0 - p),
+                        lambda p, s, r, radius:
         (radius ** 4 - r ** 4) / 8.0
         + (4.0 * s + s * p * p) / (4.0 * (p + 2.0)) * (radius ** (p + 2.0) - r ** (p + 2.0))
         + (s * s * p / 4.0) * (radius ** (2.0 * p) - r ** (2.0 * p))
@@ -266,12 +296,15 @@ def entropy_excess(p: float, s: float) -> float:
     left is ln v at 0 (in r it is r^{p-1} ln r).  For p >= 2 the r-integrand
     is bounded at 0 while v^k with k < 0 is not, and an annulus has no
     singular endpoint, so both stay in r.
-    Vanishes at s = 0, equals ln(1+2s) at p = 2.
+    Vanishes at s = 0, equals ln(1+2s) at p = 2.  An annulus too thin for
+    rounding to resolve its width is a NumericalError (`_check_width`).
     """
     measure = equilibrium_measure(p, s)
     if s == 0.0:
         return 0.0
     p, s = measure.p, measure.s
+    _check_width("entropy excess", p, s, measure.inner_radius,
+                 measure.outer_radius, lambda p: 1.0 / p)
     if p < 2.0 and measure.inner_radius == 0.0:
         k = (2.0 - p) / p
 

@@ -336,6 +336,8 @@ def test_verify_right_tail(tmp_path, capsys):
     (["verify", "transition", "--p", "1", "--step", "nan"], "step"),
     (["eq", "--p", "1.99", "--s", "-50"], "p=1.99, s=-50.0"),
     (["rate", "moment", "--p", "1.99", "--grid=-3:-2:2"], "p=1.99, s=-3.0"),
+    (["eq", "--p", "1.9", "--s", "-3"], "p=1.9, s=-3.0"),     # thin annuli
+    (["eq", "--p", "1.99", "--s", "-1.5"], "p=1.99, s=-1.5"),
 ])
 def test_out_of_domain_inputs_exit_one(tmp_path, capsys, args, word):
     out = tmp_path / "o.csv"
@@ -500,18 +502,18 @@ _PINNED_OUTPUTS = {
         "d9447477a3713f0d85bd7929474c2fd126a68b431a8ed5733bc7ed5619aa55ad",
         None),
     "sample kostlan --n 50 --count 500 --p inf --seed 7": (
-        "75807efaff40e953abdd6b34ec6ca184139156cd8bdb934ecdbe8f34a84110be",
+        "d54b3dc7a673350d34d0a89b82518eb9e81766d827bf0dd4c838e2fa116e4217",
         None),
     "sample mcmc --n 8 --sweeps 60 --burnin 10 --p 2 --beta 4 --seed 7": (
-        "b89a6064f4be55bb4213cca6cbd8feb53abb7de3f754bae4e3c671b75715d7c1",
+        "5548aa89555d32b1e37886a3f88069ee6dde42b52305534dcdbd2d47ab115848",
         None),
     "verify left-tail --n 40 --grid 0.4:0.9:5 --svg": (
         "aa0eac35b8d0781fe3ecb8df4490550001ed231b9ff3c73272d74fce459a4210",
         "29eefa0da8a5128438ac06f8401ad2292a92d372110cb6da6db11b192c9b163c"),
     "verify left-tail --n 6 --beta 4 --grid 0.5:0.9:3 "
     "--sweeps 200 --burnin 20 --seed 7 --svg": (
-        "64e083e0c9978925301de219b11b303597ec994a44a3db3aaba4324686ed2e92",
-        "d1475a9b8327a1ae205c7a3889834d99a40b5ff8dc323f45c65e1b35daae19e6"),
+        "9835fe402d0ebfca862213346efe82a8fa7bddea90c9e06edaae2cf9f006a096",
+        "795af3b9eb88e2769051ac88bc954d0bf7d40e9f64df31d6a45207ef7f3d6fb6"),
     "verify right-tail --n 40 --grid 1.2:2:5 --svg": (
         "5f70551f250d21ced49296a80ffe597fbaa596ba085bace12f668eae06de0972",
         "0725eaf60ab6c1d43de5b74b679771ceabfae610e0bb68f15efd084be0309bfe"),
@@ -525,7 +527,7 @@ _PINNED_OUTPUTS = {
         "866e422b547e3044e0303d90d0bfcb221b29e88d86ea3f2eb370002e2b0f1bb0",
         "49e962298230e67a9309801ca5b947111161d1eaa59420eb307d611c72cca97b"),
     "verify gumbel --n 200 --draws 500 --seed 7": (
-        "c3fc1c43974dea3ca7bb3e90a614cb441356dd85284b4967acecfd57068905c8",
+        "d05aa422618c7a647963b636f7ea024ece8cb1ac4cf28500bccef1516fd2ebd0",
         None),
     "verify transition --p 1 --svg": (
         "ebe6134b012c8ed8e97d741b11040443830fe28fc5d03e5fa4dd2747963b5816",

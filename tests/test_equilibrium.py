@@ -171,14 +171,77 @@ def test_support_radii_solve_the_mode_equation_of_the_exact_mgf():
 
 
 @pytest.mark.parametrize("f,p,s,radius", [
-    (typical_value, 1.99, -3.0, 3.96e77),       # R^4 overflows
+    # annuli whose R^4 or a product would overflow: refused as too thin first
+    (typical_value, 1.99, -3.0, 3.96e77),
     (energy_excess, 1.99, -3.0, 3.96e77),
-    (energy_excess, 0.01, -1.0893039390979322e155, 8e76),  # a product does
+    (energy_excess, 0.01, -1.0893039390979322e155, 8e76),
+    (energy_excess, 4.0, 1e155, 1.257e-39),     # a disk whose s s p overflows
 ])
 def test_closed_forms_beyond_the_doubles_are_numerical_errors(f, p, s, radius):
     assert support_radii(p, s)[1] == pytest.approx(radius, rel=1e-2)
     with pytest.raises(NumericalError, match=re.escape(f"p={p}, s={s}")):
         f(p, s)
+
+
+_EXCESSES = (typical_value, energy_excess, entropy_excess)
+
+
+@pytest.mark.parametrize("f", _EXCESSES)
+@pytest.mark.parametrize("p,s", [(1.9, -3.0), (1.99, -1.5)])
+def test_unresolved_thin_annuli_are_numerical_errors(f, p, s):
+    # R - r_in is 8e-15 R at (1.9, -3) and rounds to 0 at (1.99, -1.5),
+    # where the closed forms gave an 8% wrong typical value and 0.0
+    with pytest.raises(NumericalError, match=re.escape(f"p={p}, s={s}")):
+        f(p, s)
+
+
+def test_resolved_annuli_keep_their_values():
+    assert [f(1.5, -3.0) for f in _EXCESSES] == [
+        91.45725863369631, -70.22363683821135, -1.3826686940473376]
+    assert [f(1.9, -1.0) for f in _EXCESSES] == [
+        197846.9654770787, -9895.682547667191, -2.995707002237757]
+
+
+def _mp_annulus(p, s):
+    """60-digit typical value, energy excess and entropy excess of the
+    annulus at (p, s): the closed forms and a quadrature of rho ln(rho/r)."""
+    with mpmath.workdps(60):
+        p, s = mpmath.mpf(p), mpmath.mpf(s)
+        r_in = (-s * p) ** (1 / (2 - p))
+        radius = mpmath.findroot(lambda r: r * r + s * p * r ** p - 1,
+                                 mpmath.mpf(support_radii(float(p), float(s))[1]))
+
+        def diff(k):
+            return radius ** k - r_in ** k
+
+        def rho(r):
+            return 2 * r + s * p * p * r ** (p - 1)
+
+        typical = 2 / (2 + p) * diff(p + 2) + s * p / 2 * diff(2 * p)
+        energy = (diff(4) / 8 + (4 * s + s * p * p) / (4 * (p + 2)) * diff(p + 2)
+                  + s * s * p / 4 * diff(2 * p)
+                  + (radius ** 2 / 2 + s * radius ** p - mpmath.log(radius) - 0.75) / 2)
+        entropy = mpmath.quad(lambda r: rho(r) * mpmath.log(rho(r) / r),
+                              [r_in, radius]) - mpmath.log(2)
+        return [float(typical), float(energy), float(entropy)]
+
+
+@pytest.mark.parametrize("p,s,returned", [
+    (0.05, -488123.8, "111"), (0.05, -4608186.0, "110"),
+    (0.05, -14158915.7, "010"), (0.5, -26670.4, "111"), (0.5, -63245.6, "010"),
+    (1.5, -21.1, "111"), (1.5, -28.1, "000"), (1.9, -1.0, "111"),
+    (1.9, -1.1, "101"), (1.99, -0.529, "111"), (1.99, -0.542, "101"),
+    (1.99, -0.545, "001"),
+])
+def test_thinnest_returned_annuli_against_mpmath(p, s, returned):
+    # the thinnest annuli on either side of the width check: what typical
+    # value, energy and entropy excess return is within 1e-8 of 60 digits
+    for f, flag, want in zip(_EXCESSES, returned, _mp_annulus(p, s)):
+        if flag == "1":
+            assert f(p, s) == pytest.approx(want, rel=1e-8), f
+        else:
+            with pytest.raises(NumericalError, match="wider annulus"):
+                f(p, s)
 
 
 def test_equilibrium_measure_normalized():
@@ -359,13 +422,20 @@ def test_entropy_excess_against_mpmath_at_singular_exponents(p, s):
 
 
 def test_entropy_excess_converges_across_exponents_and_tilts():
+    # every point converges, except the annuli at p = 1.9, s <= -2, whose
+    # widths (1e-7 R and less) rounding does not resolve: those are refused
     tilts = [-5, -3, -2, -1, -0.75, -0.49, -0.45, -0.3, -0.2, -0.1, -0.01,
              -1e-3, 1e-3, 0.01, 0.1, 0.2, 0.5, 1, 2, 3, 5, 10, 20]
     for p in (0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 1, 1.25, 1.5, 1.9, 2, 2.5, 3, 4,
               6, 8, 10):
         domain = stability_domain(p)
         for s in tilts:
-            if domain.contains(s):
+            if not domain.contains(s):
+                continue
+            if p == 1.9 and s <= -2:
+                with pytest.raises(NumericalError, match="wider annulus"):
+                    entropy_excess(p, s)
+            else:
                 assert math.isfinite(entropy_excess(p, s)), (p, s)
 
 
