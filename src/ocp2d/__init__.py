@@ -52,7 +52,6 @@ from .exact import (
     edge_cdf_log,
     edge_pdf_log,
     exact_moment,
-    log_truncated_gamma_integral,
     mgf_log,
 )
 from .harness import (
@@ -83,14 +82,6 @@ from .sampling import (
     sample_kostlan,
     sample_mcmc,
 )
-from .specfun import (
-    log_gamma,
-    log_lower_gamma,
-    log_reg_lower_gamma,
-    log_sum_exp,
-    reg_lower_gamma,
-    reg_upper_gamma,
-)
 
 __version__ = "0.1.0"
 
@@ -99,9 +90,6 @@ __all__ = [
     # errors
     "Ocp2dError", "DomainError", "StabilityError", "SingularityError",
     "NumericalError",
-    # special functions
-    "log_gamma", "reg_lower_gamma", "reg_upper_gamma", "log_reg_lower_gamma",
-    "log_lower_gamma", "log_sum_exp",
     # edge large deviations
     "left_rate", "right_rate", "lognn_correction", "invn_correction",
     "left_tail_prediction", "ConstrainedEdgeMeasure", "constrained_measure",
@@ -115,7 +103,6 @@ __all__ = [
     "entropy_functional",
     # finite-n exact formulas
     "edge_cdf_log", "edge_pdf_log", "exact_moment", "MgfResult", "mgf_log",
-    "log_truncated_gamma_integral",
     # sampling
     "PlasmaConfig", "SampleBatch", "radial_statistic", "hamiltonian",
     "sample_kostlan", "MetropolisChain", "sample_mcmc",

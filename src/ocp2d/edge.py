@@ -107,7 +107,7 @@ class ConstrainedEdgeMeasure:
 
     @property
     def boundary_mass(self) -> float:
-        return max(0.0, 1.0 - self.wall_radius ** 2)
+        return 1.0 - self.bulk_radius ** 2
 
     @property
     def total_mass(self) -> float:

@@ -62,7 +62,7 @@ __all__ = [
 # by 6.3e-13 at -0.4999 and 2.7e-11 at -0.499999.
 _P2_GUARD = -0.5 + 1e-6
 _LOG_MAX = float(np.log(np.finfo(float).max))  # v = ln R^2 below it: R^2 is a double
-_LOG_TINY = float(np.log(np.finfo(float).tiny))  # v at or above twice it: R is normal
+_TINY = float(np.finfo(float).tiny)  # R at or above it is normal: 2 ln tiny <= v
 # Largest estimated relative error that the rounding of an annulus's width
 # may put into typical_value, energy_excess or entropy_excess (see
 # _check_width).  Over a sweep of annuli at p from 0.05 to 1.9999 against
@@ -160,7 +160,7 @@ def support_radii(p: float, s: float) -> tuple[float, float]:
     while g > 0.0 and v - step != v:
         v -= step
         g, step = newton(v)
-    if not 2.0 * _LOG_TINY <= v < _LOG_MAX:
+    if not 2.0 * math.log(_TINY) <= v < _LOG_MAX:
         raise NumericalError(f"outer radius leaves the doubles at p={p}, s={s}")
     r = math.exp(0.5 * v)
     t = coef * r ** p * math.exp(shift)
@@ -320,37 +320,45 @@ def entropy_excess(p: float, s: float) -> float:
     return _checked(values, lo, hi, f"entropy excess at p={p}, s={s}") - math.log(2.0)
 
 
-def closed_form_energy(p: float, s: float) -> float:
-    """Elementary closed forms of the energy excess at p = 1 and p = 2."""
+def _elementary(what: str, p: float, s: float, quadratic: Callable[[float], float],
+                linear: Callable[[float, float], float]) -> float:
+    """quadratic(s) at p = 2; at p = 1 linear(s, R), R the root of R^2 + s R = 1
+    free of cancellation and overflow.  A value off the doubles is a NumericalError."""
     p = check_positive(p, "moment exponent p")
     s = stability_domain(p).require(s)
     if p == 2.0:
-        return 0.25 * math.log1p(2.0 * s)
-    if p == 1.0:
-        return 0.5 * math.asinh(s / 2.0) - s * s / 4.0 \
-            + (s / 48.0) * ((s * s + 10.0) * math.sqrt(s * s + 4.0) - abs(s) ** 3)
-    raise DomainError(f"no elementary energy form at p={p}; use energy_excess")
+        return quadratic(s)
+    if p != 1.0:
+        raise DomainError(f"no elementary {what} form at p={p}; use {what}_excess")
+    h = math.hypot(0.5 * s, 1.0)
+    r = 1.0 / (h + 0.5 * s) if s > 0.0 else h - 0.5 * s
+    value = linear(s, r) if s != 0.0 else 0.0   # both excesses vanish at s = 0
+    if not math.isfinite(value):
+        raise NumericalError(f"closed-form {what} leaves the doubles at p={p}, s={s}")
+    return value
+
+
+def closed_form_energy(p: float, s: float) -> float:
+    """Elementary closed forms of the energy excess at p = 1 and p = 2.
+
+    At p = 1 no terms cancel; E leaves the doubles from s of about -2e154."""
+    return _elementary("energy", p, s, lambda s: 0.25 * math.log1p(2.0 * s),
+                       lambda s, r: 0.5 * math.asinh(0.5 * s) + (s / 24.0) * r
+                       * (9.0 + r * r if s >= 0.0 else 12.0 - 3.0 / r / r + r ** -4))
 
 
 def closed_form_entropy(p: float, s: float) -> float:
     """Elementary closed forms of the entropy excess at p = 1 and p = 2.
 
-    At p = 1 the coefficient of log(s^2 + 4) is +(s^2 + 4)/8; the quadrature
-    route (`entropy_excess`) pins this sign, and the two routes are held to
-    1e-10 agreement in the test suite.
-    """
-    p = check_positive(p, "moment exponent p")
-    s = stability_domain(p).require(s)
-    if p == 2.0:
-        return math.log1p(2.0 * s)
-    if p == 1.0:
-        if s == 0.0:
-            return 0.0
-        return math.asinh(s / 2.0) \
-            + (s * s + 4.0) / 8.0 * math.log(s * s + 4.0) \
-            + (s / 4.0) * (math.sqrt(s * s + 4.0) - s * math.log(abs(s)) - abs(s)) \
-            - math.log(2.0)
-    raise DomainError(f"no elementary entropy form at p={p}; use entropy_excess")
+    At p = 1 no terms cancel; s^2/4 and 2/s leave the doubles at |s| above
+    about 2.7e154 and below the smallest normal double."""
+    def linear(s: float, r: float) -> float:
+        if s > 0.0:
+            return math.log1p(-0.5 * s * r) + 2.0 * math.asinh(0.5 * s) + 0.5 * s * r \
+                + (0.25 * s) * s * math.log1p(2.0 * r / s)
+        x = -2.0 / (s * r)
+        return math.log1p(0.5 * s / r) + (0.25 * s) * s * (math.log1p(x) - x)
+    return _elementary("entropy", p, s, lambda s: math.log1p(2.0 * s), linear)
 
 
 @dataclass(frozen=True)
@@ -394,7 +402,8 @@ def leading_cumulant(p: float, beta: float, n: int, order: int) -> float:
     kappa_1 = 2/(2+p), kappa_2 = p/(2 beta n^2), kappa_3 = p^3/(2 beta^2 n^4);
     the latter two follow from the derivatives of the energy excess at zero
     tilt, E''(0) = -p/2 and E'''(0) = p^3/2.  Orders at or above the phase
-    transition do not exist for p < 2 and raise.
+    transition do not exist for p < 2 and raise, and so does a kappa_2 or
+    kappa_3 whose value or denominator is not a normal double.
     """
     p = check_positive(p, "moment exponent p")
     beta = check_positive(beta, "coupling beta")
@@ -409,9 +418,15 @@ def leading_cumulant(p: float, beta: float, n: int, order: int) -> float:
         )
     if order == 1:
         return 2.0 / (2.0 + p)
-    if order == 2:
-        return p / (2.0 * beta * n * n)
-    return p ** 3 / (2.0 * beta * beta * n ** 4)
+    try:
+        top = p if order == 2 else p ** 3
+        bottom = 2.0 * beta * n * n if order == 2 else 2.0 * beta * beta * n ** 4
+    except OverflowError:   # p^3, or an n beyond the doubles
+        top = bottom = math.inf
+    if not (_TINY <= bottom < math.inf and _TINY <= top / bottom < math.inf):
+        raise NumericalError(f"cumulant of order {order} leaves the doubles at "
+                             f"p={p}, beta={beta}, n={n}")
+    return top / bottom
 
 
 # --- generic radial measures and mean-field functionals ---------------------

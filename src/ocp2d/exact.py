@@ -19,7 +19,6 @@ import numpy as np
 from .equilibrium import stability_domain
 from .errors import DomainError, NumericalError, check_positive, check_size
 from .quadrature import integrate
-from .specfun import log_reg_lower_gamma
 
 __all__ = [
     "edge_cdf_log",
@@ -27,7 +26,6 @@ __all__ = [
     "exact_moment",
     "MgfResult",
     "mgf_log",
-    "log_truncated_gamma_integral",
 ]
 
 
@@ -153,14 +151,13 @@ def exact_moment(n: int, p: float) -> float:
 
 # --- log-axis integrals on the double-exponential rule -----------------------
 #
-# On the log axis v = ln t every integrand here is smooth and unimodal: the
-# cusp of t^{p/2} at t = 0 (p < 2) becomes a tail e^{l v} at v -> -inf.
-# Each is written relative to its peak, h(mode + u) - h(mode), free of the
-# cancellation between l v and e^v, and summed on the rule of `quadrature`:
-# sinh-sinh for mgf_log, exp-sinh and tanh-sinh for the truncated integral.
+# On the log axis v = ln t each factor integrand of mgf_log is smooth and
+# unimodal (the cusp of t^{p/2} at t = 0, p < 2, becomes a tail e^{l v}).
+# Written relative to its peak, h(mode + u) - h(mode), free of the
+# cancellation between l v and e^v, it is summed on the sinh-sinh rule.
 
 _MGF_BLOCK = 32
-_TOL = 1e-12      # absolute, on integrands of peak 1 (and unit width in mgf_log)
+_TOL = 1e-12      # absolute, on integrands of peak 1 and unit width
 _MAX_START_OFFSET = 512.0
 _NEWTON_STEPS = 300
 _EPS = float(np.finfo(float).eps)
@@ -305,45 +302,3 @@ def mgf_log(n: int, p: float, s: float) -> MgfResult:
     `verify mgf` build.
     """
     return _mgf_grid(n, p, [s])[0]
-
-
-def log_truncated_gamma_integral(n: int, x: float, xi: float) -> float:
-    """ln int_0^{x^2} t^{-1} exp(-n (t - xi ln t)) dt, two routes reconciled.
-
-    The integral equals n^{-n xi} gamma(n xi, n x^2) exactly; that identity
-    value is returned after checking it against a direct log-axis quadrature
-    to 1e-8.  On v = ln t the integrand e^{a v - n e^v} (a = n xi) peaks at
-    v = min(ln xi, 2 ln x), clipped at the upper limit 2 ln x; written
-    relative to the peak, the left side goes on the mirrored exp-sinh rule,
-    which reaches the e^{a u} tail however small a is, and the right side,
-    up to the limit, on tanh-sinh.  Per-mode integrals of this shape
-    assemble the left tail of the edge distribution, with an interior saddle
-    for xi < x^2 and a boundary-dominated regime for xi > x^2.
-    """
-    n = check_size(n, "particle number n")
-    x = check_positive(x, "radius x")
-    if x > 1.0:
-        raise DomainError(f"truncation radius must satisfy 0 < x <= 1, got {x}")
-    xi = check_positive(xi, "shape parameter xi")
-    if xi > 1.0:
-        raise DomainError(f"shape parameter must satisfy 0 < xi <= 1, got {xi}")
-
-    a = n * xi
-    identity = -a * math.log(n) + math.lgamma(a) + log_reg_lower_gamma(a, n * x * x)
-
-    upper = 2.0 * math.log(x)
-    mode = min(math.log(xi), upper)
-    e_mode = n * math.exp(mode)
-    peak = a * mode - e_mode
-    body = 0.0
-    for lo, hi in ((-math.inf, 0.0), (0.0, upper - mode)):
-        with np.errstate(over="ignore"):
-            body += float(integrate(lambda u: np.exp(a * u - e_mode * np.expm1(u)),
-                                    lo, hi, _TOL)[0])
-    quadrature = peak + math.log(body)
-    if abs(quadrature - identity) > 1e-8 * max(1.0, abs(identity)):
-        raise NumericalError(
-            f"truncated gamma integral routes disagree at n={n}, x={x}, xi={xi}: "
-            f"identity {identity!r} vs quadrature {quadrature!r}"
-        )
-    return identity

@@ -337,15 +337,14 @@ def cumulant_check(p: float, beta: float, n: int,
     # generating function is -(beta n^2) E(s) in the tilt s, so
     # kappa_1 = E'(0), kappa_2 = -E''(0)/(beta n^2),
     # kappa_3 = E'''(0)/(beta n^2)^2.
-    scale = beta * n * n
     rows = []
     for order in orders:
         predicted = leading_cumulant(p, beta, n, order)  # raises unless it exists
         k = int(order)
         richardson = (4.0 * _onesided_derivative(p, k, 5e-4, +1)[0]
                       - _onesided_derivative(p, k, 1e-3, +1)[0]) / 3.0
-        numeric = (richardson, -richardson / scale,
-                   richardson / (scale * scale))[k - 1]
+        scale = beta * n * n if k > 1 else 1.0   # leading_cumulant checked it
+        numeric = richardson / (1.0, -scale, scale * scale)[k - 1]
         rel = abs(numeric - predicted) / abs(predicted)
         rows.append(CumulantRow(order, numeric, predicted, rel, rel <= tolerance))
     return CumulantReport(p, beta, n, tolerance, tuple(rows))
@@ -471,6 +470,8 @@ def transition_scan(p: float, s_window: float = 0.45,
     for order in range(1, top + 1):
         h = step if step is not None else 10.0 ** (-6.0 / order)
         h = min(h, s_window / (order + 1))
+        if (0.5 * h) ** order == 0.0:
+            raise DomainError(f"step {h} is too small: (h/2)^{order} underflows")
         right, noise_r = _onesided_derivative(p, order, h, +1)
         left, noise_l = _onesided_derivative(p, order, h, -1)
         jump = right - left

@@ -3,7 +3,7 @@
 One node table on t = k/128, |k| <= 460, u = pi/2 sinh t, in the form the
 limits call for: tanh-sinh on [lo, hi] (nodes lo + d for t <= 0, hi - d for
 t > 0, d = (hi - lo)/2 e^{-|u|}/cosh u, so offsets down to ~1e-25 keep their
-digits), exp-sinh on [lo, inf) or mirrored, sinh-sinh on (-inf, inf).
+digits), exp-sinh on [lo, inf), sinh-sinh on (-inf, inf).
 `integrate` walks the steps h = 1/32, 1/64 and 1/128; the integrand sees
 only the nodes each step adds (231, 230, 460).  Each row stops on its own,
 at the first step whose error estimate for that row is <= tol, and the walk
@@ -38,9 +38,9 @@ def _rule(lo: float, hi: float, part: slice) -> tuple[np.ndarray, np.ndarray]:
     u, du = _U[part], _DU[part]
     if lo == -math.inf and hi == math.inf:
         return np.sinh(u), np.cosh(u) * du
-    if hi == math.inf or lo == -math.inf:
+    if hi == math.inf:
         grow = np.exp(u)
-        return (lo + grow if hi == math.inf else hi - grow), grow * du
+        return lo + grow, grow * du
     half, cosh = 0.5 * (hi - lo), np.cosh(u)
     offset = half * np.exp(-np.abs(u)) / cosh
     return np.where(_T[part] <= 0.0, lo + offset, hi - offset), half * du / cosh ** 2
@@ -49,10 +49,10 @@ def _rule(lo: float, hi: float, part: slice) -> tuple[np.ndarray, np.ndarray]:
 def integrate(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
               tol: float) -> tuple[np.ndarray, np.ndarray]:
     """int_lo^hi f along the last axis of f(nodes), and each row's error
-    estimate; either limit may be infinite.  A row keeps the value and
-    estimate of the first step at which its estimate is <= tol; a row that
-    never gets there returns its h = 1/128 value, whatever its estimate:
-    err > tol is the caller's to judge."""
+    estimate, on [lo, hi], [lo, inf) or (-inf, inf).  A row keeps the
+    value and estimate of the first step at which its estimate is <= tol;
+    a row that never gets there returns its h = 1/128 value, whatever its
+    estimate: err > tol is the caller's to judge."""
     cum, mag = [0.0], 0.0      # running sums over the classes, and of |terms|
     done, value, err = False, 0.0, 0.0
     for ends in _STEPS:

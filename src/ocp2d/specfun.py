@@ -5,6 +5,8 @@ and log form, and a stable log-sum-exp.  The log forms stay accurate where
 the values themselves underflow: ln P(a, y) below -1e5 is routine in the
 far left tail of the edge distribution.  The exact edge law at coupling 2
 (``ocp2d.exact``) evaluates its integer-shape factors as arrays instead.
+Nothing in ``ocp2d`` imports or exports this module.  It stays until the
+benchmark's traced mode (``perfbench/spans.py``) stops wrapping it.
 """
 
 from __future__ import annotations

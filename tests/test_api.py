@@ -1,5 +1,7 @@
-"""The public surface: what the README imports is exported, and every
-exported name exists."""
+"""The public surface, which is the contract: `ocp2d.__all__` plus the
+README quick tour.  What the README imports is exported, every exported
+name exists, and the incomplete-gamma surface the beta = 2 layer no longer
+uses has left it."""
 
 import pathlib
 import re
@@ -7,6 +9,8 @@ import re
 import ocp2d
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+SPECFUN = ["log_gamma", "reg_lower_gamma", "reg_upper_gamma",
+           "log_reg_lower_gamma", "log_lower_gamma", "log_sum_exp"]
 
 
 def _quick_tour_imports() -> list[str]:
@@ -30,3 +34,17 @@ def test_every_exported_callable_has_a_docstring():
     assert [name for name in ocp2d.__all__
             if callable(getattr(ocp2d, name))
             and not (getattr(ocp2d, name).__doc__ or "").strip()] == []
+
+
+def test_the_incomplete_gamma_surface_left_the_contract():
+    assert [name for name in ocp2d.__all__ if name in SPECFUN] == []
+    # the truncated-gamma integral is gone from the exact layer
+    assert ocp2d.exact.__all__ == ["edge_cdf_log", "edge_pdf_log", "exact_moment",
+                                   "MgfResult", "mgf_log"]
+
+
+def test_specfun_still_imports_with_its_names():
+    # the benchmark's traced mode imports ocp2d.specfun and wraps its __all__
+    from ocp2d import specfun
+    assert specfun.__all__ == SPECFUN
+    assert all(callable(getattr(specfun, name)) for name in specfun.__all__)

@@ -293,6 +293,22 @@ def test_verify_transition_says_when_the_order_is_not_resolved(tmp_path, capsys)
     assert "not resolved" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("args,message", [
+    (["verify", "transition", "--p", "1", "--step", "1e-100"],
+     "step 1e-100 is too small: (h/2)^4 underflows"),
+    (["verify", "cumulants", "--p", "1", "--n", "10", "--beta", "1e-300"],
+     "cumulant of order 3 leaves the doubles"),
+    (["verify", "cumulants", "--p", "1", "--n", "1" + "0" * 100],
+     "cumulant of order 3 leaves the doubles"),
+])
+def test_verify_inputs_beyond_the_doubles_are_errors(tmp_path, capsys, args, message):
+    # each ended in a ZeroDivisionError or OverflowError traceback
+    assert run(args + ["--out", str(tmp_path / "o.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
 def test_verify_left_tail_reports_the_chain_ess(tmp_path, capsys):
     out = str(tmp_path / "lt.csv")
     assert run(["verify", "left-tail", "--n", "6", "--beta", "4", "--grid",
@@ -689,10 +705,10 @@ def _python(code, cwd):
 
 def test_cli_import_loads_no_scipy(tmp_path):
     r = _python("import sys, ocp2d.cli\n"
-                "print(sorted(m for m in sys.modules if m.startswith('scipy')))",
-                tmp_path)
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+                "print('ocp2d.specfun' in sys.modules)", tmp_path)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "[]"
+    assert r.stdout.split() == ["[]", "False"]
 
 
 def test_parser_is_built_on_the_first_run_and_reused(tmp_path):

@@ -160,6 +160,15 @@ def test_constrained_measure_total_mass_one(x):
     assert constrained_measure(x).total_mass == pytest.approx(1.0, abs=1e-15)
 
 
+def test_constrained_measure_far_outside_is_the_circular_law():
+    # x ** 2 overflowed here; a wall at x >= 1 is inactive
+    measure = constrained_measure(1.4e154)
+    assert (measure.boundary_mass, measure.total_mass) == (0.0, 1.0)
+    radial = measure.as_radial_measure()
+    assert [(piece.lo, piece.hi) for piece in radial.pieces] == [(0.0, 1.0)]
+    assert radial.rings == ()
+
+
 def test_constrained_measure_domain():
     with pytest.raises(DomainError):
         constrained_measure(0.0)

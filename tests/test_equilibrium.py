@@ -283,6 +283,49 @@ def test_linear_tilt_entropy_reference_value():
     assert closed_form_entropy(1.0, 1.0) == pytest.approx(1.10298033415, abs=1e-10)
 
 
+def _expanded_linear_tilt_forms(s):
+    """E and S at p = 1 in the expanded form, which loses about 4 log10|s|
+    digits to cancellation, evaluated with that many digits to spare."""
+    with mpmath.workdps(int(40 + 4 * math.log10(abs(s) + 1))):
+        s = mpmath.mpf(s)
+        root = mpmath.sqrt(s * s + 4)
+        energy = mpmath.asinh(s / 2) / 2 - s * s / 4 \
+            + (s / 48) * ((s * s + 10) * root - abs(s) ** 3)
+        entropy = mpmath.asinh(s / 2) + (s * s + 4) / 8 * mpmath.log(s * s + 4) \
+            + (s / 4) * (root - s * mpmath.log(abs(s)) - abs(s)) - mpmath.log(2)
+        return float(energy), float(entropy)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_linear_tilt_closed_forms_keep_their_digits(sign):
+    # |s| from 1e-15 to 1e8 on the disk and the annulus; the expanded form
+    # was off by 1.3e-3 (energy) at s = 1e4 and 16% (entropy) at 1e8
+    for k in range(-30, 17):
+        s = sign * 10.0 ** (k / 2)
+        energy, entropy = _expanded_linear_tilt_forms(s)
+        assert closed_form_energy(1.0, s) == pytest.approx(energy, rel=1e-14), s
+        assert closed_form_entropy(1.0, s) == pytest.approx(entropy, rel=1e-14), s
+
+
+@pytest.mark.parametrize("s", [1e10, -1e10, 1e50, -1e50, 1e150, -1e150, 1e300])
+def test_linear_tilt_energy_at_huge_tilts(s):
+    # at 1e10 the expanded form gave -2.5e19, at -1e50 -3.8e182
+    energy = _expanded_linear_tilt_forms(s)[0]
+    assert closed_form_energy(1.0, s) == pytest.approx(energy, rel=1e-14)
+
+
+@pytest.mark.parametrize("f,s", [
+    (closed_form_energy, -1e155), (closed_form_energy, -1e300),
+    (closed_form_entropy, 3e154), (closed_form_entropy, -3e154),
+    (closed_form_entropy, -1e300), (closed_form_entropy, 5e-324),
+    (closed_form_energy, -1.7976931348623157e308),
+])
+def test_linear_tilt_closed_forms_beyond_the_doubles_are_numerical_errors(f, s):
+    # the expanded form raised OverflowError from |s|^3 or returned nan
+    with pytest.raises(NumericalError, match=re.escape(f"p=1.0, s={s}")):
+        f(1.0, s)
+
+
 def test_closed_forms_limited_to_known_exponents():
     with pytest.raises(DomainError):
         closed_form_energy(1.5, 0.3)
@@ -373,6 +416,16 @@ def test_leading_cumulant_values():
     assert leading_cumulant(1.0, 2.0, 10, 3) == pytest.approx(
         1.0 / (2.0 * 4.0 * 10 ** 4), rel=1e-15
     )
+
+
+@pytest.mark.parametrize("beta,n,order", [
+    (1e-160, 10, 3), (1e-300, 10, 3), (2.0, 10 ** 100, 3), (2.0, 10 ** 200, 2),
+    (1e300, 10 ** 10, 2)], ids=["1e-160", "1e-300", "n1e100", "n1e200", "1e300"])
+def test_leading_cumulant_beyond_the_doubles_is_a_numerical_error(beta, n, order):
+    # (1e-160, 10, 3) returned inf; beta^2 underflowed to a ZeroDivisionError
+    # at 1e-300, and a 101-digit n would not convert to a float
+    with pytest.raises(NumericalError, match="leaves the doubles"):
+        leading_cumulant(1.0, beta, n, order)
 
 
 def test_leading_cumulant_scales_cubically_in_exponent():

@@ -16,7 +16,6 @@ from ocp2d import (
     gumbel_scaling,
     leading_cumulant,
     left_tail_prediction,
-    log_gamma,
     mgf_log,
     mgf_table,
     radial_statistic,
@@ -27,6 +26,7 @@ from ocp2d import (
 )
 from ocp2d.errors import __all__ as errors_all
 from ocp2d.errors import check_positive, check_size
+from ocp2d.specfun import log_gamma
 
 
 def test_validators_are_exported_by_errors_only():

@@ -15,7 +15,6 @@ from ocp2d import (
     edge_pdf_log,
     exact,
     exact_moment,
-    log_truncated_gamma_integral,
     mgf_log,
     specfun,
 )
@@ -382,34 +381,6 @@ def test_mgf_log_validation():
         mgf_log(0, 1.0, 0.5)
     with pytest.raises(DomainError):
         mgf_log(10, -1.0, 0.5)
-
-
-# --- truncated gamma integral ---------------------------------------------------
-
-@pytest.mark.parametrize("n,x,xi", [(40, 0.8, 0.5), (25, 0.6, 0.3), (100, 1.0, 1.0),
-                                    (2000, 0.1, 0.8), (10000, 0.1, 0.5),
-                                    (1, 0.5, 1e-3), (10, 0.5, 1e-4),
-                                    (100, 0.9, 1e-5), (1, 0.02, 1e-4)])
-def test_truncated_gamma_integral_against_mpmath(n, x, xi):
-    # the integral is n^{-a} gamma_lower(a, n x^2); evaluate that route in
-    # 40-digit arithmetic (independent of the double-precision pipeline)
-    a = mpmath.mpf(n) * mpmath.mpf(xi)
-    want = float(
-        mpmath.log(mpmath.gammainc(a, 0, n * mpmath.mpf(x) ** 2))
-        - a * mpmath.log(n)
-    )
-    assert log_truncated_gamma_integral(n, x, xi) == pytest.approx(want, rel=1e-11)
-
-
-def test_truncated_gamma_integral_validation():
-    with pytest.raises(DomainError):
-        log_truncated_gamma_integral(10, 1.2, 0.5)
-    with pytest.raises(DomainError):
-        log_truncated_gamma_integral(10, 0.5, 0.0)
-    with pytest.raises(DomainError):
-        log_truncated_gamma_integral(10, 0.0, 0.5)
-    with pytest.raises(DomainError):
-        log_truncated_gamma_integral(10, 0.5, 1.5)
 
 
 # --- ln k! table --------------------------------------------------------------

@@ -5,8 +5,8 @@ import math
 import mpmath
 import pytest
 
-from ocp2d import (
-    DomainError,
+from ocp2d import DomainError
+from ocp2d.specfun import (
     log_gamma,
     log_lower_gamma,
     log_reg_lower_gamma,
