@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import Piece, RadialMeasure, RingMass
-from .errors import DomainError, check_positive, check_size
+from .errors import DomainError, NumericalError, check_positive, check_size
 
 __all__ = [
     "left_rate",
@@ -51,11 +51,15 @@ def right_rate(x: float) -> float:
 
     right_rate(x) = -ln x + x^2/2 - 1/2, the single-particle energy cost
     of sitting at radius x against the mean field of the unit disk.
+    Where x^2/2 overflows (x above about 1.9e154) it is a NumericalError.
     """
     x = check_positive(x, "right_rate: x")
     if x < 1.0:
         raise DomainError(f"right_rate requires x >= 1, got {x}")
-    return -math.log(x) + 0.5 * x * x - 0.5
+    rate = -math.log(x) + 0.5 * x * x - 0.5
+    if rate == math.inf:
+        raise NumericalError(f"right_rate: x^2/2 leaves the doubles at x = {x!r}")
+    return rate
 
 
 def lognn_correction(x: float) -> float:

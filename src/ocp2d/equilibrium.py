@@ -554,8 +554,10 @@ def mean_field_energy(measure: RadialMeasure,
             held = math.fsum([ring.mass for ring in rings if ring.radius <= a])
 
             def pair(t: float) -> float:
+                # a node that underflows to t = 0 takes the limit 0: no ring
+                # lies at the origin, so M(t) vanishes there
                 m = held + measure._continuous_mass(0.0, t)
-                return m * m / t
+                return m * m / t if t > 0.0 else 0.0
         else:
             held = math.fsum([ring.mass for ring in rings if ring.radius >= b])
 

@@ -32,6 +32,7 @@ __all__ = [
 # ln k! for k = 0, 1, ...; grown on demand and kept between calls.  Every
 # entry is math.lgamma(k + 1), whatever order the sizes are requested in.
 _LOG_FACTORIALS = np.zeros(1)
+_MIN_NORMAL = float(np.finfo(float).tiny)
 
 
 def _log_factorials(m: int) -> np.ndarray:
@@ -55,9 +56,10 @@ def _tail_steps(nats: float, rate: float, m: int, grow: float) -> int:
     return math.ceil(2.0 * c / (b + math.sqrt(b * b + 4.0 * a * c)))
 
 
-def _edge_factors(n: int, y: float) -> tuple[int, np.ndarray, np.ndarray]:
-    """ln pmf_j(y) for j = k0..n-1 and ln P(k, y) for k = k0+1..n at y > 0,
-    with the offset k0: the band of edge factors that carries digits.
+def _edge_factors(n: int, x: float, y: float) -> tuple[int, np.ndarray, np.ndarray]:
+    """ln pmf_j(y) for j = k0..n-1 and ln P(k, y) for k = k0+1..n at the
+    finite y = n x^2, with the offset k0: the band of edge factors that
+    carries digits.
 
     At integer shape P(k, y) = Pr[Poisson(y) >= k], so every factor comes
     from one Poisson log-pmf array, here over [k0, top).  Factors with
@@ -73,19 +75,21 @@ def _edge_factors(n: int, y: float) -> tuple[int, np.ndarray, np.ndarray]:
     floor(y)), first ratio a/y (k0 = 0 at a = 0); |ln F| and the density's
     hazard sum are at least pmf_a, and P(k, y) >= 1/2 for k <= y, so each
     moves by under 2^-59 of itself.
+
+    Below the smallest normal double y has lost digits, or is 0, so ln y
+    is taken from x as ln n + 2 ln x; e^-y is then 1 to every digit.
     """
-    if not math.isfinite(y):
-        raise DomainError(f"n x^2 must be finite, got {y}")
+    log_y = math.log(y) if y >= _MIN_NORMAL else math.log(n) + 2.0 * math.log(x)
     lower = min(n, math.floor(y))
     nats = 60.0 * math.log(2.0) + math.log(n) + math.log1p(y)
     top = n
     if lower < n:   # ln((n + 1)/y), which a subnormal y would overflow
-        top += _tail_steps(nats, math.log(n + 1.0) - math.log(y), n, 1.0)
+        top += _tail_steps(nats, math.log(n + 1.0) - log_y, n, 1.0)
     anchor = min(n - 1, lower)
     k0 = 0 if anchor == 0 else max(0, anchor + 1 - _tail_steps(
         nats, math.log(y / anchor), anchor, 0.0))
     j = np.arange(k0, top, dtype=float)
-    log_pmf = j * math.log(y) - y - _log_factorials(top)[k0:]
+    log_pmf = j * log_y - y - _log_factorials(top)[k0:]
     log_p = np.empty(n - k0)
     log_q = np.logaddexp.accumulate(log_pmf[:lower - k0])
     log_p[:lower - k0] = np.log1p(-np.exp(log_q))
@@ -100,14 +104,14 @@ def edge_cdf_log(n: int, x: float) -> float:
     The probability is a product of n regularized lower gamma factors with
     common argument n x^2; each factor and the product are carried in log
     space (the product underflows catastrophically long before any factor
-    does).  Returns -inf where n x^2 underflows to 0.
+    does).  Where n x^2 overflows every factor is 1 and this is 0.0.
     """
     n = check_size(n, "particle number n")
     x = check_positive(x, "radius x")
     y = n * x * x
-    if y == 0.0:
-        return -math.inf
-    return float(_edge_factors(n, y)[2].sum())
+    if y == math.inf:
+        return 0.0
+    return float(_edge_factors(n, x, y)[2].sum())
 
 
 def edge_pdf_log(n: int, x: float) -> float:
@@ -115,14 +119,16 @@ def edge_pdf_log(n: int, x: float) -> float:
 
     d/dy P(k, y) = pmf_{k-1}(y), so the density is 2 n x F(x) times
     sum_k pmf_{k-1} / P(k, y), on the same band of factors as the CDF.
-    Returns -inf where n x^2 underflows to 0.
+    Where n x^2 overflows the log is about -n x^2, below -max double: a
+    NumericalError.
     """
     n = check_size(n, "particle number n")
     x = check_positive(x, "radius x")
     y = n * x * x
-    if y == 0.0:
-        return -math.inf
-    _, log_pmf, log_p = _edge_factors(n, y)
+    if y == math.inf:
+        raise NumericalError(f"the log edge density at n = {n}, x = {x!r} is "
+                             "about -n x^2, below the doubles")
+    _, log_pmf, log_p = _edge_factors(n, x, y)
     terms = log_pmf - log_p
     peak = float(terms.max())
     log_sum = peak + math.log(float(np.exp(terms - peak).sum()))

@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 _GAMMA_CHUNK = 1024
+_MIN_NORMAL = float(np.finfo(float).tiny)
 _MAX_DOUBLINGS = 64
 _ADAPT_INTERVAL = 25  # sweeps between step-size adjustments during burn-in
 _TARGET_ACCEPTANCE = (0.3, 0.5)
@@ -87,15 +88,31 @@ def _check_exponent(p: float) -> float:
 
 
 def radial_statistic(config: PlasmaConfig, p: float) -> float:
-    """(1/n) sum r_k^p for finite p; the maximum modulus for p = inf."""
-    return _statistic(config.positions, _check_exponent(p))
+    """(1/n) sum r_k^p for finite p; the maximum modulus for p = inf.
+    A sum that overflows is a NumericalError."""
+    p = _check_exponent(p)
+    with np.errstate(over="ignore"):
+        value = _statistic(config.positions, p)
+    if not math.isfinite(value):
+        raise _leaves_the_doubles(config.n, p)
+    return value
 
 
 def _statistic(positions: np.ndarray, p: float) -> float:
+    """The statistic, inf where r^p or the sum overflows; the caller
+    silences numpy's overflow warning and checks the result."""
     r = np.hypot(positions[:, 0], positions[:, 1])
     if p == math.inf:
         return float(r.max())
-    return math.fsum((r**p).tolist()) / r.size  # fsum is slow on numpy scalars
+    try:
+        return math.fsum((r**p).tolist()) / r.size  # fsum is slow on numpy scalars
+    except OverflowError:
+        return math.inf
+
+
+def _leaves_the_doubles(n: int, p: float) -> NumericalError:
+    return NumericalError(f"the radial statistic at n = {n}, p = {p!r} "
+                          "leaves the doubles")
 
 
 def hamiltonian(config: PlasmaConfig) -> float:
@@ -272,6 +289,9 @@ def sample_kostlan(n: int, count: int, p: float, seed: int) -> SampleBatch:
     rng = _rng(seed)
     shapes = np.arange(1, n + 1, dtype=float)
     cut = _skipped_shapes(n) if p == math.inf else 0
+    # n^{-1-p/2} below the normal doubles has lost digits, or is 0
+    if p not in (2.0, math.inf) and not n ** (-1.0 - 0.5 * p) >= _MIN_NORMAL:
+        raise _leaves_the_doubles(n, p)
     tally = np.zeros(3, dtype=int)  # inversions, solves, evaluations of S
     out = np.empty(count, dtype=float)
     for start in range(0, count, _GAMMA_CHUNK):
@@ -284,7 +304,11 @@ def sample_kostlan(n: int, count: int, p: float, seed: int) -> SampleBatch:
             out[start:start + m] = rng.standard_gamma(0.5 * n * (n + 1), m) / n**2
         else:
             g = rng.standard_gamma(shapes, size=(m, n))
-            out[start:start + m] = n ** (-1.0 - 0.5 * p) * (g ** (0.5 * p)).sum(axis=1)
+            with np.errstate(over="ignore"):
+                out[start:start + m] = (n ** (-1.0 - 0.5 * p)
+                                        * (g ** (0.5 * p)).sum(axis=1))
+    if not np.isfinite(out).all():
+        raise _leaves_the_doubles(n, p)
     metadata: dict[str, Any] = {"chunk": _GAMMA_CHUNK,
                                 "variates_per_draw": 1 if p == 2.0 else n - cut}
     if p == math.inf:
@@ -434,13 +458,17 @@ def sample_mcmc(n: int, beta: float, sweeps: int, burn_in: int, thinning: int,
     chain = MetropolisChain(n, beta, _rng(seed), initial_step)
     h_start = hamiltonian(chain.config())
     values = []
-    for k in range(1, sweeps + 1):
-        chain.sweep()
-        if k <= burn_in:
-            if k % _ADAPT_INTERVAL == 0:
-                chain.adapt()
-        elif (k - burn_in) % thinning == 0:
-            values.append(_statistic(chain.positions, p))
+    with np.errstate(over="ignore"):   # r^p; checked once, below
+        for k in range(1, sweeps + 1):
+            chain.sweep()
+            if k <= burn_in:
+                if k % _ADAPT_INTERVAL == 0:
+                    chain.adapt()
+            elif (k - burn_in) % thinning == 0:
+                values.append(_statistic(chain.positions, p))
+    values = np.asarray(values)
+    if not np.isfinite(values).all():
+        raise _leaves_the_doubles(chain.n, p)
     h_end = hamiltonian(chain.config())
     drift_error = chain.accumulated_delta - (h_end - h_start)
     if abs(drift_error) > _ENERGY_TOLERANCE * max(1.0, abs(h_start), abs(h_end)):
@@ -449,7 +477,7 @@ def sample_mcmc(n: int, beta: float, sweeps: int, burn_in: int, thinning: int,
             f"{chain.accumulated_delta!r} but H(end) - H(start) = "
             f"{h_end - h_start!r}")
     return SampleBatch(
-        np.asarray(values), p, chain.n, float(beta), int(seed), "mcmc",
+        values, p, chain.n, float(beta), int(seed), "mcmc",
         {
             "sweeps": sweeps,
             "burn_in": burn_in,
@@ -459,7 +487,7 @@ def sample_mcmc(n: int, beta: float, sweeps: int, burn_in: int, thinning: int,
             "acceptance_rate": chain.acceptance_rate,
             "accumulated_delta": chain.accumulated_delta,
             "energy_drift_error": drift_error,
-            "ess": _ess(np.asarray(values)),
+            "ess": _ess(values),
         },
     )
 

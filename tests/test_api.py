@@ -3,6 +3,7 @@ README quick tour.  What the README imports is exported, every exported
 name exists, and the incomplete-gamma surface the beta = 2 layer no longer
 uses has left it."""
 
+import inspect
 import pathlib
 import re
 
@@ -44,7 +45,9 @@ def test_the_incomplete_gamma_surface_left_the_contract():
 
 
 def test_specfun_still_imports_with_its_names():
-    # the benchmark's traced mode imports ocp2d.specfun and wraps its __all__
+    # the benchmark's traced mode imports ocp2d.specfun and wraps its __all__,
+    # which names nothing: the module is an empty stub
     from ocp2d import specfun
-    assert specfun.__all__ == SPECFUN
-    assert all(callable(getattr(specfun, name)) for name in specfun.__all__)
+    assert specfun.__all__ == []
+    assert [name for name, value in vars(specfun).items()
+            if inspect.isfunction(value) or inspect.isclass(value)] == []

@@ -8,6 +8,7 @@ import pytest
 from ocp2d import (
     MIN_GUMBEL_N,
     DomainError,
+    NumericalError,
     constrained_measure,
     entropy_functional,
     gumbel_log_factor,
@@ -80,6 +81,13 @@ def test_left_rate_matches_energy_functional():
         assert left_rate(x) == pytest.approx(excess, abs=1e-10)
 
 
+@pytest.mark.parametrize("x", [1e-20, 1e-300])
+def test_energy_of_a_measure_too_narrow_to_integrate_is_a_numerical_error(x):
+    # at 1e-300 a tanh-sinh node underflows to t = 0 in the pair term m^2/t
+    with pytest.raises(NumericalError, match="pair energy"):
+        mean_field_energy(constrained_measure(x).as_radial_measure())
+
+
 # --- pushed-edge (right) rate ---------------------------------------------
 
 def test_right_rate_values():
@@ -106,6 +114,12 @@ def test_right_rate_quadratic_growth():
 def test_right_rate_domain():
     with pytest.raises(DomainError):
         right_rate(0.999)
+
+
+def test_right_rate_where_x2_over_2_overflows():
+    assert right_rate(1.8e154) == pytest.approx(0.5 * 1.8e154 * 1.8e154, rel=1e-15)
+    with pytest.raises(NumericalError, match=r"x = 1e\+200"):
+        right_rate(1e200)
 
 
 # --- finite-size corrections ----------------------------------------------

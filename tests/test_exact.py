@@ -16,8 +16,9 @@ from ocp2d import (
     exact,
     exact_moment,
     mgf_log,
-    specfun,
 )
+
+from scalar_gamma import scalar_log_p
 
 mpmath.mp.dps = 40
 
@@ -57,11 +58,11 @@ def test_edge_cdf_log_against_mpmath(n, x):
 @pytest.mark.parametrize("x", [0.9, 0.97, 1.03])
 def test_edge_cdf_log_at_n5000_equals_the_sum_of_scalar_factors(x):
     # an independent route at a size the 40-digit oracle is too slow for:
-    # one specfun call per factor, summed exactly; at x = 1.03 both routes
+    # one scalar factor per shape, summed exactly; at x = 1.03 both routes
     # agree with mpmath only to about 1e-12 relative
     n = 5000
     y = n * x * x
-    want = math.fsum(specfun.log_reg_lower_gamma(k, y) for k in range(1, n + 1))
+    want = math.fsum(scalar_log_p(k, y) for k in range(1, n + 1))
     assert edge_cdf_log(n, x) == pytest.approx(want, rel=1e-11, abs=1e-11)
 
 
@@ -69,7 +70,7 @@ def test_edge_band_stays_narrow_away_from_the_edge():
     # at y = 45000 > n only the factors within a few dozen of k = n carry
     # digits, so the band does not grow with n
     n = 20000
-    k0, log_pmf, log_p = exact._edge_factors(n, n * 1.5 ** 2)
+    k0, log_pmf, log_p = exact._edge_factors(n, 1.5, n * 1.5 ** 2)
     assert len(log_pmf) == len(log_p) == n - k0 < 200
 
 
@@ -79,7 +80,7 @@ def test_edge_band_near_the_edge_is_a_few_sqrt_n_wide(monkeypatch):
     table = exact._log_factorials
     monkeypatch.setattr(exact, "_log_factorials", lambda m: tops.append(m) or table(m))
     for n, most in ((250, 430), (2000, 1180)):
-        k0, _, _ = exact._edge_factors(n, n * 0.99 ** 2)
+        k0, _, _ = exact._edge_factors(n, 0.99, n * 0.99 ** 2)
         assert tops[-1] - k0 <= most
 
 
@@ -135,8 +136,6 @@ def test_edge_cdf_log_validation():
         edge_cdf_log(10, 0.0)
     with pytest.raises(DomainError):
         edge_cdf_log(10, -2.0)
-    with pytest.raises(DomainError):
-        edge_cdf_log(250, 1e200)  # n x^2 overflows
 
 
 def test_edge_cdf_log_far_right_is_zero():
@@ -145,13 +144,20 @@ def test_edge_cdf_log_far_right_is_zero():
 
 
 def test_edge_law_where_n_x2_underflows():
-    assert edge_cdf_log(10, 1e-200) == -math.inf
-    assert edge_pdf_log(10, 1e-200) == -math.inf
-    # y = 1.04e-322 is subnormal, so (n + 1)/y overflows: the top of the
-    # band comes from ln(n + 1) - ln y, which does not
-    y = 10 * 3.2e-162 * 3.2e-162
-    want = math.fsum(specfun.log_reg_lower_gamma(k, y) for k in range(1, 11))
-    assert edge_cdf_log(10, 3.2e-162) == pytest.approx(want, rel=1e-12)
+    # n x^2 underflows to 0 at 1e-200 and 1e-170, and is subnormal, with
+    # only a few digits left, at 3.2e-162 and 1e-160: ln y comes from x
+    for n, x in ((10, 1e-200), (10, 3.2e-162), (3, 1e-170), (10, 1e-160)):
+        cdf, pdf = float(mp_edge_cdf_log(n, x)), float(mp_edge_pdf_log(n, x))
+        assert edge_cdf_log(n, x) == pytest.approx(cdf, rel=1e-12), (n, x)
+        assert edge_pdf_log(n, x) == pytest.approx(pdf, rel=1e-12), (n, x)
+
+
+def test_edge_law_where_n_x2_overflows():
+    # every factor P(k, inf) is 1; the log density, about -n x^2, is not a double
+    assert edge_cdf_log(250, 1e200) == 0.0
+    assert edge_pdf_log(250, 1e152) == pytest.approx(-2.5e306, rel=1e-12)
+    with pytest.raises(NumericalError, match=r"n = 250, x = 1e\+200"):
+        edge_pdf_log(250, 1e200)
 
 
 # --- edge pdf ----------------------------------------------------------------

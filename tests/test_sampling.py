@@ -51,6 +51,25 @@ def test_radial_statistic_mean_and_max():
     assert radial_statistic(cfg, math.inf) == 1.0
 
 
+# r^p overflows at the first two; at the third each r^p is finite and only
+# the sum overflows.  The suite turns a RuntimeWarning into a failure.
+@pytest.mark.parametrize("pos,p", [([[2.0, 0.0]], 1e5), ([[0.5, 0.0], [3.0, 0.0]], 1e3),
+                                   ([[1e154, 0.0], [1e154, 0.0]], 2.0)])
+def test_radial_statistic_that_overflows_is_a_numerical_error(pos, p):
+    n = len(pos)
+    with pytest.raises(NumericalError, match=f"n = {n}, p = {p!r}"):
+        radial_statistic(PlasmaConfig(np.array(pos)), p)
+
+
+def test_samplers_whose_statistic_overflows_raise_a_numerical_error():
+    with pytest.raises(NumericalError, match=r"n = 5, p = 100000\.0"):
+        sample_kostlan(5, 5, 1e5, 1)
+    with pytest.raises(NumericalError, match=r"n = 10, p = 700\.0"):
+        sample_kostlan(10, 5, 700.0, 1)   # n^{-1-p/2} underflows
+    with pytest.raises(NumericalError, match=r"n = 4, p = 100000\.0"):
+        sample_mcmc(4, 2.0, 20, 10, 1, 1e5, 1)
+
+
 def test_hamiltonian_rotation_invariance():
     rng = np.random.default_rng(5)
     pos = rng.normal(size=(12, 2)) * 0.4
@@ -214,7 +233,7 @@ def test_kostlan_cut_keeps_the_exact_path_rare(n):
     ys = [y for y in n + math.sqrt(n) * np.linspace(-6.0, 4.0, 41) if y > a]
 
     def log_top_factors(y):   # the factors k > a of the edge band at y
-        k0, _, log_p = _edge_factors(n, y)
+        k0, _, log_p = _edge_factors(n, math.sqrt(y / n), y)
         return float(log_p[max(a - k0, 0):].sum())
 
     rate = min(math.exp(log_top_factors(y))
