@@ -117,33 +117,22 @@ def stability_domain(p: float) -> StabilityDomain:
     return StabilityDomain(p, 0.0, False)
 
 
-def support_radii(p: float, s: float) -> tuple[float, float]:
-    """Inner and outer support radii of the tilted equilibrium measure.
+def _log_outer_square(p: float, s: float) -> float:
+    """v = ln R^2 at a validated tilt, R the outer radius: the root beyond
+    ln r_in^2 of g(v) = e^v + s p e^{pv/2} - 1, from R^2 + s p R^p = 1.
 
-    An annulus (p < 2, s < 0) has r_in = (-s p)^{1/(2-p)}, a disk 0.  The
-    outer radius R solves R^2 + s p R^p = 1 beyond r_in; in v = ln R^2 that
-    is g(v) = e^v + s p e^{pv/2} - 1 = 0, the mode equation of `exact._modes`
-    at l = 1, c = 2s, q = p/2.  Where g > 0, g is increasing and convex (on
-    an annulus e^v > |s p| e^{pv/2} there, and p/2 < 1), so Newton from the
-    first v = start + 0, 1, 2, 4, ... with g > 0 descends onto the root
-    without overshooting, until v stops moving; one Newton step in r then
-    removes the rounding of e^{v/2}.  s p is carried as coef e^shift, (s p, 0)
-    or, where s p overflows, (s, ln p), so one Newton serves every tilt.  The
-    start is max(0, ln r_in^2) on an annulus; on a disk it is -(2/p) ln(s p)
-    where s p > 1, at which s p e^{pv/2} = 1 and g = e^v > 0, so a huge tilt
-    takes a few steps, not one per 2/p of ln(s p); else 0.  An R that is not
-    a normal double (2 ln tiny <= v) or whose R^2 overflows (v < ln max) is
-    a NumericalError.
-    """
-    p = check_positive(p, "moment exponent p")
-    s = stability_domain(p).require(s)
-    if s == 0.0:
-        return 0.0, 1.0
+    Where g > 0, g is increasing and convex (on an annulus e^v > |s p|
+    e^{pv/2} there, and p/2 < 1), so Newton from the first v = start + 0, 1,
+    2, 4, ... with g >= 0 descends onto the root without overshooting, until
+    v stops moving.  s p is carried as coef e^shift, (s p, 0) or, where s p
+    overflows, (s, ln p).  The start is max(0, ln r_in^2) on an annulus; on
+    a disk -(2/p) ln(s p) where s p > 1, at which g = e^v > 0, so a huge tilt
+    takes a few steps; else 0, where g >= 0.  A v at or above ln max (R^2
+    overflows) is a NumericalError."""
     coef, shift, q = s * p, 0.0, 0.5 * p
     if coef == math.inf:
         coef, shift = s, math.log(p)
-    annular = p < 2.0 and coef < 0.0
-    if annular:
+    if p < 2.0 and coef < 0.0:
         start = max(0.0, 2.0 * math.log(-coef) / (2.0 - p))
     else:
         start = -2.0 * (math.log(coef) + shift) / p if coef > 1.0 else 0.0
@@ -154,18 +143,33 @@ def support_radii(p: float, s: float) -> tuple[float, float]:
 
     v, offset = min(start, _LOG_MAX), 1.0
     g, step = newton(v)
-    while not g > 0.0 and v < _LOG_MAX:   # beyond _LOG_MAX, e^v overflows
+    while not g >= 0.0 and v < _LOG_MAX:   # beyond _LOG_MAX, e^v overflows
         v, offset = min(start + offset, _LOG_MAX), 2.0 * offset
         g, step = newton(v)
     while g > 0.0 and v - step != v:
         v -= step
         g, step = newton(v)
-    if not 2.0 * math.log(_TINY) <= v < _LOG_MAX:
+    if not v < _LOG_MAX:
         raise NumericalError(f"outer radius leaves the doubles at p={p}, s={s}")
-    r = math.exp(0.5 * v)
-    t = coef * r ** p * math.exp(shift)
+    return v
+
+
+def support_radii(p: float, s: float) -> tuple[float, float]:
+    """Inner and outer support radii of the tilted equilibrium measure.
+
+    An annulus (p < 2, s < 0) has r_in = (-s p)^{1/(2-p)}, a disk 0.  R is
+    e^{v/2}, v from `_log_outer_square`, after one Newton step in r that
+    removes the rounding of e^{v/2}; an R below the normal doubles is a
+    NumericalError too."""
+    p = check_positive(p, "moment exponent p")
+    s = stability_domain(p).require(s)
+    v = _log_outer_square(p, s)
+    if v < 2.0 * math.log(_TINY):
+        raise NumericalError(f"outer radius leaves the doubles at p={p}, s={s}")
+    r, coef = math.exp(0.5 * v), s * p
+    t = coef * r ** p if coef != math.inf else s * r ** p * p
     r -= (r * r + t - 1.0) / (2.0 * r + p * t / r)
-    r_in = (-coef) ** (1.0 / (2.0 - p)) if annular else 0.0
+    r_in = (-coef) ** (1.0 / (2.0 - p)) if p < 2.0 and coef < 0.0 else 0.0
     return r_in, max(r, r_in)
 
 
@@ -209,50 +213,40 @@ def equilibrium_measure(p: float, s: float) -> EquilibriumMeasure:
     return EquilibriumMeasure(float(p), float(s), r_in, r_out)
 
 
-def _check_width(what: str, p: float, s: float, r_in: float, radius: float,
-                 gain: Callable[[float], float]) -> None:
-    """A NumericalError naming p and s where rounding leaves the width of
-    the annulus [r_in, R] unresolved for `what`.
+def _resolved_support(what: str, p: float, s: float) -> tuple[float, float, float, float]:
+    """Validated (p, s, r_in, R), or a NumericalError naming p and s where
+    rounding leaves the width of the annulus [r_in, R] unresolved for `what`.
 
     The Newton residual of R, about eps R / (2 - p), and the rounded
     exponent 1/(2 - p) of r_in, about eps r_in |ln r_in|, move R - r_in by
-    a relative eps R (1/(2 - p) + |ln r_in|) / (R - r_in).  ``gain(p)`` is
-    the factor by which a value's relative error exceeds that: 1 for the
-    typical value, 1/(2 - p) for the energy excess, whose closed form
-    cancels more near p = 2, and 1/p for the entropy excess, which is about
-    ln(1 - p/2) on a thin annulus.  A disk passes.
+    a relative eps R (1/(2 - p) + |ln r_in|) / (R - r_in).  A value's
+    relative error exceeds that by a gain: 1 for the typical value,
+    1/(2 - p) for the energy excess, whose closed form cancels more near
+    p = 2, and 1/p for the entropy excess, which is about ln(1 - p/2) on a
+    thin annulus.  A disk passes.  A passed annulus has R < 1e4, as R^p
+    (R^{2-p} - r_in^{2-p}) = 1 bounds R (R - r_in): no power R^k, k <= 4, overflows.
     """
-    if r_in > 0.0 and not (
-            _UNIT_ROUNDOFF * radius * (1.0 / (2.0 - p) + abs(math.log(r_in))) * gain(p)
-            <= _WIDTH_TOLERANCE * (radius - r_in)):
-        raise NumericalError(f"{what} needs a wider annulus than rounding "
-                             f"resolves at p={p}, s={s}")
-
-
-def _closed_form(what: str, p: float, s: float, gain: Callable[[float], float],
-                 terms: Callable[[float, float, float, float], float]) -> float:
-    """terms(p, s, r_in, R) at validated (p, s), or a NumericalError naming
-    p and s where the annulus is too thin for it (`_check_width` with
-    ``gain``) or it leaves the doubles (s s p does from s of about 1e154)."""
     p = check_positive(p, "moment exponent p")
-    r, radius = support_radii(p, s)
+    r_in, radius = support_radii(p, s)
     s = float(s)
-    _check_width(what, p, s, r, radius, gain)
-    try:
-        value = terms(p, s, r, radius)
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise NumericalError(f"{what} leaves the doubles at p={p}, s={s}")
-    return value
+    if r_in > 0.0:
+        gain = {"typical value": 1.0, "energy excess": 1.0 / (2.0 - p),
+                "entropy excess": 1.0 / p}[what]
+        if not (_UNIT_ROUNDOFF * radius * (1.0 / (2.0 - p) + abs(math.log(r_in))) * gain
+                <= _WIDTH_TOLERANCE * (radius - r_in)):
+            raise NumericalError(f"{what} needs a wider annulus than rounding "
+                                 f"resolves at p={p}, s={s}")
+    return p, s, r_in, radius
 
 
 def typical_value(p: float, s: float) -> float:
     """Value of the radial p-moment under the tilted equilibrium measure."""
-    return _closed_form("typical value", p, s, lambda p: 1.0,
-                        lambda p, s, r, radius:
-        (2.0 / (2.0 + p)) * (radius ** (p + 2.0) - r ** (p + 2.0))
-        + (s * p / 2.0) * (radius ** (2.0 * p) - r ** (2.0 * p)))
+    p, s, r, radius = _resolved_support("typical value", p, s)
+    value = (2.0 / (2.0 + p)) * (radius ** (p + 2.0) - r ** (p + 2.0)) \
+        + (s * p / 2.0) * (radius ** (2.0 * p) - r ** (2.0 * p))
+    if not math.isfinite(value):
+        raise NumericalError(f"typical value leaves the doubles at p={p}, s={s}")
+    return value
 
 
 def energy_excess(p: float, s: float) -> float:
@@ -260,14 +254,17 @@ def energy_excess(p: float, s: float) -> float:
 
     Evaluated from the support radii in closed form; vanishes at s = 0 and
     grows linearly with slope ``typical_value`` (it is the Legendre-type
-    integral of the typical value in the tilt).
+    integral of the typical value in the tilt).  Where s s p overflows
+    (from s of about 1e154) it leaves the doubles: a NumericalError.
     """
-    return _closed_form("energy excess", p, s, lambda p: 1.0 / (2.0 - p),
-                        lambda p, s, r, radius:
-        (radius ** 4 - r ** 4) / 8.0
-        + (4.0 * s + s * p * p) / (4.0 * (p + 2.0)) * (radius ** (p + 2.0) - r ** (p + 2.0))
-        + (s * s * p / 4.0) * (radius ** (2.0 * p) - r ** (2.0 * p))
-        + 0.5 * (radius ** 2 / 2.0 + s * radius ** p - math.log(radius) - 0.75))
+    p, s, r, radius = _resolved_support("energy excess", p, s)
+    value = (radius ** 4 - r ** 4) / 8.0 \
+        + (4.0 * s + s * p * p) / (4.0 * (p + 2.0)) * (radius ** (p + 2.0) - r ** (p + 2.0)) \
+        + (s * s * p / 4.0) * (radius ** (2.0 * p) - r ** (2.0 * p)) \
+        + 0.5 * (radius ** 2 / 2.0 + s * radius ** p - math.log(radius) - 0.75)
+    if not math.isfinite(value):
+        raise NumericalError(f"energy excess leaves the doubles at p={p}, s={s}")
+    return value
 
 
 def _checked(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
@@ -297,27 +294,27 @@ def entropy_excess(p: float, s: float) -> float:
     is bounded at 0 while v^k with k < 0 is not, and an annulus has no
     singular endpoint, so both stay in r.
     Vanishes at s = 0, equals ln(1+2s) at p = 2.  An annulus too thin for
-    rounding to resolve its width is a NumericalError (`_check_width`).
+    rounding to resolve its width is a NumericalError (`_resolved_support`),
+    and so is an integral the rule does not resolve, with no numpy warning
+    (s p^2 underflows at p below about 1e-200).
     """
-    measure = equilibrium_measure(p, s)
+    p, s, r_in, radius = _resolved_support("entropy excess", p, s)
     if s == 0.0:
         return 0.0
-    p, s = measure.p, measure.s
-    _check_width("entropy excess", p, s, measure.inner_radius,
-                 measure.outer_radius, lambda p: 1.0 / p)
-    if p < 2.0 and measure.inner_radius == 0.0:
+    if p < 2.0 and r_in == 0.0:
         k = (2.0 - p) / p
 
         def values(v: np.ndarray) -> np.ndarray:
             a = 2.0 * v ** k + s * p * p
             return a / p * (np.log(a) - k * np.log(v))
-        lo, hi = 0.0, measure.outer_radius ** p
+        lo, hi = 0.0, radius ** p
     else:
         def values(r: np.ndarray) -> np.ndarray:
             rho = 2.0 * r + s * p * p * r ** (p - 1.0)
             return rho * np.log(rho / r)
-        lo, hi = measure.inner_radius, measure.outer_radius
-    return _checked(values, lo, hi, f"entropy excess at p={p}, s={s}") - math.log(2.0)
+        lo, hi = r_in, radius
+    with np.errstate(all="ignore"):   # _checked refuses what went wrong
+        return _checked(values, lo, hi, f"entropy excess at p={p}, s={s}") - math.log(2.0)
 
 
 def _elementary(what: str, p: float, s: float, quadratic: Callable[[float], float],

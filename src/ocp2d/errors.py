@@ -57,10 +57,12 @@ def check_positive(value: float, name: str) -> float:
 
 def check_size(value: int, name: str, minimum: int = 1) -> int:
     """value as an int; DomainError naming it unless it is a whole number
-    >= minimum (an int, an integral float, or the text of an int)."""
+    >= minimum (an int, an integral float, or the text of an int) in the doubles."""
     try:
         size = int(value) if float(value).is_integer() else None
-    except (TypeError, ValueError, OverflowError):
+    except OverflowError:
+        raise DomainError(f"{name} is too large for a double") from None
+    except (TypeError, ValueError):
         size = None
     if size is None:
         raise DomainError(f"{name} must be an integer, got {value!r}")

@@ -16,8 +16,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .equilibrium import stability_domain
-from .errors import DomainError, NumericalError, check_positive, check_size
+from .equilibrium import _log_outer_square, stability_domain
+from .errors import NumericalError, check_positive, check_size
 from .quadrature import integrate
 
 __all__ = [
@@ -140,7 +140,7 @@ def exact_moment(n: int, p: float) -> float:
 
     Tends to 2/(2+p) as n grows.  The terms grow with k; where n times the
     last one leaves the normal doubles, they are summed relative to it and
-    n^{-1-p/2} joins the log.  A mean beyond the doubles is a DomainError.
+    n^{-1-p/2} joins the log.  A mean beyond the doubles is a NumericalError.
     """
     n = check_size(n, "particle number n")
     p = check_positive(p, "moment exponent p")
@@ -152,7 +152,7 @@ def exact_moment(n: int, p: float) -> float:
     try:
         return math.exp(top + math.log(shifted) - (1.0 + 0.5 * p) * math.log(n))
     except OverflowError:
-        raise DomainError(f"the mean overflows a double at n={n}, p={p}") from None
+        raise NumericalError(f"the mean overflows a double at n={n}, p={p}") from None
 
 
 # --- log-axis integrals on the double-exponential rule -----------------------
@@ -164,38 +164,27 @@ def exact_moment(n: int, p: float) -> float:
 
 _MGF_BLOCK = 32
 _TOL = 1e-12      # absolute, on integrands of peak 1 and unit width
-_MAX_START_OFFSET = 512.0
 _NEWTON_STEPS = 300
 _EPS = float(np.finfo(float).eps)
 
 
-def _modes(ell: np.ndarray, c: np.ndarray, q: float,
+def _modes(ell: np.ndarray, c: np.ndarray, q: float, start: np.ndarray,
            locate: Callable[[np.ndarray], str]) -> np.ndarray:
     """Per element, the root of g(v) = e^v + c q e^{qv} - ell: the mode of
     h(v) = ell v - e^v - c e^{qv}.  Right of it g is increasing and convex
     for every admissible (p, s) (for c < 0, g > 0 gives e^v > |c| q e^{qv},
-    and q <= 1), so Newton started where g > 0 descends onto it without
-    overshooting.  The start is ln ell (g > 0 there if c > 0), else ln ell
-    + 1, 2, 4, ..., _MAX_START_OFFSET; far out, a step moves v by about 1.
-    Every element walks on its own, so its mode does not depend on the
-    others.  locate(mask) says where the masked elements failed.
+    and q <= 1), so Newton from a start where g > 0 descends onto it without
+    overshooting; far out, a step moves v by about 1.  Every element walks
+    on its own, so its mode does not depend on the others.  locate(mask)
+    says where the masked elements failed.
     """
     def newton(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         e, cq = np.exp(v), c * q * np.exp(q * v)
         g = e + cq - ell
         return g, g / (e + q * cq)
 
-    v = log_ell = np.log(ell)
+    v = start
     g, step = newton(v)
-    offset = 1.0
-    while not (g > 0.0).all():
-        if offset > _MAX_START_OFFSET:
-            raise NumericalError("mode search: no v with g > 0 within the step "
-                                 f"budget (ln ell + {_MAX_START_OFFSET:g}) "
-                                 + locate(~(g > 0.0)))
-        v = np.where(g > 0.0, v, log_ell + offset)
-        g, step = newton(v)
-        offset *= 2.0
     for _ in range(_NEWTON_STEPS):
         step = np.where(g > 0.0, step, 0.0)   # g <= 0 only by rounding at the root
         moving = v - step != v
@@ -252,6 +241,10 @@ def _mgf_rows(n: int, p: float, tilts: list[float]) -> list[tuple[float, float]]
     q = 0.5 * p
     c = np.repeat([2.0 * s * n ** (1.0 - q) for s in tilts], n)
     ell = np.tile(np.arange(1.0, n + 1.0), len(tilts))
+    # g at ell = n is n times the outer radius's equation at v - ln n, and g
+    # at ell is that plus n - ell: g > 0 at ln n + ln R^2 + 1 for every
+    # factor, the + 1 clear of the rounding of peak terms near 1e30.
+    start = np.repeat([math.log(n) + _log_outer_square(p, s) + 1.0 for s in tilts], n)
     main, err = np.empty(len(ell)), np.empty(len(ell))
 
     def locate(failed: np.ndarray) -> str:
@@ -259,7 +252,7 @@ def _mgf_rows(n: int, p: float, tilts: list[float]) -> list[tuple[float, float]]
         return f"at n = {n}, p = {p!r}, s = {', '.join(map(repr, bad))}"
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        mode = _modes(ell, c, q, locate)
+        mode = _modes(ell, c, q, start, locate)
         e_mode = np.exp(mode)
         c_mode = c * np.exp(q * mode)
         peak = ell * mode - e_mode - c_mode
@@ -299,10 +292,12 @@ def mgf_log(n: int, p: float, s: float) -> MgfResult:
     Each factor is int_0^inf t^{l-1} exp(-t - 2 s n (t/n)^{p/2}) dt / Gamma(l);
     the integrals are evaluated after the substitution t = e^v, where the
     integrand e^{h(v)} is smooth and unimodal for every admissible (p, s).
-    Newton finds all n modes at once; one sinh-sinh walk in x = (v - mode)
-    / width takes the factors _MGF_BLOCK at a time, so memory stays
-    O(_MGF_BLOCK x nodes).  A mode too far out for h to resolve its peak
-    (v near 333 at n = 40, p = 1.99, s = -2.6) is a NumericalError.  This
+    Newton finds all n modes at once, from ln n + ln R^2 + 1, R the outer
+    radius of the tilted equilibrium measure; one sinh-sinh walk in
+    x = (v - mode) / width takes the factors _MGF_BLOCK at a time, so memory
+    stays O(_MGF_BLOCK x nodes).  A tilt whose R^2 leaves the doubles (at
+    n = 40, p = 1.999, s = -2.6), or a mode too far out for h to resolve its
+    peak (v near 333 at p = 1.99), is a NumericalError.  This
     is _mgf_grid at one tilt.  Whole grids take _mgf_grid itself: `exact
     mgf`, and mgf_table, on which fig 3, fig 4, extract_subleading and
     `verify mgf` build.

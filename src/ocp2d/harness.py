@@ -452,7 +452,8 @@ def transition_scan(p: float, s_window: float = 0.45,
     report is ``resolvable`` unless the expected order m lies above the cap,
     or its jumps at the step used fall under their roundoff floor, or the
     order below it has a cusp |s|^g, g = 4/(2-p) - (m-1) <= log2(4/3): its
-    gap shrinks by only 2^-g >= 0.75 when h halves, so it reads as a jump.
+    gap shrinks by only 2^-g >= 0.75 when h halves, so it reads as a jump;
+    or any lower order reads as a jump, as truncation error at a large step can.
     """
     p = float(p)
     if not (0.0 < p <= 2.0):
@@ -483,12 +484,14 @@ def transition_scan(p: float, s_window: float = 0.45,
         discontinuous = bool(stable and abs(jump2) > floor and abs(jump) > floor)
         rows.append(TransitionRow(order, h, left, right, jump, jump2, floor,
                                   discontinuous))
-    # The expected order is resolved only if it was scanned, the order below
-    # it shrinks faster than the jump cut, and both of its jumps clear its own
-    # roundoff floor; a user step can push them under.
+    # The expected order is resolved only if it was scanned, the order below it
+    # shrinks faster than the jump cut, no lower order reads as a jump, and
+    # both of its jumps clear its own roundoff floor; a user step can push
+    # them under.
     last = rows[-1]
     resolvable = trans.analytic or (
         expected <= _MAX_SCAN_ORDER
         and 2.0 ** -(4.0 / (2.0 - p) - (expected - 1)) < _JUMP_RATIO
+        and not any(row.discontinuous for row in rows[:-1])
         and min(abs(last.jump), abs(last.jump_refined)) > last.noise_floor)
     return TransitionReport(p, expected, resolvable, tuple(rows))

@@ -289,6 +289,10 @@ def test_verify_transition_says_when_the_order_is_not_resolved(tmp_path, capsys)
                 "--out", out]) == 0
     assert "expected order 4, detected None (order 4 not resolved)" \
         in capsys.readouterr().out
+    assert run(["verify", "transition", "--p", "1", "--step", "10", "--window", "100",
+                "--out", out]) == 0
+    assert "expected order 4, detected 2 (order 4 not resolved)" \
+        in capsys.readouterr().out
     assert run(["verify", "transition", "--p", "1", "--out", out]) == 0
     assert "not resolved" not in capsys.readouterr().out
 
@@ -512,7 +516,7 @@ _PINNED_OUTPUTS = {
         "903653d01e46459e584023c34318ddd2d76347c0c44ea07c3dbb36c1c9e9ce78",
         "99b12d681bdd35fab7ccb887b226239ff7bf2ff03bb47cccb960368bca343766"),
     "exact mgf --n 12 --p 1 --grid=-0.4:1:4 --svg": (
-        "bd545799d05712795ce29dc99acf5e2ae5252697bc59c5cfa59e8a9a261b5296",
+        "96125dce0ad1811dc2a6b3eddef06a95ddf46ce3e28aa5d754548baec3b2813c",
         "20f7a52d21aca6af3894c205177644f0815fdf73aa123168974cbcbe0827d840"),
     "exact moment --n 10 --p 2": (
         "d9447477a3713f0d85bd7929474c2fd126a68b431a8ed5733bc7ed5619aa55ad",
@@ -534,7 +538,7 @@ _PINNED_OUTPUTS = {
         "5f70551f250d21ced49296a80ffe597fbaa596ba085bace12f668eae06de0972",
         "0725eaf60ab6c1d43de5b74b679771ceabfae610e0bb68f15efd084be0309bfe"),
     "verify mgf --n 10,20,40 --p 2 --grid 0.2:1:3 --svg": (
-        "ad03207fbced585ee57995953d65b6ae242e929f975012a94ae094980bb54e52",
+        "29f738b7f1908d7b00012b92ee48f82ce3f47bfee472f502055f0f4076dd15f4",
         "ead25b231a31e92fe71ceeae96d4e9e140c0acf558132932df74f590d508d6dd"),
     "verify cumulants --p 2 --n 50 --svg": (
         "644c6314fcf7746350df3e1819131da69ab6ec2c9969d4866ec210a4b565d0f1",
@@ -555,10 +559,10 @@ _PINNED_OUTPUTS = {
         "7570c21b477e1c8040309e43c2506529446d1d4bc468a1d177045566daff102b",
         "595dab141485869c92d68f953ff884f082fd32bd3aa847c8f05dd6c85c61586c"),
     "fig 3 --n 12 --svg": (
-        "2e0a09204d004d398aed59d036efd4f1990a688e632c5a6c72111a0413318b46",
+        "41719acffa70ec21983944c834ca501a447d57d01efee6ea6546624518fe58a5",
         "0de04035a603493080ab6f97d9b6328df5f2966659208b4c921fc9a78941edb0"),
     "fig 4 --n 12 --svg": (
-        "d4f09e0d4179b9ff38bf55aef6e21ad1db21b7c2f1e953405737defe31437a14",
+        "14b893c3963480084624c16ccdacc0b8e96a25aa7c9bdd175835c5b091ce98fe",
         "3bbaede666c00f081cd75878d0265d41679ca4be7270984b784bae797f24a82f"),
 }
 

@@ -145,6 +145,13 @@ def test_invn_correction_domain():
         invn_correction(0.0)
 
 
+def test_corrections_refuse_x_outside_their_branch():
+    with pytest.raises(DomainError, match="requires 0 < x <= 1, got 1.5"):
+        lognn_correction(1.5)
+    with pytest.raises(DomainError, match="requires 0 < x < 1, got 1.0"):
+        left_tail_prediction(1.0, 10)
+
+
 def test_left_tail_prediction_composition():
     n, x = 250, 0.5
     want = left_rate(x) + (math.log(n) / n) * lognn_correction(x) \
@@ -167,6 +174,11 @@ def test_constrained_measure_boundary_mass():
     assert constrained_measure(0.5).boundary_mass == pytest.approx(0.75, rel=1e-15)
     assert constrained_measure(2.0).boundary_mass == 0.0
     assert constrained_measure(2.0).bulk_radius == 1.0
+    for x in (0.5, 2.0):
+        mu = constrained_measure(x)
+        # the bulk is the uniform planar density 1/pi on the disk of its radius
+        assert math.pi * mu.bulk_radius ** 2 * mu.bulk_density == pytest.approx(
+            1.0 - mu.boundary_mass, rel=1e-15)
 
 
 @pytest.mark.parametrize("x", [0.1, 0.35, 0.7, 1.0, 1.5, 3.0])

@@ -43,6 +43,8 @@ def test_stability_domain_shapes():
     assert not stability_domain(2.0).contains(-0.5)
     assert stability_domain(3.0).contains(0.0)
     assert not stability_domain(3.0).contains(-1e-12)
+    for s in (math.inf, -math.inf, math.nan):
+        assert not stability_domain(1.0).contains(s)
 
 
 def test_stability_domain_require_raises():
@@ -160,14 +162,53 @@ def test_support_radii_sweep_against_mpmath(seed):
 
 def test_support_radii_solve_the_mode_equation_of_the_exact_mgf():
     # in v = ln R^2 the outer radius is the mode of exact._modes at l = 1,
-    # c = 2s, q = p/2: disks, annuli, the quadratic tilt and p > 2
+    # c = 2s, q = p/2: disks, annuli, the quadratic tilt and p > 2.  The
+    # Newton of _modes starts at ln R^2 + 1, where g > 0, not on the root.
     grid = [(p, s) for p in (0.3, 1.0, 1.5, 1.9) for s in (-1.0, -0.4, 0.5, 4.0, 60.0)] \
         + [(2.0, s) for s in (-0.45, -0.2, 0.5, 4.0)] \
         + [(p, s) for p in (3.0, 8.0) for s in (0.01, 1.0, 200.0)]
     for p, s in grid:
-        mode = _modes(np.ones(1), np.array([2.0 * s]), p / 2.0, lambda mask: "")
         r_out = support_radii(p, s)[1]
+        start = np.array([2.0 * math.log(r_out) + 1.0])
+        mode = _modes(np.ones(1), np.array([2.0 * s]), p / 2.0, start, lambda mask: "")
         assert r_out ** 2 == pytest.approx(math.exp(mode[0]), rel=1e-14), (p, s)
+
+
+def test_support_radii_at_huge_exponents_return_or_raise_typed_errors():
+    # where s p < eps/2, g(0) rounds to 0 and that start is the root; a
+    # search beyond it overflowed e^{pv/2} once p/2 > 709
+    r_in, r_out = support_radii(1e4, 1e-24)
+    assert r_in == 0.0 and abs(r_out - 1.0) <= 1e-15
+    for p in (2.5, 3.0, 10.0, 100.0, 1e3, 1420.0, 1e4, 1e5, 1e6):
+        for e in range(-300, 301, 4):
+            r_in, r_out = support_radii(p, 10.0 ** e)
+            assert r_in == 0.0 and 0.0 < r_out <= 1.0, (p, e)
+            with pytest.raises(StabilityError):
+                support_radii(p, -10.0 ** e)
+
+
+def test_annuli_that_pass_the_width_check_keep_every_power_a_double():
+    # R^p (R^{2-p} - r_in^{2-p}) = 1 bounds R (R - r_in), and the width
+    # check bounds (R - r_in) / R from below, so a passing annulus has
+    # R < 1e4 and the closed forms' powers of R (at most R^4) never overflow
+    widest = 0.0
+    for p in (0.01, 0.3, 1.0, 1.5, 1.9, 1.99, 1.999):
+        for e in range(-6, 309):
+            s = -10.0 ** (e / 2.0)
+            for f in (typical_value, energy_excess):
+                try:
+                    assert math.isfinite(f(p, s))
+                except NumericalError:
+                    continue
+                widest = max(widest, support_radii(p, s)[1])
+    assert 10.0 < widest < 1e4
+
+
+def test_entropy_excess_whose_s_p2_underflows_is_a_numerical_error():
+    # at p = 1e-300, s p^2 is 0 and the integrand is log(0) times 0
+    for s in (0.5, 1.0, 1e100):
+        with pytest.raises(NumericalError, match=re.escape(f"p=1e-300, s={s}")):
+            entropy_excess(1e-300, s)
 
 
 @pytest.mark.parametrize("f,p,s,radius", [
@@ -176,6 +217,7 @@ def test_support_radii_solve_the_mode_equation_of_the_exact_mgf():
     (energy_excess, 1.99, -3.0, 3.96e77),
     (energy_excess, 0.01, -1.0893039390979322e155, 8e76),
     (energy_excess, 4.0, 1e155, 1.257e-39),     # a disk whose s s p overflows
+    (typical_value, 3.0, 1.5e308, 1.305e-103),  # a disk whose s p overflows
 ])
 def test_closed_forms_beyond_the_doubles_are_numerical_errors(f, p, s, radius):
     assert support_radii(p, s)[1] == pytest.approx(radius, rel=1e-2)
@@ -577,6 +619,17 @@ def test_nan_density_raises_instead_of_returning_nan():
         mean_field_energy(mu)
     with pytest.raises(NumericalError):
         entropy_functional(mu)
+
+
+@pytest.mark.parametrize("pieces,rings,match", [
+    ((Piece(1.0, 0.5, lambda r: 2.0 * r),), (), "invalid piece bounds"),
+    ((Piece(-0.5, 1.0, lambda r: 2.0 * r),), (), "invalid piece bounds"),
+    ((Piece(0.0, 1.0, lambda r: 2.0 * r, lambda r: r * r),), (RingMass(0.0, 0.0),),
+     "ring radius must be positive"),
+])
+def test_invalid_radial_measures_are_domain_errors(pieces, rings, match):
+    with pytest.raises(DomainError, match=match):
+        mean_field_energy(RadialMeasure(pieces=pieces, rings=rings))
 
 
 def test_nan_mass_is_a_domain_error():

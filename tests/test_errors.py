@@ -2,6 +2,7 @@
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -55,6 +56,12 @@ def test_check_size_names_the_argument(minimum):
                                    "x", None])
 def test_check_size_refuses_what_is_not_a_whole_number(value):
     with pytest.raises(DomainError, match="widgets must be an integer, got "):
+        check_size(value, "widgets")
+
+
+@pytest.mark.parametrize("value", [10 ** 400, -(10 ** 400), Fraction(10 ** 400, 3)])
+def test_check_size_refuses_a_number_too_large_for_a_double(value):
+    with pytest.raises(DomainError, match="^widgets is too large for a double$"):
         check_size(value, "widgets")
 
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import mpmath
 import numpy as np
@@ -228,9 +229,12 @@ def test_exact_moment_keeps_the_plain_sum_where_it_fits():
     assert exact_moment(50, 2.0) == 0.51000000000000034
 
 
-def test_exact_moment_beyond_the_doubles_is_a_domain_error():
-    with pytest.raises(DomainError, match="overflows"):
-        exact_moment(3, 500.0)
+def test_exact_moment_beyond_the_doubles_is_a_numerical_error():
+    # a result that leaves the doubles, not an argument outside the domain
+    for n, p in ((3, 500.0), (10, 3000.0)):
+        with pytest.raises(NumericalError,
+                           match=re.escape(f"overflows a double at n={n}, p={p}")):
+            exact_moment(n, p)
 
 
 def test_exact_moment_tends_to_flat_disk_average():
@@ -347,13 +351,31 @@ def test_mgf_log_small_p_wall_is_refined():
     assert res.estimated_relative_error < 1e-10
 
 
+@pytest.mark.parametrize("s", [1e200, 1e300])
+def test_mgf_log_quadratic_tilt_far_out_matches_the_closed_form(s):
+    # every mode lies within ln n + 1 below the Newton start ln n + ln R^2 + 1,
+    # R^2 = 1/(1 + 2s); a start at ln l took one step per unit of ln(1 + 2s)
+    res = mgf_log(10, 2.0, s)
+    assert res.log_value == pytest.approx(-55.0 * math.log1p(2.0 * s), rel=1e-13)
+    assert res.estimated_relative_error < 1e-15
+
+
+def test_mgf_log_modes_start_clear_of_the_top_mode():
+    # at the top mode itself, rounding of peak terms near 1e30 leaves g <= 0
+    # for some factors, which then stop there; the estimate read 5.8e16
+    res = mgf_log(40, 0.5, -1e22)
+    assert res.log_value == pytest.approx(4.103942272024073e32, rel=1e-14)
+    assert res.estimated_relative_error < 1e-14
+
+
 def test_mgf_log_mode_far_out_is_a_numerical_error():
     # mode near v = 333, ln M about 1e144: the peak is e^-166 wide, far
     # below what the rounding of h resolves there, and the integrand is noise
     with pytest.raises(NumericalError, match="collapsed to zero"):
         mgf_log(40, 1.99, -2.6)
-    # mode near v = 3300: beyond the search for a Newton start
-    with pytest.raises(NumericalError, match="no v with g > 0"):
+    # mode near v = 3300: the outer radius, where every Newton starts, has
+    # no double R^2
+    with pytest.raises(NumericalError, match="outer radius leaves the doubles"):
         mgf_log(40, 1.999, -2.6)
 
 
@@ -373,8 +395,10 @@ def test_mgf_grid_checks_every_tilt_before_any_work(monkeypatch):
 
 
 def test_mgf_grid_errors_name_the_failing_tilts(monkeypatch):
-    # a collapsed quadrature: see test_mgf_table_error_names_the_tilt
-    with pytest.raises(NumericalError, match=r"no v with g > 0 .* s = -2.6$"):
+    # a tilt whose outer radius leaves the doubles; for a collapsed
+    # quadrature see test_mgf_table_error_names_the_tilt
+    with pytest.raises(NumericalError,
+                       match=r"outer radius leaves the doubles at p=1.999, s=-2.6$"):
         exact._mgf_grid(40, 1.999, [1.0, -2.6, 0.5])
     monkeypatch.setattr(exact, "_NEWTON_STEPS", 1)
     with pytest.raises(NumericalError,

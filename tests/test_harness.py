@@ -7,6 +7,7 @@ import pytest
 
 from ocp2d import (
     DomainError,
+    GumbelReport,
     LdpRow,
     NumericalError,
     LdpTable,
@@ -188,6 +189,11 @@ def test_mgf_grid_outputs_equal_single_tilts(tmp_path, capsys, n, p, grid):
         [(res.log_value, res.estimated_relative_error) for res in alone]
 
 
+def test_mgf_table_refuses_an_empty_grid():
+    with pytest.raises(DomainError, match="empty tilt grid"):
+        mgf_table(10, 1.0, [])
+
+
 def test_mgf_table_error_names_the_tilt():
     with pytest.raises(NumericalError, match="collapsed to zero or overflowed "
                                              "at n = 40, p = 1.99, s = -2.6$"):
@@ -332,6 +338,11 @@ def test_gumbel_check_negative_seed_rejected():
         gumbel_check(200, 10, -1)
 
 
+def test_gumbel_report_passes_at_its_gate():
+    assert GumbelReport(200, 10, 0, 0.05, True).passed
+    assert not GumbelReport(200, 10, 0, 0.0501, True).passed
+
+
 def test_gumbel_check_reports_distance_and_flag():
     report = gumbel_check(500, 400, 11)
     assert report.low_n
@@ -373,6 +384,19 @@ def test_transition_scan_reports_an_order_it_did_not_resolve():
     assert not report.resolvable
     # order 8 lies above the highest scanned order
     assert not transition_scan(1.5).resolvable
+
+
+def test_transition_scan_at_a_large_step_resolves_no_lower_order():
+    # at h = 10 the order-2 gap of p = 1 is truncation error that shrinks by
+    # only 0.92 as h halves, so it reads as a jump below the expected order 4
+    report = transition_scan(1.0, s_window=100.0, step=10.0)
+    assert report.detected_order == 2
+    assert not report.resolvable
+    for p in (0.5, 1.0, 1.2):
+        for step in (0.01, 0.1, 1.0, 3.0, 10.0):
+            report = transition_scan(p, s_window=100.0, step=step)
+            if report.resolvable:
+                assert report.detected_order == report.expected_order, (p, step)
 
 
 def test_transition_scan_calls_only_the_expected_order_resolvable():

@@ -68,6 +68,22 @@ def test_samplers_whose_statistic_overflows_raise_a_numerical_error():
         sample_kostlan(10, 5, 700.0, 1)   # n^{-1-p/2} underflows
     with pytest.raises(NumericalError, match=r"n = 4, p = 100000\.0"):
         sample_mcmc(4, 2.0, 20, 10, 1, 1e5, 1)
+    # n^{-1-p/2} = 1 passes; then every draw g^{p/2} overflows
+    with pytest.raises(NumericalError, match=r"n = 1, p = 100000\.0"):
+        sample_kostlan(1, 5, 1e5, 1)
+
+
+def test_sample_batch_variance_needs_two_draws():
+    batch = SampleBatch(np.array([0.2]), 1.0, 4, 2.0, 0, "test", {})
+    assert batch.mean() == 0.2
+    with pytest.raises(DomainError, match="at least two draws"):
+        batch.variance()
+
+
+def test_mcmc_adapt_before_any_sweep_keeps_the_step():
+    chain = MetropolisChain(5, 2.0, sampling._rng(3), 0.25)
+    chain.adapt()
+    assert chain.step == 0.25
 
 
 def test_hamiltonian_rotation_invariance():
