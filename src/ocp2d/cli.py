@@ -391,7 +391,7 @@ def _cmd_verify(res: _Resolver, out: str):
         sizes = res.require("n", lambda text: [int(k) for k in text.split(",")])
         grid = res.require("grid", _grid)
         extracted = harness._subleading_fit(p, grid, sizes)  # both ascend in s
-        predicted = [harness.subleading_coefficient(p, s, beta) for s in grid]
+        predicted = harness._subleading_grid(p, grid, beta)
         residual = [e - q for e, q in zip(extracted, predicted)]
         table = {"s": grid, "extracted_coefficient": extracted,
                  "predicted_coefficient": predicted, "residual": residual,

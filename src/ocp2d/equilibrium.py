@@ -267,10 +267,8 @@ def energy_excess(p: float, s: float) -> float:
     return value
 
 
-def _checked(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-             what: str, tol: float = 1e-10) -> float:
-    """int_lo^hi f for an array callable, checked against its estimate."""
-    value, err = integrate(f, lo, hi, tol)
+def _checked(value: float, err: float, what: str, tol: float = 1e-10) -> float:
+    """value, once its estimate err is within tol; else a NumericalError."""
     if not (math.isfinite(value) and err <= tol):
         raise NumericalError(f"quadrature for {what} did not converge: "
                              f"estimated error {err:.3e}")
@@ -279,9 +277,54 @@ def _checked(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
 
 def _quad_checked(f: Callable[[float], float], lo: float, hi: float,
                   what: str, tol: float = 1e-10) -> float:
-    """int_lo^hi f for a scalar callable, node by node."""
-    return _checked(lambda x: np.fromiter(map(f, x.tolist()), float, x.size),
-                    lo, hi, what, tol)
+    """int_lo^hi f for a scalar callable, node by node, checked against its estimate."""
+    value, err = integrate(lambda x: np.fromiter(map(f, x.tolist()), float, x.size),
+                           lo, hi, tol)
+    return _checked(value, err, what, tol)
+
+
+_ENTROPY_BLOCK = 32   # rows per quadrature batch, as exact._MGF_BLOCK
+
+
+def _entropy_grid(p: float, s_grid: Sequence[float]) -> list[float]:
+    """entropy_excess at every tilt of s_grid, in grid order.
+
+    Every tilt is checked first (`_resolved_support`).  The nonzero tilts
+    of each branch, the disk at p < 2 in v and the rest in r, are then the
+    rows of quadrature batches of _ENTROPY_BLOCK rows, each row on its own
+    bounds.  Each row stops on its own, so a value is the same bits
+    whatever tilts share its batch.
+    """
+    supports = [_resolved_support("entropy excess", p, s) for s in s_grid]
+    found = [0.0] * len(supports)
+    branches: dict[bool, list[int]] = {True: [], False: []}   # keyed by "in v"
+    for i, (p, s, r_in, _) in enumerate(supports):
+        if s != 0.0:
+            branches[p < 2.0 and r_in == 0.0].append(i)
+    for in_v, rows in branches.items():
+        for b in range(0, len(rows), _ENTROPY_BLOCK):
+            block = rows[b:b + _ENTROPY_BLOCK]
+            tilts, r_in, radius = zip(*(supports[i][1:] for i in block))
+            sp2 = np.array(tilts)[:, None] * p * p
+            if in_v:
+                lo, hi = [0.0] * len(block), [r ** p for r in radius]
+                k = (2.0 - p) / p
+
+                def values(v: np.ndarray) -> np.ndarray:
+                    a = 2.0 * v ** k + sp2
+                    return a / p * (np.log(a) - k * np.log(v))
+            else:
+                lo, hi = r_in, radius
+
+                def values(r: np.ndarray) -> np.ndarray:
+                    rho = 2.0 * r + sp2 * r ** (p - 1.0)
+                    return rho * np.log(rho / r)
+            with np.errstate(all="ignore"):   # _checked refuses what went wrong
+                value, err = integrate(values, np.array(lo)[:, None],
+                                       np.array(hi)[:, None], 1e-10)
+            for i, s, v, e in zip(block, tilts, value.tolist(), err.tolist()):
+                found[i] = _checked(v, e, f"entropy excess at p={p}, s={s}") - math.log(2.0)
+    return found
 
 
 def entropy_excess(p: float, s: float) -> float:
@@ -296,25 +339,11 @@ def entropy_excess(p: float, s: float) -> float:
     Vanishes at s = 0, equals ln(1+2s) at p = 2.  An annulus too thin for
     rounding to resolve its width is a NumericalError (`_resolved_support`),
     and so is an integral the rule does not resolve, with no numpy warning
-    (s p^2 underflows at p below about 1e-200).
+    (s p^2 underflows at p below about 1e-200).  This is _entropy_grid at
+    one tilt; the entropy columns of mgf_table and `verify mgf` take a
+    whole grid in one batch per branch.
     """
-    p, s, r_in, radius = _resolved_support("entropy excess", p, s)
-    if s == 0.0:
-        return 0.0
-    if p < 2.0 and r_in == 0.0:
-        k = (2.0 - p) / p
-
-        def values(v: np.ndarray) -> np.ndarray:
-            a = 2.0 * v ** k + s * p * p
-            return a / p * (np.log(a) - k * np.log(v))
-        lo, hi = 0.0, radius ** p
-    else:
-        def values(r: np.ndarray) -> np.ndarray:
-            rho = 2.0 * r + s * p * p * r ** (p - 1.0)
-            return rho * np.log(rho / r)
-        lo, hi = r_in, radius
-    with np.errstate(all="ignore"):   # _checked refuses what went wrong
-        return _checked(values, lo, hi, f"entropy excess at p={p}, s={s}") - math.log(2.0)
+    return _entropy_grid(p, [s])[0]
 
 
 def _elementary(what: str, p: float, s: float, quadratic: Callable[[float], float],

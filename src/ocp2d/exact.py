@@ -207,7 +207,9 @@ class MgfResult:
     e^mode and c e^{q mode} (the last weighted by 1 + |q mode| for the
     rounding of its exponent), over max(1, |log_value|).  The second
     part is the rounding floor: it dominates where a mode lies far right,
-    where the peak terms reach 1e25 and cancel.  Every factor is solved and
+    where the peak terms reach 1e25 and cancel.  A result whose estimate
+    exceeds 1 has no correct digit and is a NumericalError instead (at
+    n = 40, p = 1, s = -1e15 it read 4e121).  Every factor is solved and
     integrated on its own, so a result is the same bits whether it comes
     from mgf_log or from a grid of tilts evaluated in one pass.
     """
@@ -251,6 +253,9 @@ def _mgf_rows(n: int, p: float, tilts: list[float]) -> list[tuple[float, float]]
         bad = dict.fromkeys(np.repeat(tilts, n)[failed].tolist())
         return f"at n = {n}, p = {p!r}, s = {', '.join(map(repr, bad))}"
 
+    if not np.isfinite(c).all():
+        raise NumericalError("the tilt term 2 s n^(1 - p/2) leaves the doubles "
+                             + locate(~np.isfinite(c)))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         mode = _modes(ell, c, q, start, locate)
         e_mode = np.exp(mode)
@@ -266,8 +271,10 @@ def _mgf_rows(n: int, p: float, tilts: list[float]) -> list[tuple[float, float]]
                 # inf - inf stands for a vanishing tail, while an overflow
                 # stays inf and fails the check below
                 u = wd * x
-                g = np.exp(el * u - e * np.expm1(u) - cm * np.expm1(q * u))
-                return np.nan_to_num(g, nan=0.0, posinf=math.inf)
+                grow = np.expm1(u)
+                tilt = grow if q == 1.0 else np.expm1(q * u)
+                g = np.exp(el * u - e * grow - cm * tilt)
+                return np.fmax(g, 0.0, out=g)     # nan to 0; g >= 0 and inf stay
 
             value, error = integrate(factor, -math.inf, math.inf, _TOL)
             main[blk], err[blk] = width[blk] * value, width[blk] * error
@@ -281,9 +288,13 @@ def _mgf_rows(n: int, p: float, tilts: list[float]) -> list[tuple[float, float]]
     # carries the rounding of its exponent qv, which exp magnifies by |qv|.
     rounding = _EPS * (np.abs(ell * mode) + e_mode + np.abs(c_mode)
                        * (1.0 + np.abs(q * mode))).reshape(-1, n).sum(axis=1)
-    rel = (err / main).reshape(-1, n).sum(axis=1)
-    return [(lv, (r + f) / max(1.0, abs(lv)))
-            for lv, r, f in zip(log_values, rel.tolist(), rounding.tolist())]
+    rel = ((err / main).reshape(-1, n).sum(axis=1) + rounding) \
+        / np.maximum(1.0, np.abs(log_values))
+    hopeless = ~(rel <= 1.0)
+    if hopeless.any():
+        raise NumericalError("the estimated relative error exceeds 1 (no correct "
+                             "digit) " + locate(np.repeat(hopeless, n)))
+    return list(zip(log_values, rel.tolist()))
 
 
 def mgf_log(n: int, p: float, s: float) -> MgfResult:
@@ -295,11 +306,11 @@ def mgf_log(n: int, p: float, s: float) -> MgfResult:
     Newton finds all n modes at once, from ln n + ln R^2 + 1, R the outer
     radius of the tilted equilibrium measure; one sinh-sinh walk in
     x = (v - mode) / width takes the factors _MGF_BLOCK at a time, so memory
-    stays O(_MGF_BLOCK x nodes).  A tilt whose R^2 leaves the doubles (at
-    n = 40, p = 1.999, s = -2.6), or a mode too far out for h to resolve its
-    peak (v near 333 at p = 1.99), is a NumericalError.  This
-    is _mgf_grid at one tilt.  Whole grids take _mgf_grid itself: `exact
-    mgf`, and mgf_table, on which fig 3, fig 4, extract_subleading and
-    `verify mgf` build.
+    stays O(_MGF_BLOCK x nodes).  A tilt whose R^2 or tilt term 2 s n^{1-p/2}
+    leaves the doubles (at n = 40, p = 1.999, s = -2.6, or s = 1e308), or a
+    mode too far out for h to resolve its peak (v near 333 at p = 1.99), is
+    a NumericalError.  This is _mgf_grid at one tilt.  Whole grids take
+    _mgf_grid itself: `exact mgf`, and mgf_table, on which fig 3, fig 4,
+    extract_subleading and `verify mgf` build.
     """
     return _mgf_grid(n, p, [s])[0]

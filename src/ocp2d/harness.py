@@ -22,8 +22,8 @@ from .edge import (
     right_rate,
 )
 from .equilibrium import (
+    _entropy_grid,
     energy_excess,
-    entropy_excess,
     leading_cumulant,
     transition_order,
 )
@@ -222,8 +222,14 @@ def subleading_coefficient(p: float, s: float, beta: float = 2.0) -> float:
     is + (1/4) entropy_excess; the beta-dependence away from 2 is untested
     and callers must flag it (see untested_beta).
     """
+    return _subleading_grid(p, [s], beta)[0]
+
+
+def _subleading_grid(p: float, s_grid: Sequence[float],
+                     beta: float = 2.0) -> list[float]:
+    """subleading_coefficient at every tilt of s_grid, from one entropy grid."""
     beta = check_positive(beta, "coupling beta")
-    return (4.0 - beta) / (4.0 * beta) * entropy_excess(p, s)
+    return [(4.0 - beta) / (4.0 * beta) * e for e in _entropy_grid(p, s_grid)]
 
 
 def untested_beta(beta: float) -> bool:
@@ -237,8 +243,9 @@ def mgf_table(n: int, p: float, s_grid: Sequence[float]) -> LdpTable:
     The whole grid goes through exact's grid routine in one pass; each row
     is the same bits as mgf_log(n, p, s) alone.  Extra columns: the
     magnified gap n (finite - limit), its predicted limit (the 1/n
-    coefficient at coupling 2), and the quadrature error estimate.  The
-    1/n fit of extract_subleading reads the gap column, one table per size.
+    coefficient at coupling 2, from one entropy grid), and the quadrature
+    error estimate.  The 1/n fit of extract_subleading reads the gap
+    column, one table per size.
     """
     n = check_size(n, "particle number n")
     ss = sorted(float(s) for s in s_grid)
@@ -248,7 +255,7 @@ def mgf_table(n: int, p: float, s_grid: Sequence[float]) -> LdpTable:
     rows = _make_rows(ss, [(-res.log_value / (2.0 * n * n), energy_excess(p, s))
                            for res, s in zip(results, ss)])
     gap = tuple(n * row.residual for row in rows)
-    gap_pred = tuple(subleading_coefficient(p, s) for s in ss)
+    gap_pred = tuple(_subleading_grid(p, ss))
     return LdpTable(
         "s", rows,
         metadata={"n": n, "beta": 2.0, "p": float(p),

@@ -12,7 +12,9 @@ rows that share its call.  With e1 = |S_h - S_2h| and e2 = |S_h - S_4h|
 (at h = 1/32, all three sums on its 231 nodes), the estimate is Bailey,
 Jeyabalan & Li's (2005) e1^(ln e1 / ln e2), as the error about squares when
 h halves.  Its floors are e1^2, the rounding eps sum |terms| and the two
-outermost weighted terms, for what truncation at |t| = 3.6 drops."""
+outermost weighted terms, for what truncation at |t| = 3.6 drops.
+Finite bounds may differ by row, as (rows, 1) arrays: then a batch of
+integrals over different intervals is one call."""
 
 from __future__ import annotations
 
@@ -33,12 +35,14 @@ _U, _DU = 0.5 * math.pi * np.sinh(_T), 0.5 * math.pi * np.cosh(_T)
 _STEPS = ((0, 57, 115, 231), (231, 461), (461, 921))
 
 
-def _rule(lo: float, hi: float, part: slice) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights dx/dt of the table's part on [lo, hi]."""
+def _rule(lo: float | np.ndarray, hi: float | np.ndarray,
+          part: slice) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights dx/dt of the table's part on [lo, hi]; finite
+    bounds may be (rows, 1) arrays, one pair per row."""
     u, du = _U[part], _DU[part]
-    if lo == -math.inf and hi == math.inf:
-        return np.sinh(u), np.cosh(u) * du
-    if hi == math.inf:
+    if np.ndim(hi) == 0 and hi == math.inf:
+        if lo == -math.inf:
+            return np.sinh(u), np.cosh(u) * du
         grow = np.exp(u)
         return lo + grow, grow * du
     half, cosh = 0.5 * (hi - lo), np.cosh(u)
@@ -46,10 +50,13 @@ def _rule(lo: float, hi: float, part: slice) -> tuple[np.ndarray, np.ndarray]:
     return np.where(_T[part] <= 0.0, lo + offset, hi - offset), half * du / cosh ** 2
 
 
-def integrate(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-              tol: float) -> tuple[np.ndarray, np.ndarray]:
+def integrate(f: Callable[[np.ndarray], np.ndarray], lo: float | np.ndarray,
+              hi: float | np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """int_lo^hi f along the last axis of f(nodes), and each row's error
-    estimate, on [lo, hi], [lo, inf) or (-inf, inf).  A row keeps the
+    estimate, on [lo, hi], [lo, inf) or (-inf, inf).  Finite lo and hi may
+    be (rows, 1) arrays: f then sees nodes of shape (rows, nodes), row i on
+    [lo[i, 0], hi[i, 0]], and row i gets the same bits as a call with those
+    scalar bounds.  A row keeps the
     value and estimate of the first step at which its estimate is <= tol;
     a row that never gets there returns its h = 1/128 value, whatever its
     estimate: err > tol is the caller's to judge."""

@@ -534,6 +534,41 @@ def test_entropy_excess_converges_across_exponents_and_tilts():
                 assert math.isfinite(entropy_excess(p, s)), (p, s)
 
 
+@pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("grid", [[-0.4, -0.1, 0.0, 0.3, 0.6],
+                                  np.linspace(-3.0, 5.0, 65).tolist()],
+                         ids=["short", "over-a-block"])
+def test_entropy_grid_is_the_single_tilts_bit_for_bit(p, grid):
+    # both grids hold s = 0; at p < 2 they span the annulus and the disk
+    # branch, and the long one (fig 3's) puts 40 or more rows in one branch
+    import ocp2d.equilibrium as eq
+    ss = [s for s in grid if stability_domain(p).contains(s)]
+    assert 0.0 in ss
+    assert eq._entropy_grid(p, ss) == [entropy_excess(p, s) for s in ss]
+
+
+def test_entropy_grid_rows_stop_on_their_own():
+    # at p = 200 the tilt 1e300 walks on to h = 1/64, while the others
+    # stop at h = 1/32 in the same batch and keep their single-tilt bits
+    import ocp2d.equilibrium as eq
+    ss = [1.0, 1e300, 10.0]
+    assert eq._entropy_grid(200.0, ss) == [entropy_excess(200.0, s) for s in ss]
+
+
+def test_entropy_grid_refuses_what_its_tilts_refuse():
+    # a thin annulus is refused before any quadrature, in the words of the
+    # single tilt; a row the rule does not resolve is named by its own tilt
+    import ocp2d.equilibrium as eq
+    for p, grid, s, match in [(1.9, [1.0, -1.0, -3.0, 0.0], -3.0, "needs a wider annulus"),
+                              (1.99, [-0.5, 1.0, 1e300, 2.0], 1e300, "did not converge")]:
+        with pytest.raises(NumericalError, match=match) as alone:
+            entropy_excess(p, s)
+        with pytest.raises(NumericalError) as batch:
+            eq._entropy_grid(p, grid)
+        assert str(batch.value) == str(alone.value)
+        assert f"p={p}, s={s}" in str(alone.value)
+
+
 def test_half_infinite_piece_matches_closed_forms():
     # density e^{-r} on [0, inf): energy 1 + (gamma - ln 2)/2 and entropy
     # 1 + ln 2 pi - gamma, through the exp-sinh form of the rule

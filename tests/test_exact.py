@@ -377,6 +377,16 @@ def test_mgf_log_mode_far_out_is_a_numerical_error():
     # no double R^2
     with pytest.raises(NumericalError, match="outer radius leaves the doubles"):
         mgf_log(40, 1.999, -2.6)
+    # the tilt term c = 2 s n^{1-p/2} itself overflows (at s = 1e300 it does
+    # not: see the closed-form test above), where Newton divided inf by inf
+    with pytest.raises(NumericalError, match="tilt term .* leaves the doubles "
+                                             + re.escape("at n = 10, p = 2.0, s = 1e+308")):
+        mgf_log(10, 2.0, 1e308)
+    # results whose own estimate read 4.1e121 and 1.7e30: no digit is correct
+    for n, p, s in [(40, 1.0, -1e15), (300, 0.5, -1e22)]:
+        with pytest.raises(NumericalError, match=re.escape(
+                f"(no correct digit) at n = {n}, p = {p}, s = {s!r}")):
+            mgf_log(n, p, s)
 
 
 def test_mgf_grid_beyond_a_thousand_rows_equals_single_tilts():

@@ -180,6 +180,8 @@ def test_mgf_grid_outputs_equal_single_tilts(tmp_path, capsys, n, p, grid):
         [-res.log_value / (2.0 * n * n) for res in alone]
     assert list(table.extra_columns["quadrature_error"]) == \
         [res.estimated_relative_error for res in alone]
+    assert list(table.extra_columns["subleading_prediction"]) == \
+        [subleading_coefficient(p, s) for s in ss]
     out = tmp_path / "mgf.csv"
     assert run(["exact", "mgf", "--n", str(n), "--p", str(p), f"--grid={grid}",
                 "--out", str(out)]) == 0
@@ -187,6 +189,22 @@ def test_mgf_grid_outputs_equal_single_tilts(tmp_path, capsys, n, p, grid):
     cells = [line.split(",") for line in out.read_text().splitlines()[1:]]
     assert [(float(v), float(e)) for _, v, e in cells] == \
         [(res.log_value, res.estimated_relative_error) for res in alone]
+
+
+def test_mgf_table_integrates_the_entropy_column_in_batches(monkeypatch):
+    # one quadrature per block of rows in each branch, not one per tilt:
+    # fig 3's 64 nonzero tilts took 64 calls, and in blocks of 32 rows
+    # take at most ceil(64 / 32) + 1
+    import ocp2d.equilibrium as eq
+    calls, integrate = [], eq.integrate
+
+    def spy(*args):
+        calls.append(args)
+        return integrate(*args)
+
+    monkeypatch.setattr(eq, "integrate", spy)
+    mgf_table(12, 1.0, _grid("-3:5:65"))
+    assert 0 < len(calls) <= math.ceil(64 / 32) + 1
 
 
 def test_mgf_table_refuses_an_empty_grid():

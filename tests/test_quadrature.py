@@ -83,3 +83,21 @@ def test_each_row_stops_on_its_own():
     assert value.tolist() == [float(v) for v, _ in alone]
     assert err.tolist() == [float(e) for _, e in alone]
     assert err[0] <= 1e-12 < err[-1]
+
+
+def test_per_row_finite_bounds_equal_scalar_calls():
+    # (rows, 1) bounds give each row its own interval: one with a kink and
+    # a sqrt endpoint that never meets tol, smooth ones, a narrow one and
+    # one of width 1e-12.  Each row is the same bits as a scalar-bound call
+    lo = np.array([[0.0], [0.5], [0.31], [1.0]])
+    hi = np.array([[1.0], [2.0], [0.32], [1.0 + 1e-12]])
+
+    def f(x):
+        return np.abs(x - 0.3) + np.sqrt(x)
+
+    value, err = integrate(f, lo, hi, 1e-12)
+    alone = [integrate(f, a, b, 1e-12) for a, b in zip(lo[:, 0], hi[:, 0])]
+    assert value.shape == err.shape == (4,)
+    assert value.tolist() == [float(v) for v, _ in alone]
+    assert err.tolist() == [float(e) for _, e in alone]
+    assert err[0] > 1e-12 >= err[1:].max()
