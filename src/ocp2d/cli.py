@@ -12,7 +12,8 @@ fig 1|2|3|4           canonical comparison data sets
 Every data-producing command writes one table, an ordered dict of columns,
 as CSV (17 significant digits, atomic rename) and optionally as a small
 self-contained SVG chart;
---svg is an error (exit 1) when the chart would draw no line.  Numeric
+--svg is an error (exit 1) when the chart would draw no line, or would
+overwrite the CSV (an --out ending in .svg).  Numeric
 output depends only on argv and the config file.  --threads (or
 OCP_THREADS) is accepted and checked to be an integer >= 1, but has no
 effect: every command runs serially.
@@ -38,6 +39,7 @@ import numpy as np
 from . import harness
 from .edge import left_rate, right_rate
 from .equilibrium import (
+    _entropy_grid,
     energy_excess,
     entropy_excess,
     equilibrium_measure,
@@ -293,7 +295,7 @@ def _cmd_rate(res: _Resolver, out: str):
     else:
         p = res.require("p")
         table = {"s": grid, "energy": [energy_excess(p, s) for s in grid],
-                 "entropy": [entropy_excess(p, s) for s in grid]}
+                 "entropy": _entropy_grid(p, grid)}
     return table, f"wrote {len(grid)} rows to {out}"
 
 
@@ -523,12 +525,16 @@ def run(argv: Sequence[str]) -> int:
         res.check_threads()
         optional = (args.command, res.target) in _OUT_OPTIONAL
         out = res.get("out") if optional else res.require("out")
+        chart = os.path.splitext(out)[0] + ".svg" if args.svg and out else None
+        if chart and os.path.abspath(chart) == os.path.abspath(out):
+            raise DomainError(f"--svg would overwrite the CSV at {out}: "
+                              "give --out a name that does not end in .svg")
         table, message = args.handler(res, out)
         svg = _svg_lines(table) if args.svg else None
         if out or not optional:
             emit_csv(table, out)
             if svg:
-                _write_atomic(os.path.splitext(out)[0] + ".svg", svg)
+                _write_atomic(chart, svg)
         print(message)
         return 0
     except (Ocp2dError, OSError) as exc:

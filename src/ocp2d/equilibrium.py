@@ -65,7 +65,7 @@ _LOG_MAX = float(np.log(np.finfo(float).max))  # v = ln R^2 below it: R^2 is a d
 _TINY = float(np.finfo(float).tiny)  # R at or above it is normal: 2 ln tiny <= v
 # Largest estimated relative error that the rounding of an annulus's width
 # may put into typical_value, energy_excess or entropy_excess (see
-# _check_width).  Over a sweep of annuli at p from 0.05 to 1.9999 against
+# _resolved_support).  Over a sweep of annuli at p from 0.05 to 1.9999 against
 # 60-digit mpmath, each returned value is within 5.3 times its estimate.
 _WIDTH_TOLERANCE = 1e-9
 _UNIT_ROUNDOFF = 2.0 ** -53

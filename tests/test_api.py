@@ -31,6 +31,19 @@ def test_every_exported_name_resolves():
     assert [name for name in ocp2d.__all__ if not hasattr(ocp2d, name)] == []
 
 
+def test_the_surface_is_the_union_of_the_module_lists():
+    # each public name is declared once, in its module's __all__; the
+    # package adds only its version and the error types
+    from ocp2d import edge, equilibrium, exact, harness, sampling
+    errors = ["Ocp2dError", "DomainError", "StabilityError", "SingularityError",
+              "NumericalError"]
+    modules = [*edge.__all__, *equilibrium.__all__, *exact.__all__,
+               *harness.__all__, *sampling.__all__]
+    assert len(ocp2d.__all__) == len(set(ocp2d.__all__))
+    assert set(ocp2d.__all__) == {"__version__", *errors, *modules}
+    assert [name for name in modules if not hasattr(ocp2d, name)] == []
+
+
 def test_every_exported_callable_has_a_docstring():
     assert [name for name in ocp2d.__all__
             if callable(getattr(ocp2d, name))

@@ -181,6 +181,17 @@ def test_rate_moment_table(tmp_path, capsys):
     assert len(rows) == 5
 
 
+def test_rate_moment_entropy_column_is_entropy_excess_at_each_tilt(tmp_path, capsys):
+    # 65 tilts: 40 disks (more than one 32-row block) and 24 annuli
+    out = str(tmp_path / "m.csv")
+    assert run(["rate", "moment", "--p", "1", "--grid=-3:5:65",
+                "--out", out]) == 0
+    capsys.readouterr()
+    _, rows = read_csv(out)
+    assert [float(row[2]) for row in rows] == \
+        [ocp2d.entropy_excess(1, s) for s in _grid("-3:5:65")]
+
+
 def test_eq_prints_summary(capsys):
     assert run(["eq", "--p", "1", "--s", "-0.4"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -675,6 +686,16 @@ def test_svg_written_alongside_csv(tmp_path, capsys):
     assert svg.exists()
     body = svg.read_text()
     assert "<svg" in body and "polyline" in body
+
+
+def test_svg_that_would_overwrite_the_csv_is_refused(tmp_path, capsys):
+    out = tmp_path / "t.svg"
+    assert run(["rate", "edge", "--side", "left", "--grid", "0.1:0.9:5",
+                "--out", str(out), "--svg"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--svg would overwrite the CSV at {out}" in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("args", [
