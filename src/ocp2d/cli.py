@@ -392,8 +392,7 @@ def _cmd_verify(res: _Resolver, out: str):
                               "at coupling 2; rerun with --beta 2")
         sizes = res.require("n", lambda text: [int(k) for k in text.split(",")])
         grid = res.require("grid", _grid)
-        extracted = harness._subleading_fit(p, grid, sizes)  # both ascend in s
-        predicted = harness._subleading_grid(p, grid, beta)
+        extracted, predicted = harness._subleading_fit(p, grid, sizes)
         residual = [e - q for e, q in zip(extracted, predicted)]
         table = {"s": grid, "extracted_coefficient": extracted,
                  "predicted_coefficient": predicted, "residual": residual,

@@ -289,16 +289,19 @@ _ENTROPY_BLOCK = 32   # rows per quadrature batch, as exact._MGF_BLOCK
 def _entropy_grid(p: float, s_grid: Sequence[float]) -> list[float]:
     """entropy_excess at every tilt of s_grid, in grid order.
 
-    Every tilt is checked first (`_resolved_support`).  The nonzero tilts
-    of each branch, the disk at p < 2 in v and the rest in r, are then the
-    rows of quadrature batches of _ENTROPY_BLOCK rows, each row on its own
-    bounds.  Each row stops on its own, so a value is the same bits
+    Every tilt is checked first (`_resolved_support`, and s p^2 must be a
+    double).  The nonzero tilts of each branch, the disk at p < 2 in v and
+    the rest in r, are then the rows of quadrature batches of
+    _ENTROPY_BLOCK rows, each row on its own bounds.  Each row stops on its own, so a value is the same bits
     whatever tilts share its batch.
     """
     supports = [_resolved_support("entropy excess", p, s) for s in s_grid]
     found = [0.0] * len(supports)
     branches: dict[bool, list[int]] = {True: [], False: []}   # keyed by "in v"
     for i, (p, s, r_in, _) in enumerate(supports):
+        if not math.isfinite(s * p * p):
+            raise NumericalError(f"s p^2 leaves the doubles in the entropy excess "
+                                 f"at p={p}, s={s}")
         if s != 0.0:
             branches[p < 2.0 and r_in == 0.0].append(i)
     for in_v, rows in branches.items():
@@ -339,7 +342,8 @@ def entropy_excess(p: float, s: float) -> float:
     Vanishes at s = 0, equals ln(1+2s) at p = 2.  An annulus too thin for
     rounding to resolve its width is a NumericalError (`_resolved_support`),
     and so is an integral the rule does not resolve, with no numpy warning
-    (s p^2 underflows at p below about 1e-200).  This is _entropy_grid at
+    (s p^2 underflows at p below about 1e-200), and so is an s p^2 that
+    overflows (`entropy_excess(1e154, 1e10)`).  This is _entropy_grid at
     one tilt; the entropy columns of mgf_table and `verify mgf` take a
     whole grid in one batch per branch.
     """

@@ -145,11 +145,11 @@ def exact_moment(n: int, p: float) -> float:
     n = check_size(n, "particle number n")
     p = check_positive(p, "moment exponent p")
     logs = (math.lgamma(k + 0.5 * p) - math.lgamma(k) for k in range(1, n + 1))
-    top = math.lgamma(n + 0.5 * p) - math.lgamma(n)
-    if top + math.log(n) < 700.0:  # then n^{-1-p/2} > e^{-701} is normal too
-        return n ** (-1.0 - 0.5 * p) * math.fsum(math.exp(v) for v in logs)
-    shifted = math.fsum(math.exp(v - top) for v in logs)
-    try:
+    try:   # lgamma itself overflows from p of about 5.1e305
+        top = math.lgamma(n + 0.5 * p) - math.lgamma(n)
+        if top + math.log(n) < 700.0:  # then n^{-1-p/2} > e^{-701} is normal too
+            return n ** (-1.0 - 0.5 * p) * math.fsum(math.exp(v) for v in logs)
+        shifted = math.fsum(math.exp(v - top) for v in logs)
         return math.exp(top + math.log(shifted) - (1.0 + 0.5 * p) * math.log(n))
     except OverflowError:
         raise NumericalError(f"the mean overflows a double at n={n}, p={p}") from None

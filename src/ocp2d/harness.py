@@ -61,7 +61,8 @@ def _map_ordered(fn: Callable, items: Sequence) -> list:
 
     It exists only as a hook: perfbench/spans.py wraps it by name to trace
     the two tail tables.  Once the tracer wraps those public tables
-    instead, it goes, and its two call sites become list comprehensions.
+    instead, it goes, and its one call site, in _edge_table, becomes a list
+    comprehension.
     """
     return [fn(item) for item in items]
 
@@ -123,12 +124,33 @@ def _sorted_inside(x_grid: Sequence[float], lo: float, hi: float) -> list[float]
     return xs
 
 
-def _make_rows(abscissas: Iterable[float],
-               pairs: Iterable[tuple[float, float]]) -> tuple[LdpRow, ...]:
-    return tuple(
-        LdpRow(a, fin, pred, fin - pred)
-        for a, (fin, pred) in zip(abscissas, pairs)
-    )
+def _table(label: str, xs: Sequence[float], pairs: Sequence[tuple[float, float]],
+           metadata: dict[str, Any], **extra: Iterable[float]) -> LdpTable:
+    """Rows (x, finite, prediction, finite - prediction), one per x and its
+    (finite, prediction) pair; each keyword is one more column."""
+    rows = tuple(LdpRow(x, fin, pred, fin - pred) for x, (fin, pred) in zip(xs, pairs))
+    return LdpTable(label, rows, metadata, {k: tuple(v) for k, v in extra.items()})
+
+
+def _edge_table(n: int, x_grid: Sequence[float], lo: float, hi: float,
+                pair: Callable[[int, float], tuple[float, float]],
+                finite: str, prediction: str, terms: tuple | None = None) -> LdpTable:
+    """The exact coupling-2 edge-law table: pair(n, x) = (finite, prediction)
+    at each x of the sorted grid inside (lo, hi).  terms = (rate, lognn,
+    invn) adds the gap (n/ln n)(finite - rate) and its lognn + invn/ln n."""
+    n = check_size(n, "particle number n", 10)
+    xs = _sorted_inside(x_grid, lo, hi)
+    pairs = _map_ordered(lambda x: pair(n, x), xs)
+    extra = {}
+    if terms is not None:
+        rate, lognn, invn = terms
+        log_n = math.log(n)
+        extra = {"scaled_gap": [(n / log_n) * (fin - rate(x))
+                                for x, (fin, _) in zip(xs, pairs)],
+                 "scaled_gap_prediction": [lognn(x) + invn(x) / log_n for x in xs]}
+    return _table("x", xs, pairs, {"n": n, "beta": 2.0, "p": math.inf,
+                                   "finite": finite, "prediction": prediction},
+                  **extra)
 
 
 def left_tail_table(n: int, x_grid: Sequence[float]) -> LdpTable:
@@ -139,30 +161,11 @@ def left_tail_table(n: int, x_grid: Sequence[float]) -> LdpTable:
     the magnified gap (n/ln n)(finite - rate), whose limit is the (ln n)/n
     coefficient, against its two-term prediction.
     """
-    n = check_size(n, "particle number n", 10)
-    xs = _sorted_inside(x_grid, 0.0, 1.0)
-
-    def work(x: float) -> tuple[float, float]:
-        return (-edge_cdf_log(n, x) / (2.0 * n * n), left_tail_prediction(x, n))
-
-    pairs = _map_ordered(work, xs)
-    rows = _make_rows(xs, pairs)
-    log_n = math.log(n)
-    scaled_gap = tuple(
-        (n / log_n) * (row.finite_n_value - left_rate(row.abscissa))
-        for row in rows
-    )
-    scaled_pred = tuple(
-        lognn_correction(x) + invn_correction(x) / log_n for x in xs
-    )
-    return LdpTable(
-        "x", rows,
-        metadata={"n": n, "beta": 2.0, "p": math.inf,
-                  "finite": "-(1/(2 n^2)) edge_cdf_log",
-                  "prediction": "left_tail_prediction"},
-        extra_columns={"scaled_gap": scaled_gap,
-                       "scaled_gap_prediction": scaled_pred},
-    )
+    return _edge_table(
+        n, x_grid, 0.0, 1.0,
+        lambda n, x: (-edge_cdf_log(n, x) / (2.0 * n * n), left_tail_prediction(x, n)),
+        "-(1/(2 n^2)) edge_cdf_log", "left_tail_prediction",
+        terms=(left_rate, lognn_correction, invn_correction))
 
 
 def right_tail_table(n: int, x_grid: Sequence[float]) -> LdpTable:
@@ -171,19 +174,10 @@ def right_tail_table(n: int, x_grid: Sequence[float]) -> LdpTable:
     finite-n value: -(1/(2n)) ln pdf(x); prediction: the single-particle
     transport cost -ln x + x^2/2 - 1/2.
     """
-    n = check_size(n, "particle number n", 10)
-    xs = _sorted_inside(x_grid, 1.0, math.inf)
-
-    def work(x: float) -> tuple[float, float]:
-        return (-edge_pdf_log(n, x) / (2.0 * n), right_rate(x))
-
-    rows = _make_rows(xs, _map_ordered(work, xs))
-    return LdpTable(
-        "x", rows,
-        metadata={"n": n, "beta": 2.0, "p": math.inf,
-                  "finite": "-(1/(2n)) edge_pdf_log",
-                  "prediction": "right_rate"},
-    )
+    return _edge_table(
+        n, x_grid, 1.0, math.inf,
+        lambda n, x: (-edge_pdf_log(n, x) / (2.0 * n), right_rate(x)),
+        "-(1/(2n)) edge_pdf_log", "right_rate")
 
 
 def left_tail_mcmc_table(n: int, beta: float, x_grid: Sequence[float],
@@ -200,23 +194,18 @@ def left_tail_mcmc_table(n: int, beta: float, x_grid: Sequence[float],
     batch = sample_mcmc(n, beta, sweeps, burn_in, thinning, math.inf, seed,
                         initial_step)
     count = batch.count
-    pairs = []
-    for x in xs:
-        hits = int(np.count_nonzero(batch.values <= x))
-        if hits == 0:
-            finite = math.inf
-        else:
-            finite = -math.log(hits / count) / (beta * n * n)
-        pairs.append((finite, left_rate(x)))
-    return LdpTable(
-        "x", _make_rows(xs, pairs),
-        metadata={"n": int(n), "beta": float(beta), "p": math.inf,
-                  "finite": "-(1/(beta n^2)) ln empirical CDF",
-                  "prediction": "left_rate", "qualitative": True,
-                  "draws": count, "ess": batch.metadata["ess"],
-                  "acceptance_rate": batch.metadata["acceptance_rate"],
-                  "energy_drift_error": batch.metadata["energy_drift_error"],
-                  "seed": int(seed)},
+    hits = [int(np.count_nonzero(batch.values <= x)) for x in xs]
+    pairs = [(-math.log(k / count) / (beta * n * n) if k else math.inf, left_rate(x))
+             for k, x in zip(hits, xs)]
+    return _table(
+        "x", xs, pairs,
+        {"n": int(n), "beta": float(beta), "p": math.inf,
+         "finite": "-(1/(beta n^2)) ln empirical CDF",
+         "prediction": "left_rate", "qualitative": True,
+         "draws": count, "ess": batch.metadata["ess"],
+         "acceptance_rate": batch.metadata["acceptance_rate"],
+         "energy_drift_error": batch.metadata["energy_drift_error"],
+         "seed": int(seed)},
     )
 
 
@@ -248,44 +237,41 @@ def mgf_table(n: int, p: float, s_grid: Sequence[float]) -> LdpTable:
 
     The whole grid goes through exact's grid routine in one pass; each row
     is the same bits as mgf_log(n, p, s) alone.  Extra columns: the
-    magnified gap n (finite - limit), its predicted limit (the 1/n
-    coefficient at coupling 2, from one entropy grid), and the quadrature
-    error estimate.  The 1/n fit of extract_subleading reads the gap
-    column, one table per size.
+    magnified gap n (finite - limit), the same bits as n times the
+    residual; its predicted limit (the 1/n coefficient at coupling 2, from
+    one entropy grid); and the quadrature error estimate.  The 1/n fit of
+    extract_subleading and `verify mgf` reads the gap column, one table
+    per size, and takes its prediction column from the first.
     """
     n = check_size(n, "particle number n")
     ss = sorted(float(s) for s in s_grid)
     if not ss:
         raise DomainError("empty tilt grid")
     results = _mgf_grid(n, p, ss)
-    rows = _make_rows(ss, [(-res.log_value / (2.0 * n * n), energy_excess(p, s))
-                           for res, s in zip(results, ss)])
-    gap = tuple(n * row.residual for row in rows)
-    gap_pred = tuple(_subleading_grid(p, ss))
-    return LdpTable(
-        "s", rows,
-        metadata={"n": n, "beta": 2.0, "p": float(p),
-                  "finite": "-(1/(2 n^2)) mgf_log",
-                  "prediction": "energy_excess"},
-        extra_columns={
-            "subleading_gap": gap,
-            "subleading_prediction": gap_pred,
-            "quadrature_error": tuple(res.estimated_relative_error
-                                      for res in results),
-        },
+    pairs = [(-res.log_value / (2.0 * n * n), energy_excess(p, s))
+             for res, s in zip(results, ss)]
+    return _table(
+        "s", ss, pairs,
+        {"n": n, "beta": 2.0, "p": float(p),
+         "finite": "-(1/(2 n^2)) mgf_log", "prediction": "energy_excess"},
+        subleading_gap=[n * (fin - pred) for fin, pred in pairs],
+        subleading_prediction=_subleading_grid(p, ss),
+        quadrature_error=[res.estimated_relative_error for res in results],
     )
 
 
-def _subleading_fit(p: float, s_grid: Sequence[float],
-                    n_list: Sequence[int]) -> list[float]:
-    """c1 at every tilt of s_grid, ascending: one mgf_table per size, then
-    one least-squares fit of each tilt's gaps to c1 + c2/n + c3/n^2."""
+def _subleading_fit(p: float, s_grid: Sequence[float], n_list: Sequence[int]
+                    ) -> tuple[list[float], tuple[float, ...]]:
+    """(c1, its prediction) at every tilt of s_grid, ascending in s: one
+    mgf_table per size, one least-squares fit of each tilt's gaps to
+    c1 + c2/n + c3/n^2, and the first table's subleading_prediction."""
     sizes = [check_size(n, "size n") for n in n_list]
     if len(sizes) < 3 or sorted(set(sizes)) != sizes:
         raise DomainError("need at least three strictly increasing sizes")
-    gaps = [mgf_table(n, p, s_grid).extra_columns["subleading_gap"] for n in sizes]
+    extras = [mgf_table(n, p, s_grid).extra_columns for n in sizes]
     a = [[1.0, 1.0 / n, 1.0 / n**2] for n in sizes]
-    return np.linalg.lstsq(a, gaps, rcond=None)[0][0].tolist()
+    c1 = np.linalg.lstsq(a, [e["subleading_gap"] for e in extras], rcond=None)[0][0]
+    return c1.tolist(), extras[0]["subleading_prediction"]
 
 
 def extract_subleading(p: float, s: float, n_list: Sequence[int]) -> float:
@@ -295,7 +281,7 @@ def extract_subleading(p: float, s: float, n_list: Sequence[int]) -> float:
     squares (three sizes determine it exactly); c1 is the extrapolated 1/n
     coefficient.  This is the one-tilt case of the grid fit of `verify mgf`.
     """
-    return _subleading_fit(p, [s], n_list)[0]
+    return _subleading_fit(p, [s], n_list)[0][0]
 
 
 # --- cumulants ---------------------------------------------------------------

@@ -116,16 +116,26 @@ def _leaves_the_doubles(n: int, p: float) -> NumericalError:
 
 
 def hamiltonian(config: PlasmaConfig) -> float:
-    """-sum_{i<j} log|z_i - z_j| + n sum_k |z_k|^2 / 2 (O(n^2) pair sum)."""
+    """-sum_{i<j} log|z_i - z_j| + n sum_k |z_k|^2 / 2 (O(n^2) pair sum).
+
+    An energy that leaves the doubles, as where some |z|^2 overflows, is a
+    NumericalError."""
     pos = config.positions
     n = config.n
     i, j = np.triu_indices(n, 1)
-    d = np.hypot(pos[j, 0] - pos[i, 0], pos[j, 1] - pos[i, 1])
+    with np.errstate(over="ignore"):   # refused below
+        d = np.hypot(pos[j, 0] - pos[i, 0], pos[j, 1] - pos[i, 1])
+        squares = pos[:, 0] ** 2 + pos[:, 1] ** 2
     coincident = np.flatnonzero(d == 0.0)
     if coincident.size:
         raise SingularityError(f"coincident particles at index {i[coincident[0]]}")
-    confinement = 0.5 * n * math.fsum((pos[:, 0] ** 2 + pos[:, 1] ** 2).tolist())
-    return confinement - math.fsum(np.log(d).tolist())
+    try:
+        energy = 0.5 * n * math.fsum(squares.tolist()) - math.fsum(np.log(d).tolist())
+    except OverflowError:   # fsum of finite squares past the doubles
+        energy = math.inf
+    if not math.isfinite(energy):
+        raise NumericalError(f"the energy at n = {n} leaves the doubles")
+    return energy
 
 
 @dataclass(frozen=True, eq=False)

@@ -315,6 +315,8 @@ def test_verify_transition_says_when_the_order_is_not_resolved(tmp_path, capsys)
      "cumulant of order 3 leaves the doubles"),
     (["verify", "cumulants", "--p", "1", "--n", "1" + "0" * 100],
      "cumulant of order 3 leaves the doubles"),
+    (["exact", "moment", "--n", "10", "--p", "1e306"],
+     "the mean overflows a double at n=10, p=1e+306"),
 ])
 def test_verify_inputs_beyond_the_doubles_are_errors(tmp_path, capsys, args, message):
     # each ended in a ZeroDivisionError or OverflowError traceback

@@ -211,6 +211,16 @@ def test_entropy_excess_whose_s_p2_underflows_is_a_numerical_error():
             entropy_excess(1e-300, s)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("p,s", [(1e300, 0.5), (1e154, 1e10)])
+def test_entropy_excess_whose_s_p2_overflows_is_a_numerical_error(p, s):
+    # s p^2 overflowed with a numpy warning before the quadrature refused
+    # its nan estimate
+    with pytest.raises(NumericalError, match=re.escape(
+            f"s p^2 leaves the doubles in the entropy excess at p={p}, s={s}")):
+        entropy_excess(p, s)
+
+
 @pytest.mark.parametrize("f,p,s,radius", [
     # annuli whose R^4 or a product would overflow: refused as too thin first
     (typical_value, 1.99, -3.0, 3.96e77),

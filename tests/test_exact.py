@@ -237,6 +237,16 @@ def test_exact_moment_beyond_the_doubles_is_a_numerical_error():
             exact_moment(n, p)
 
 
+@pytest.mark.parametrize("p", [5.2e305, 1e306, 1.7e308])
+@pytest.mark.parametrize("n", [1, 10])
+def test_exact_moment_whose_log_gamma_overflows_is_a_numerical_error(n, p):
+    # lgamma(n + p/2) overflows from p of about 5.12e305; it was an
+    # untyped OverflowError at every n
+    with pytest.raises(NumericalError,
+                       match=re.escape(f"overflows a double at n={n}, p={p}")):
+        exact_moment(n, p)
+
+
 def test_exact_moment_tends_to_flat_disk_average():
     # ensemble average tends to 2/(2+p) as n grows
     for p in (1.0, 3.0):

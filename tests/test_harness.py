@@ -80,6 +80,52 @@ def test_table_columns_agree_with_rows():
             *(col[i] for col in table.extra_columns.values())]
 
 
+_BASE = ["finite_n_value", "prediction", "residual"]
+
+
+@pytest.mark.parametrize("build,metadata,columns", [
+    (lambda: left_tail_table(10, [0.8, 0.5]),
+     {"n": 10, "beta": 2.0, "p": math.inf,
+      "finite": "-(1/(2 n^2)) edge_cdf_log", "prediction": "left_tail_prediction"},
+     ["x", *_BASE, "scaled_gap", "scaled_gap_prediction"]),
+    (lambda: right_tail_table(10, [1.5, 1.2]),
+     {"n": 10, "beta": 2.0, "p": math.inf,
+      "finite": "-(1/(2n)) edge_pdf_log", "prediction": "right_rate"},
+     ["x", *_BASE]),
+    (lambda: mgf_table(8, 1.0, [0.5, -0.25]),
+     {"n": 8, "beta": 2.0, "p": 1.0,
+      "finite": "-(1/(2 n^2)) mgf_log", "prediction": "energy_excess"},
+     ["s", *_BASE, "subleading_gap", "subleading_prediction", "quadrature_error"]),
+], ids=["left", "right", "mgf"])
+def test_exact_tables_pin_their_metadata_and_columns(build, metadata, columns):
+    # the CSV digests do not cover metadata; repr compares key order and types
+    table = build()
+    assert repr(table.metadata) == repr(metadata)
+    assert list(table.columns()) == columns
+
+
+def test_mcmc_table_pins_its_metadata_and_columns(monkeypatch):
+    import ocp2d.harness as hmod
+
+    batches = []
+
+    def recording(*args):
+        batches.append(sample_mcmc(*args))
+        return batches[-1]
+
+    monkeypatch.setattr(hmod, "sample_mcmc", recording)
+    table = hmod.left_tail_mcmc_table(6, 4.0, [0.9, 0.6], sweeps=300,
+                                      burn_in=100, seed=3)
+    (batch,) = batches
+    chain = {key: batch.metadata[key]
+             for key in ("ess", "acceptance_rate", "energy_drift_error")}
+    assert repr(table.metadata) == repr(
+        {"n": 6, "beta": 4.0, "p": math.inf,
+         "finite": "-(1/(beta n^2)) ln empirical CDF", "prediction": "left_rate",
+         "qualitative": True, "draws": 100, **chain, "seed": 3})
+    assert list(table.columns()) == ["x", *_BASE]
+
+
 # --- left/right tail tables ------------------------------------------------------
 
 def test_left_tail_table_recomputes():

@@ -110,6 +110,19 @@ def test_hamiltonian_coincident_points_raise():
         hamiltonian(PlasmaConfig(pos))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("pos", [
+    [[1e200, 0.0], [0.0, 0.0]],           # |z|^2 overflows
+    [[1.3e154, 0.0], [0.0, 1.3e154]],     # each |z|^2 fits, their sum does not
+    [[1e308, 0.0], [-1e308, 0.0]],        # so does z_i - z_j
+], ids=["square", "sum", "pair"])
+def test_hamiltonian_beyond_the_doubles_is_a_numerical_error(pos):
+    # the first read inf with a numpy overflow warning, where
+    # radial_statistic of the same configuration already refused
+    with pytest.raises(NumericalError, match="the energy at n = 2 leaves the doubles"):
+        hamiltonian(PlasmaConfig(np.array(pos)))
+
+
 @pytest.mark.parametrize("n", [2, 7, 64])
 def test_hamiltonian_matches_pair_loop(n):
     pos = np.random.default_rng(n).normal(size=(n, 2)) * 0.6
