@@ -345,7 +345,7 @@ def entropy_excess(p: float, s: float) -> float:
     (s p^2 underflows at p below about 1e-200), and so is an s p^2 that
     overflows (`entropy_excess(1e154, 1e10)`).  This is _entropy_grid at
     one tilt; the entropy columns of mgf_table and `verify mgf` take a
-    whole grid in one batch per branch.
+    whole grid in one pass per branch, _ENTROPY_BLOCK rows per batch.
     """
     return _entropy_grid(p, [s])[0]
 

@@ -310,7 +310,7 @@ def mgf_log(n: int, p: float, s: float) -> MgfResult:
     leaves the doubles (at n = 40, p = 1.999, s = -2.6, or s = 1e308), or a
     mode too far out for h to resolve its peak (v near 333 at p = 1.99), is
     a NumericalError.  This is _mgf_grid at one tilt.  Whole grids take
-    _mgf_grid itself: `exact mgf`, and mgf_table, on which fig 3, fig 4,
-    extract_subleading and `verify mgf` build.
+    _mgf_grid itself: `exact mgf`, mgf_table (fig 3 and fig 4) and the 1/n
+    fit of extract_subleading and `verify mgf`, one pass per size.
     """
     return _mgf_grid(n, p, [s])[0]

@@ -117,9 +117,10 @@ class LdpTable:
 
 
 def _sorted_inside(x_grid: Sequence[float], lo: float, hi: float) -> list[float]:
-    """The grid, sorted; DomainError unless it is non-empty inside (lo, hi)."""
+    """The grid, sorted; DomainError unless it is non-empty and every point
+    lies strictly inside (lo, hi), which a NaN does not."""
     xs = sorted(float(x) for x in x_grid)
-    if not xs or xs[0] <= lo or xs[-1] >= hi:
+    if not xs or not all(lo < x < hi for x in xs):
         raise DomainError(f"x grid must lie inside ({lo:g}, {hi:g})")
     return xs
 
@@ -240,8 +241,8 @@ def mgf_table(n: int, p: float, s_grid: Sequence[float]) -> LdpTable:
     magnified gap n (finite - limit), the same bits as n times the
     residual; its predicted limit (the 1/n coefficient at coupling 2, from
     one entropy grid); and the quadrature error estimate.  The 1/n fit of
-    extract_subleading and `verify mgf` reads the gap column, one table
-    per size, and takes its prediction column from the first.
+    extract_subleading and `verify mgf` computes the same gaps from one
+    exact pass per size and builds no table.
     """
     n = check_size(n, "particle number n")
     ss = sorted(float(s) for s in s_grid)
@@ -262,16 +263,21 @@ def mgf_table(n: int, p: float, s_grid: Sequence[float]) -> LdpTable:
 
 def _subleading_fit(p: float, s_grid: Sequence[float], n_list: Sequence[int]
                     ) -> tuple[list[float], tuple[float, ...]]:
-    """(c1, its prediction) at every tilt of s_grid, ascending in s: one
-    mgf_table per size, one least-squares fit of each tilt's gaps to
-    c1 + c2/n + c3/n^2, and the first table's subleading_prediction."""
+    """(c1, its prediction) at every tilt of s_grid, ascending in s: one exact
+    pass per size, then one energy_excess column, one least-squares fit of each
+    tilt's gaps n (finite - limit) to c1 + c2/n + c3/n^2, and one entropy grid."""
     sizes = [check_size(n, "size n") for n in n_list]
     if len(sizes) < 3 or sorted(set(sizes)) != sizes:
         raise DomainError("need at least three strictly increasing sizes")
-    extras = [mgf_table(n, p, s_grid).extra_columns for n in sizes]
+    if not (ss := sorted(float(s) for s in s_grid)):
+        raise DomainError("empty tilt grid")
+    passes = [(n, _mgf_grid(n, p, ss)) for n in sizes]
+    limit = [energy_excess(p, s) for s in ss]
+    gaps = [[n * (-res.log_value / (2.0 * n * n) - e) for res, e in zip(results, limit)]
+            for n, results in passes]
     a = [[1.0, 1.0 / n, 1.0 / n**2] for n in sizes]
-    c1 = np.linalg.lstsq(a, [e["subleading_gap"] for e in extras], rcond=None)[0][0]
-    return c1.tolist(), extras[0]["subleading_prediction"]
+    c1 = np.linalg.lstsq(a, gaps, rcond=None)[0][0]
+    return c1.tolist(), tuple(_subleading_grid(p, ss))
 
 
 def extract_subleading(p: float, s: float, n_list: Sequence[int]) -> float:

@@ -172,7 +172,7 @@ def test_left_tail_mcmc_table_checks_grid_before_sampling(monkeypatch):
         raise AssertionError("the chain ran before the grid was checked")
 
     monkeypatch.setattr(hmod, "sample_mcmc", no_sampling)
-    for grid in ([0.5, 1.2], [0.0, 0.5], []):
+    for grid in ([0.5, 1.2], [0.0, 0.5], [], [0.5, math.nan], [math.nan]):
         with pytest.raises(DomainError):
             hmod.left_tail_mcmc_table(16, 4.0, grid, sweeps=2000)
 
@@ -315,6 +315,43 @@ def test_verify_mgf_cells_equal_extract_subleading(tmp_path, capsys):
     assert [float(row[0]) for row in cells] == _grid("-1:1:5")
     assert [float(row[1]) for row in cells] == \
         [extract_subleading(1.0, s, sizes) for s in _grid("-1:1:5")]
+
+
+def test_subleading_fit_makes_each_pass_once(monkeypatch, tmp_path, capsys):
+    # one exact pass per size, all before the one energy column (so an exact
+    # refusal is reported first), one entropy grid and no table; verify mgf
+    # takes its prediction from that same entropy grid
+    import ocp2d.harness as hmod
+
+    calls = []
+
+    def spy(name):
+        real = getattr(hmod, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(hmod, name, wrapped)
+
+    for name in ("_mgf_grid", "energy_excess", "_entropy_grid", "_table"):
+        spy(name)
+    hmod._subleading_fit(1.0, [0.5, 0.0, -0.5], [10, 20, 40])
+    assert calls == ["_mgf_grid"] * 3 + ["energy_excess"] * 3 + ["_entropy_grid"]
+    calls.clear()
+    assert run(["verify", "mgf", "--n", "10,20,40", "--p", "1", "--grid=-1:1:5",
+                "--out", str(tmp_path / "sub.csv")]) == 0
+    capsys.readouterr()
+    assert calls == ["_mgf_grid"] * 3 + ["energy_excess"] * 5 + ["_entropy_grid"]
+
+
+def test_extract_subleading_refuses_where_its_prediction_is_unresolved():
+    # far out on the annulus the fitted c1 drifts with the sizes (-0.0049,
+    # 0.0044, 0.0224 on {10, 20, 40}, {20, 40, 80}, {40, 80, 160} here): the
+    # energy column's relative error, inside the 1e-9 the support check
+    # allows, is multiplied by n in the gap.  Only the prediction's entropy
+    # grid refuses such a tilt, which is why the fit keeps computing it.
+    with pytest.raises(NumericalError, match="entropy excess needs a wider annulus"):
+        extract_subleading(0.1, -1e6, [10, 20, 40])
 
 
 def test_extract_subleading_validation():
