@@ -20,19 +20,23 @@ effect: every command runs serially.
 Grids are given as min:max:steps (steps = number of points, inclusive
 endpoints, finite bounds); config files hold key=value lines overridden by
 flags.  A flag or config key that the command does not read is an error
-(exit 1).  The argument parser is built on the first call to run and reused
-by every later call in the process; parsing leaves no state in it.
+(exit 1).  Plain argv (the command, its target, exact option names with a
+value each) is read straight from the command tables.  Anything else (help,
+abbreviations, '--', a usage error) goes to an argparse parser built from
+the same tables on first need and reused by every later call in the
+process, so help, usage errors and their exit code 2 are argparse's;
+parsing leaves no state in it.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import math
 import os
 import sys
 from dataclasses import fields
-from typing import Any, Callable, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
@@ -48,6 +52,9 @@ from .equilibrium import (
 from .errors import DomainError, Ocp2dError, check_size
 from .exact import _mgf_grid, edge_cdf_log, edge_pdf_log, exact_moment
 from .sampling import sample_kostlan, sample_mcmc
+
+if TYPE_CHECKING:
+    import argparse
 
 __all__ = ["DEFAULT_SEED", "run", "main", "emit_csv"]
 
@@ -180,6 +187,20 @@ _OPTIONS: dict[str, Any] = {
 }
 
 _HELP = {
+    "n": "particle number (verify mgf: comma list of sizes)",
+    "p": "exponent of the statistic (1/n) sum r_k^p (inf: the maximum)",
+    "s": "tilt s of the equilibrium measure",
+    "side": "tail of the edge rate function: left or right",
+    "grid": "min:max:steps, steps points with both ends included",
+    "count": "number of draws",
+    "beta": "coupling (default 2)",
+    "sweeps": "MCMC sweeps of n moves each, burn-in included",
+    "burnin": "MCMC sweeps that adapt the step and record nothing",
+    "thinning": "record the statistic every k-th sweep",
+    "step": "MCMC initial proposal step; verify transition: difference step",
+    "seed": f"random seed (default {DEFAULT_SEED})",
+    "draws": "number of maxima drawn",
+    "window": "half-width of the scanned tilt window around s = 0",
     "config": "key=value file; flags take precedence",
     "out": "output CSV path",
     "svg": "also write an SVG chart next to the CSV",
@@ -226,7 +247,7 @@ class _Resolver:
     A flag or config key that the command (and its target) does not read,
     as listed in _COMMANDS, is a domain error."""
 
-    def __init__(self, args: argparse.Namespace):
+    def __init__(self, args: SimpleNamespace):
         self.args = args
         self.config = _load_config(args.config)
         _, _, positional, reads = _COMMANDS[args.command]
@@ -482,10 +503,89 @@ _COMMON = ("config", "out", "svg", "threads")
 _OUT_OPTIONAL = {("eq", None), ("exact", "moment")}
 
 
+def _flags(command: str) -> dict[str, Any]:
+    """The options of a subcommand, in parser order (those its targets read,
+    then _COMMON), each with its _OPTIONS kind; verify --n stays text: a
+    size, or a comma list for verify mgf."""
+    reads = _COMMANDS[command][3]
+    names = dict.fromkeys([*" ".join(reads.values()).split(), *_COMMON])
+    return {name: str if (command, name) == ("verify", "n") else _OPTIONS[name]
+            for name in names}
+
+
+def _cast(kind: Any, text: str) -> Any:
+    """text cast as the parser casts it: by kind, or to the type of a tuple
+    kind's values and then checked to be one of them; ValueError otherwise."""
+    if not isinstance(kind, tuple):
+        return kind(text)
+    value = type(kind[0])(text)
+    if value not in kind:
+        raise ValueError(f"{text!r} is not one of {kind}")
+    return value
+
+
+def _is_value(token: str) -> bool:
+    """Whether the parser reads token as a value: it does not start with
+    '-', or it is a negative number (-5, -.5, -0.4; no option looks like
+    one)."""
+    if not token.startswith("-"):
+        return True
+    whole, dot, frac = token[1:].partition(".")
+    if dot:
+        return frac.isdecimal() and (not whole or whole.isdecimal())
+    return whole.isdecimal()
+
+
+def _parse(argv: Sequence[str]) -> SimpleNamespace | None:
+    """Plain argv read from the command tables into the namespace the parser
+    would return; None for anything else: help, an unknown or abbreviated
+    name, '--', a value that starts with '-' and is not a number, --svg=...,
+    a failed cast or choice, or a positional too many or too few."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    command, *tokens = argv
+    handler, _, positional, reads = _COMMANDS[command]
+    flags = _flags(command)
+    values = {name: False if kind is bool else None
+              for name, kind in flags.items()}
+    targets = []
+    stream = iter(tokens)
+    for token in stream:
+        if _is_value(token):
+            targets.append(token)
+            continue
+        name, eq, text = token[2:].partition("=")
+        kind = flags.get(name) if token.startswith("--") else None
+        if kind is bool and not eq:
+            values[name] = True
+            continue
+        if kind is None or kind is bool:
+            return None
+        if not eq:
+            text = next(stream, None)
+            if text is None or not _is_value(text):
+                return None
+        try:
+            values[name] = _cast(kind, text)
+        except ValueError:
+            return None
+    if len(targets) != (positional is not None):
+        return None
+    args = SimpleNamespace(command=command, handler=handler, **values)
+    if positional:
+        try:
+            setattr(args, positional, _cast(tuple(reads), targets[0]))
+        except ValueError:
+            return None
+    return args
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The process's one parser, built on the first call; every run shares
-    it, so callers must not modify it."""
+    """The process's one parser, built on first need; every run that needs
+    it shares it, so callers must not modify it."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="ocp2d",
         description="Radial statistics of the trapped 2D log-gas: rate "
@@ -498,27 +598,24 @@ def build_parser() -> argparse.ArgumentParser:
         if positional:
             choices = tuple(reads)
             sub.add_argument(positional, type=type(choices[0]), choices=choices)
-        flags = dict.fromkeys(" ".join(reads.values()).split())
-        for flag in [*flags, *_COMMON]:
-            kind = _OPTIONS[flag]
-            if (name, flag) == ("verify", "n"):
-                kind = str  # a size, or a comma list for verify mgf
+        for flag, kind in _flags(name).items():
             spec = ({"action": "store_true"} if kind is bool else
                     {"choices": kind} if isinstance(kind, tuple) else {"type": kind})
-            sub.add_argument(f"--{flag}", help=_HELP.get(flag), **spec)
+            sub.add_argument(f"--{flag}", help=_HELP[flag], **spec)
         sub.set_defaults(handler=handler)
     return parser
 
 
 def run(argv: Sequence[str]) -> int:
     """Execute one subcommand; 0 on success, 1 on domain/runtime/file
-    errors, 2 on usage errors.  The parser is built on the first call and
-    reused by later ones."""
-    parser = build_parser()
-    try:
-        args = parser.parse_args(list(argv))
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    errors, 2 on usage errors.  Plain argv is read from the command tables;
+    the rest goes to build_parser(), which gives help and usage errors."""
+    args = _parse(argv)
+    if args is None:
+        try:
+            args = SimpleNamespace(**vars(build_parser().parse_args(list(argv))))
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         res = _Resolver(args)
         res.check_threads()

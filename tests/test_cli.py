@@ -1,9 +1,13 @@
 """Command-line interface: grammar, IO contracts, and reproducibility."""
 
+import contextlib
 import hashlib
+import io
+import json
 import math
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -13,8 +17,8 @@ import pytest
 
 import ocp2d
 from ocp2d import exact_moment, left_rate
-from ocp2d.cli import (DEFAULT_SEED, _format_column, _grid, build_parser,
-                       emit_csv, run)
+from ocp2d.cli import (_COMMANDS, _HELP, DEFAULT_SEED, _flags, _format_column,
+                       _grid, _parse, build_parser, emit_csv, run)
 
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -718,6 +722,113 @@ def test_svg_that_draws_no_line_is_refused(tmp_path, capsys, args):
 def test_parser_builds_help_without_side_effects():
     parser = build_parser()
     assert parser.prog
+    for command in _COMMANDS:
+        assert set(_flags(command)) <= set(_HELP)
+
+
+# --- argv read from the command tables ----------------------------------------
+
+# Tokens the argv generator draws from: values that each kind of option
+# reads, any value at all, and option spellings the tables do not read
+# (abbreviations, help, '--').
+_FUZZ_GOOD = {int: ("3", "12", "0", "-5", "03"),
+              float: ("1.5", "-0.4", "-.5", "nan", "inf", "2", "1e3"),
+              str: ("0.2:1:3", "10,20,40", "run.cfg", "abc", "-3"),
+              ("left", "right"): ("left", "right")}
+_FUZZ_ANY = ("3", "1.5", "-0.4", "nan", "abc", "", "-", "middle", "-3:5:4",
+             "--svg", "-h", "-1e3")
+_FUZZ_OPTIONS = ("--thin", "--s", "--sw", "--bogus", "-h", "--help", "--", "-n")
+_FUZZ_POSITIONALS = ("9", "0", "-1", "03", "edge", "x")
+
+
+def _fuzz_argv(rng):
+    """One argv: a command (rarely a wrong one), zero to two positionals and
+    zero to five options, each as --name value, --name=value or a bare
+    --name, in shuffled order.  Most names are exact, some cut short by a
+    letter or wrong, and most values suit their option."""
+    command = rng.choice([*_COMMANDS] * 6 + ["frobnicate", "ver", "-h", ""])
+    if command not in _COMMANDS:
+        return [command, *rng.sample(_FUZZ_ANY, rng.randrange(3))]
+    flags = _flags(command)
+    targets = [str(t) for t in _COMMANDS[command][3] if t is not None]
+    groups = [[rng.choice(targets * 3 + list(_FUZZ_POSITIONALS))]
+              for _ in range(rng.choice((0, 1, 1, 1, 1, 2)))]
+    for _ in range(rng.randrange(6)):
+        name = rng.choice(list(flags))
+        kind = flags[name]
+        value = rng.choice(_FUZZ_GOOD[kind] if kind in _FUZZ_GOOD
+                           and rng.random() < 0.9 else _FUZZ_ANY)
+        token = rng.choice((f"--{name}",) * 8 + (f"--{name[:-1]}",
+                                                 rng.choice(_FUZZ_OPTIONS)))
+        form = rng.choice(("bare",) * 6 + ("plain", "equals") if kind is bool
+                          else ("plain", "plain", "plain", "equals", "bare"))
+        groups.append([token, value] if form == "plain" else
+                      [f"{token}={value}"] if form == "equals" else [token])
+    rng.shuffle(groups)
+    return [command, *(token for group in groups for token in group)]
+
+
+def _argparse_vars(argv):
+    """The namespace build_parser() returns for argv, or None where it
+    prints help or a usage error."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _same_namespace(a, b):
+    """Equal names, and values equal in type and value, NaN equal to NaN."""
+    return a.keys() == b.keys() and all(
+        type(a[k]) is type(b[k]) and (a[k] == b[k] or a[k] != a[k] and b[k] != b[k])
+        for k in a)
+
+
+def test_table_parse_matches_argparse_wherever_it_accepts():
+    rng = random.Random(20231)
+    accepted = refused_but_parsed = 0
+    for _ in range(4000):
+        argv = _fuzz_argv(rng)
+        fast, slow = _parse(argv), _argparse_vars(argv)
+        if fast is None:
+            refused_but_parsed += slow is not None
+            continue
+        accepted += 1
+        assert slow is not None and _same_namespace(vars(fast), slow), argv
+    # Both routes are exercised: plain argv, and argv only argparse reads.
+    assert accepted > 400 and refused_but_parsed > 50
+
+
+@pytest.mark.parametrize("argv", [
+    ["eq", "--s", "-0.4", "--p", "1", "--s", "nan"],
+    ["rate", "--grid=-3:5:4", "edge", "--side", "right", "--svg", "--svg"],
+    ["verify", "mgf", "--n", "10,20,40", "--p", "2", "--grid", "-3"],
+    ["fig", "03"],
+])
+def test_table_parse_reads_repeats_equals_forms_and_negative_values(argv):
+    fast = _parse(argv)
+    assert fast is not None and _same_namespace(vars(fast), _argparse_vars(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "left-tail", "--thin", "2"], ["eq", "--s=", "-0.4"],
+    ["rate", "edge", "--grid", "-3:5:4"], ["rate", "edge", "--svg=1"],
+    ["fig", "1", "--n", "1.5"], ["rate", "edge", "--side", "middle"],
+    ["fig", "1", "2"], ["fig"], ["eq", "1"], ["eq", "--", "--p", "1"],
+    ["fig", "-h"], ["verify", "gumbel", "--n"],
+])
+def test_table_parse_leaves_the_rest_to_argparse(argv):
+    assert _parse(argv) is None
+
+
+def test_pinned_argv_take_the_table_parse():
+    for command in _PINNED_OUTPUTS:
+        argv = command.split() + ["--out", "o.csv"]
+        fast = _parse(argv)
+        assert fast is not None, command
+        assert _same_namespace(vars(fast), _argparse_vars(argv)), command
 
 
 # --- numpy-only runtime ----------------------------------------------------------
@@ -738,7 +849,7 @@ def test_cli_import_loads_no_scipy(tmp_path):
     assert r.stdout.split() == ["[]", "False"]
 
 
-def test_parser_is_built_on_the_first_run_and_reused(tmp_path):
+def test_parser_is_built_on_the_first_usage_error_and_reused(tmp_path):
     r = _python("import argparse, sys\n"
                 "built = []\n"
                 "init = argparse.ArgumentParser.__init__\n"
@@ -747,14 +858,61 @@ def test_parser_is_built_on_the_first_run_and_reused(tmp_path):
                 "    init(self, *a, **k)\n"
                 "argparse.ArgumentParser.__init__ = counting\n"
                 "from ocp2d.cli import run\n"
-                "counts = [len(built)]\n"
-                "for _ in range(2):\n"
-                "    run(['eq', '--p', '1', '--s', '0'])\n"
+                "codes, counts = [], [len(built)]\n"
+                "plain, bad = ['eq', '--p', '1', '--s', '0'], ['eq', '--bogus']\n"
+                "for argv in (plain, plain, bad, bad, plain):\n"
+                "    codes.append(run(argv))\n"
                 "    counts.append(len(built))\n"
-                "print(*counts, file=sys.stderr)", tmp_path)  # stdout: eq's summary
+                "print(codes, counts, file=sys.stderr)", tmp_path)
     assert r.returncode == 0, r.stderr
-    counts = [int(v) for v in r.stderr.split()]
-    assert counts[0] == 0 < counts[1] == counts[2]
+    codes, counts = r.stderr.splitlines()[-1].split("] [")
+    assert codes == "[0, 0, 2, 2, 0"
+    counts = [int(v) for v in counts.rstrip("]").split(", ")]
+    assert counts[0] == counts[1] == counts[2] == 0 < counts[3] == counts[4] == counts[5]
+
+
+# Exit code and stderr of argv that need argparse, as the parser gives them;
+# the last one reads --thin as --thinning and then lacks --out.
+_USAGE_ERRORS = {
+    "frobnicate": (2, "usage: ocp2d [-h] {rate,eq,exact,sample,verify,fig} ...\n"
+                      "ocp2d: error: argument command: invalid choice: "
+                      "'frobnicate' (choose from 'rate', 'eq', 'exact', "
+                      "'sample', 'verify', 'fig')\n"),
+    "rate edge --bogus 1": (2, "usage: ocp2d [-h] {rate,eq,exact,sample,verify,fig} ...\n"
+                               "ocp2d: error: unrecognized arguments: --bogus 1\n"),
+    "fig 9": (2, "usage: ocp2d fig [-h] [--n N] [--config CONFIG] [--out OUT] [--svg]\n"
+                 "                 [--threads THREADS]\n"
+                 "                 {1,2,3,4}\n"
+                 "ocp2d fig: error: argument number: invalid choice: 9 "
+                 "(choose from 1, 2, 3, 4)\n"),
+    "fig -h": (0, ""),
+    "verify left-tail --n 6 --beta 4 --grid 0.5:0.9:3 --thin 2 --sweeps 40 "
+    "--burnin 10": (1, "error: missing required option --out\n"),
+}
+
+
+def test_plain_runs_load_no_argparse_and_usage_errors_keep_their_text(tmp_path):
+    r = _python("import contextlib, io, json, os, sys\n"
+                "os.environ['COLUMNS'] = '80'\n"
+                "from ocp2d.cli import run\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    assert run(['eq', '--p', '1', '--s', '0']) == 0\n"
+                "loaded = [m for m in ('argparse', 'gettext', 'locale')\n"
+                "          if m in sys.modules]\n"
+                "results = {}\n"
+                f"for command in {list(_USAGE_ERRORS)!r}:\n"
+                "    out, err = io.StringIO(), io.StringIO()\n"
+                "    with contextlib.redirect_stdout(out):\n"
+                "        with contextlib.redirect_stderr(err):\n"
+                "            code = run(command.split())\n"
+                "    results[command] = [code, err.getvalue(), out.getvalue()]\n"
+                "print(json.dumps([loaded, results]))", tmp_path)
+    assert r.returncode == 0, r.stderr
+    loaded, results = json.loads(r.stdout)
+    assert loaded == []
+    for command, (code, err) in _USAGE_ERRORS.items():
+        assert results[command][:2] == [code, err], command
+    assert "--n N              particle number" in results["fig -h"][2]
 
 
 def test_reused_parser_carries_no_state_between_runs(tmp_path, capsys):
