@@ -18,14 +18,17 @@ output depends only on argv and the config file.  --threads (or
 OCP_THREADS) is accepted and checked to be an integer >= 1, but has no
 effect: every command runs serially.
 Grids are given as min:max:steps (steps = number of points, inclusive
-endpoints, finite bounds); config files hold key=value lines overridden by
-flags.  A flag or config key that the command does not read is an error
-(exit 1).  Plain argv (the command, its target, exact option names with a
-value each) is read straight from the command tables.  Anything else (help,
-abbreviations, '--', a usage error) goes to an argparse parser built from
-the same tables on first need and reused by every later call in the
-process, so help, usage errors and their exit code 2 are argparse's;
-parsing leaves no state in it.
+endpoints, finite bounds); config files hold key=value lines.  The command
+tables (_COMMANDS) list the options each target reads, each with its
+default or marked required, and one pass (_resolve) gives every option its
+flag, else its config key, else that default: flag > config > default.  A
+flag or config key that the command does not read is an error (exit 1),
+and so is a required option that neither gives.  Plain argv (the command,
+its target, exact option names with a value each) is read straight from
+the command tables.  Anything else (help, abbreviations, '--', a usage
+error) goes to an argparse parser built from the same tables on first need
+and reused by every later call in the process, so help, usage errors and
+their exit code 2 are argparse's; parsing leaves no state in it.
 """
 
 from __future__ import annotations
@@ -241,88 +244,84 @@ def _grid(text: str) -> list[float]:
     return [float(v) for v in np.linspace(lo, hi, steps)]
 
 
-class _Resolver:
-    """flags > config file > defaults, with config text cast as in _OPTIONS.
+def _check_threads(value: int | None) -> None:
+    """--threads or OCP_THREADS must be an integer >= 1 when given;
+    both are accepted for compatibility and change nothing."""
+    name, env = "--threads", os.environ.get("OCP_THREADS")
+    if value is None and env:
+        name = "OCP_THREADS"
+        try:
+            value = int(env)
+        except ValueError:
+            raise DomainError(f"bad value for {name}: {env!r}") from None
+    if value is not None:
+        check_size(value, name)
 
-    A flag or config key that the command (and its target) does not read,
-    as listed in _COMMANDS, is a domain error."""
 
-    def __init__(self, args: SimpleNamespace):
-        self.args = args
-        self.config = _load_config(args.config)
-        _, _, positional, reads = _COMMANDS[args.command]
-        self.target = getattr(args, positional) if positional else None
-        what = " ".join(str(v) for v in (args.command, self.target) if v)
-        reads = reads[self.target].split()
-        for name in _OPTIONS:
-            if (name not in reads and name not in _COMMON
-                    and getattr(args, name, None) is not None):
-                raise DomainError(f"{what} does not read --{name}")
-        for key in self.config:
-            if key not in reads and key not in ("out", "threads"):
-                raise DomainError(f"config key {key!r} is not an option of {what}")
-
-    def get(self, name: str, cast: Callable[[str], Any] | None = None,
-            default: Any = None):
-        """--name; cast (default: its _OPTIONS type) parses text."""
-        cast = cast or _OPTIONS[name]
-        value = getattr(self.args, name, None)
-        if value is None and name in self.config:
-            value = self.config[name]
-        if isinstance(value, str) and isinstance(cast, tuple):
-            if value not in cast:
-                raise DomainError(f"--{name} must be {' or '.join(cast)}, "
-                                  f"got {value!r}")
-        elif isinstance(value, str) and cast is not str:
+def _resolve(args: SimpleNamespace) -> SimpleNamespace:
+    """The typed options of args' command and target: each one's flag, else
+    its config key, else its default in _COMMANDS.  --threads, --out and
+    then the target's options are checked in that order; text is cast as
+    in _OPTIONS, --grid by _grid and verify mgf's --n to a list of sizes.
+    A flag or config key that the target does not read is a domain error,
+    and so is a required option that is absent."""
+    config = _load_config(args.config)
+    command = args.command
+    _, _, positional, reads = _COMMANDS[command]
+    target = getattr(args, positional) if positional else None
+    what = " ".join(str(v) for v in (command, target) if v)
+    specs = reads[target].split()
+    names = _names(specs)
+    for name in _OPTIONS:
+        if (name not in names and name not in _COMMON
+                and getattr(args, name, None) is not None):
+            raise DomainError(f"{what} does not read --{name}")
+    for key in config:
+        if key not in names and key not in ("out", "threads"):
+            raise DomainError(f"config key {key!r} is not an option of {what}")
+    out = "out?" if (command, target) in _OUT_OPTIONAL else "out"
+    opts = SimpleNamespace(command=command, target=target, svg=args.svg)
+    for spec in ("threads?", out, *specs):
+        name, eq, default = spec.partition("=")
+        optional, name = eq or name.endswith("?"), name.rstrip("?")
+        value = getattr(args, name)
+        if value is None:
+            value = config.get(name, default if eq else None)
+        if value is None and not optional:
+            raise DomainError(f"missing required option --{name}")
+        if isinstance(value, str):
+            kind = (_grid if name == "grid"
+                    else _sizes if (command, target, name) == ("verify", "mgf", "n")
+                    else _OPTIONS[name])
             try:
-                value = cast(value)
+                value = _cast(kind, value)
             except Ocp2dError:
                 raise
             except ValueError as exc:
                 raise DomainError(f"bad value for --{name}: {value!r}") from exc
-        return default if value is None else value
-
-    def require(self, name: str, cast: Callable[[str], Any] | None = None):
-        value = self.get(name, cast)
-        if value is None:
-            raise DomainError(f"missing required option --{name}")
-        return value
-
-    def check_threads(self) -> None:
-        """--threads or OCP_THREADS must be an integer >= 1 when given;
-        both are accepted for compatibility and change nothing."""
-        name, value = "--threads", self.get("threads")
-        env = os.environ.get("OCP_THREADS")
-        if value is None and env:
-            name = "OCP_THREADS"
-            try:
-                value = int(env)
-            except ValueError:
-                raise DomainError(f"bad value for {name}: {env!r}") from None
-        if value is not None:
-            check_size(value, name)
+        setattr(opts, name, value)
+        if name == "threads":
+            _check_threads(value)
+    return opts
 
 
 # --- subcommand handlers ------------------------------------------------------
 #
-# Each takes the resolver and the --out path and returns (table, message).
+# Each takes the options that _resolve gives and returns (table, message).
 
 
-def _cmd_rate(res: _Resolver, out: str):
-    grid = res.require("grid", _grid)
-    if res.args.target == "edge":
-        fn = left_rate if res.get("side", default="left") == "left" else right_rate
-        table = {"x": grid, "psi": [fn(x) for x in grid]}
+def _cmd_rate(o: SimpleNamespace):
+    if o.target == "edge":
+        fn = left_rate if o.side == "left" else right_rate
+        table = {"x": o.grid, "psi": [fn(x) for x in o.grid]}
     else:
-        p = res.require("p")
-        table = {"s": grid, "energy": [energy_excess(p, s) for s in grid],
-                 "entropy": _entropy_grid(p, grid)}
-    return table, f"wrote {len(grid)} rows to {out}"
+        table = {"s": o.grid, "energy": [energy_excess(o.p, s) for s in o.grid],
+                 "entropy": _entropy_grid(o.p, o.grid)}
+    return table, f"wrote {len(o.grid)} rows to {o.out}"
 
 
-def _cmd_eq(res: _Resolver, out: str | None):
-    p = res.require("p")
-    s = res.require("s")
+def _cmd_eq(o: SimpleNamespace):
+    p, s = o.p, o.s
     measure = equilibrium_measure(p, s)
     row = {"p": p, "s": s, "inner_radius": measure.inner_radius,
            "outer_radius": measure.outer_radius,
@@ -334,105 +333,80 @@ def _cmd_eq(res: _Resolver, out: str | None):
                             for key, col in table.items())
 
 
-def _cmd_exact(res: _Resolver, out: str | None):
-    which = res.args.target
-    n = res.require("n")
-    if which == "moment":
-        p = res.require("p")
-        value = exact_moment(n, p)
-        return {"n": [n], "p": [p], "mean": [value]}, \
+def _cmd_exact(o: SimpleNamespace):
+    if o.target == "moment":
+        value = exact_moment(o.n, o.p)
+        return {"n": [o.n], "p": [o.p], "mean": [value]}, \
             f"mean = {_format_column([value])[0]}"
-    grid = res.require("grid", _grid)
-    if which == "edge-cdf":
-        table = {"x": grid, "log_cdf": [edge_cdf_log(n, x) for x in grid]}
-    elif which == "edge-pdf":
-        table = {"x": grid, "log_pdf": [edge_pdf_log(n, x) for x in grid]}
+    if o.target == "edge-cdf":
+        table = {"x": o.grid, "log_cdf": [edge_cdf_log(o.n, x) for x in o.grid]}
+    elif o.target == "edge-pdf":
+        table = {"x": o.grid, "log_pdf": [edge_pdf_log(o.n, x) for x in o.grid]}
     else:  # mgf
-        p = res.require("p")
-        results = _mgf_grid(n, p, grid)
-        table = {"s": grid, "log_mgf": [r.log_value for r in results],
+        results = _mgf_grid(o.n, o.p, o.grid)
+        table = {"s": o.grid, "log_mgf": [r.log_value for r in results],
                  "estimated_relative_error":
                      [r.estimated_relative_error for r in results]}
-    return table, f"wrote {len(grid)} rows to {out}"
+    return table, f"wrote {len(o.grid)} rows to {o.out}"
 
 
-def _cmd_sample(res: _Resolver, out: str):
-    n = res.require("n")
-    p = res.require("p")
-    seed = res.get("seed", default=DEFAULT_SEED)
-    if res.args.target == "kostlan":
-        batch = sample_kostlan(n, res.require("count"), p, seed)
+def _cmd_sample(o: SimpleNamespace):
+    if o.target == "kostlan":
+        batch = sample_kostlan(o.n, o.count, o.p, o.seed)
     else:
-        batch = sample_mcmc(n, res.get("beta", default=2.0), res.require("sweeps"),
-                            res.get("burnin", default=0),
-                            res.get("thinning", default=1), p, seed,
-                            res.get("step", default=0.25))
+        batch = sample_mcmc(o.n, o.beta, o.sweeps, o.burnin, o.thinning, o.p,
+                            o.seed, o.step)
     return {"value": batch.values}, (
-        f"{batch.sampler_id}: {batch.count} draws, mean {batch.mean():.6g} -> {out}")
+        f"{batch.sampler_id}: {batch.count} draws, mean {batch.mean():.6g} -> {o.out}")
 
 
-def _cmd_verify(res: _Resolver, out: str):
-    which = res.args.target
+def _cmd_verify(o: SimpleNamespace):
+    which = o.target
 
     if which == "left-tail":
-        n = res.require("n")
-        grid = res.require("grid", _grid)
-        beta = res.get("beta", default=2.0)
-        if beta == 2.0:
-            for name in ("sweeps", "burnin", "thinning", "seed"):
-                if res.get(name) is not None:
-                    raise DomainError(f"verify left-tail at beta 2 is exact and "
-                                      f"does not read --{name}")
-            table = harness.left_tail_table(n, grid)
-            note = ""
+        # The chain's options and their defaults, read only at beta != 2.
+        chain = {"sweeps": 4000, "burnin": 500, "thinning": 2, "seed": DEFAULT_SEED}
+        given = {name: getattr(o, name) for name in chain
+                 if getattr(o, name) is not None}
+        if o.beta == 2.0:
+            if given:
+                raise DomainError(f"verify left-tail at beta 2 is exact and "
+                                  f"does not read --{next(iter(given))}")
+            table, note = harness.left_tail_table(o.n, o.grid), ""
         else:
-            table = harness.left_tail_mcmc_table(
-                n, beta, grid,
-                sweeps=res.get("sweeps", default=4000),
-                burn_in=res.get("burnin", default=500),
-                thinning=res.get("thinning", default=2),
-                seed=res.get("seed", default=DEFAULT_SEED),
-            )
+            table = harness.left_tail_mcmc_table(o.n, o.beta, o.grid,
+                                                 *{**chain, **given}.values())
             note = (f"; ESS {table.metadata['ess']:.0f} of "
                     f"{table.metadata['draws']} draws")
         worst = max(abs(r.residual) for r in table.rows)
-        return table.columns(), (f"left tail n={n} beta={beta}: "
-                       f"max |residual| {worst:.3e}{note}")
+        return table.columns(), (f"left tail n={o.n} beta={o.beta}: "
+                                 f"max |residual| {worst:.3e}{note}")
 
     if which == "right-tail":
-        n = res.require("n")
-        table = harness.right_tail_table(n, res.require("grid", _grid))
+        table = harness.right_tail_table(o.n, o.grid)
         worst = max(abs(r.residual) for r in table.rows)
-        return table.columns(), f"right tail n={n}: max |residual| {worst:.3e}"
+        return table.columns(), f"right tail n={o.n}: max |residual| {worst:.3e}"
 
     if which == "mgf":
-        p = res.require("p")
-        beta = res.get("beta", default=2.0)
-        if beta != 2.0:
+        if o.beta != 2.0:
             raise DomainError("the finite-n generating function exists only "
                               "at coupling 2; rerun with --beta 2")
-        sizes = res.require("n", lambda text: [int(k) for k in text.split(",")])
-        grid = res.require("grid", _grid)
-        extracted, predicted = harness._subleading_fit(p, grid, sizes)
+        extracted, predicted = harness._subleading_fit(o.p, o.grid, o.n)
         residual = [e - q for e, q in zip(extracted, predicted)]
-        table = {"s": grid, "extracted_coefficient": extracted,
+        table = {"s": o.grid, "extracted_coefficient": extracted,
                  "predicted_coefficient": predicted, "residual": residual,
-                 "untested_beta_flag": [harness.untested_beta(beta)] * len(grid)}
+                 "untested_beta_flag": [harness.untested_beta(o.beta)] * len(o.grid)}
         worst = max(abs(r) for r in residual)
-        return table, f"subleading p={p} sizes={sizes}: max |residual| {worst:.3e}"
+        return table, f"subleading p={o.p} sizes={o.n}: max |residual| {worst:.3e}"
 
     if which == "cumulants":
-        p = res.require("p")
-        beta = res.get("beta", default=2.0)
-        report = harness.cumulant_check(p, beta, res.require("n"))
+        report = harness.cumulant_check(o.p, o.beta, o.n)
         return (_rows_table(harness.CumulantRow, report.rows),
-                f"cumulants p={p} beta={beta}: "
+                f"cumulants p={o.p} beta={o.beta}: "
                 f"{'pass' if report.all_passed else 'FAIL'}")
 
     if which == "gumbel":
-        report = harness.gumbel_check(res.require("n"),
-                                      res.get("draws", default=10_000),
-                                      res.get("seed", default=DEFAULT_SEED))
+        report = harness.gumbel_check(o.n, o.draws, o.seed)
         table = {"n": [report.n], "draws": [report.draws],
                  "ks_distance": [report.ks_distance], "low_n": [report.low_n]}
         note = " (low n)" if report.low_n else ""
@@ -440,19 +414,16 @@ def _cmd_verify(res: _Resolver, out: str):
                        f"KS {report.ks_distance:.4f}{note}")
 
     # transition
-    p = res.require("p")
-    report = harness.transition_scan(p, s_window=res.get("window", default=0.45),
-                                     step=res.get("step"))
+    report = harness.transition_scan(o.p, s_window=o.window, step=o.step)
     unresolved = "" if report.resolvable else \
         f" (order {report.expected_order} not resolved)"
     return (_rows_table(harness.TransitionRow, report.rows),
-            f"transition scan p={p}: expected order {report.expected_order}, "
+            f"transition scan p={o.p}: expected order {report.expected_order}, "
             f"detected {report.detected_order}{unresolved}")
 
 
-def _cmd_fig(res: _Resolver, out: str):
-    which = res.args.number
-    n = res.get("n", default=250 if which <= 2 else 50)
+def _cmd_fig(o: SimpleNamespace):
+    which, n = o.target, o.n
     if which == 1:
         left = harness.left_tail_table(n, _grid("0.30:0.99:70")).columns()
         right = harness.right_tail_table(n, _grid("1.05:2.5:60")).columns()
@@ -468,34 +439,36 @@ def _cmd_fig(res: _Resolver, out: str):
                         ["s", "finite_n_value", "prediction", "residual",
                          "subleading_gap", "subleading_prediction"])
     rows = len(next(iter(table.values())))
-    return table, f"figure {which}: wrote {rows} rows to {out}"
+    return table, f"figure {which}: wrote {rows} rows to {o.out}"
 
 
 # --- parser and dispatch ------------------------------------------------------
 
 
 # Per subcommand: handler, help, positional argument, and for each value of
-# the positional (None without one) the options that value reads.  Every
-# subcommand also takes the _COMMON options.
+# the positional (None without one) the options that value reads, in the
+# order they are checked: name=default, name? (None when absent) or a bare
+# name, which is required.  Every subcommand also takes the _COMMON options.
 _COMMANDS: dict[str, tuple[Callable, str, str | None, dict[Any, str]]] = {
     "rate": (_cmd_rate, "tabulate rate functions", "target",
-             {"edge": "side grid", "moment": "p grid"}),
+             {"edge": "grid side=left", "moment": "grid p"}),
     "eq": (_cmd_eq, "summarize one tilted equilibrium", None, {None: "p s"}),
     "exact": (_cmd_exact, "finite-n formulas at coupling 2", "target",
-              {"edge-cdf": "n grid", "edge-pdf": "n grid", "mgf": "n p grid",
+              {"edge-cdf": "n grid", "edge-pdf": "n grid", "mgf": "n grid p",
                "moment": "n p"}),
     "sample": (_cmd_sample, "draw radial statistics", "target",
-               {"kostlan": "n p count seed",
-                "mcmc": "n p beta sweeps burnin thinning step seed"}),
+               {"kostlan": f"n p seed={DEFAULT_SEED} count",
+                "mcmc": f"n p seed={DEFAULT_SEED} beta=2 sweeps burnin=0 "
+                        "thinning=1 step=0.25"}),
     "verify": (_cmd_verify, "run a verification pipeline", "target",
-               {"left-tail": "n grid beta sweeps burnin thinning seed",
+               {"left-tail": "n grid beta=2 sweeps? burnin? thinning? seed?",
                 "right-tail": "n grid",
-                "mgf": "n p beta grid",
-                "cumulants": "n p beta",
-                "gumbel": "n draws seed",
-                "transition": "p window step"}),
+                "mgf": "p beta=2 n grid",
+                "cumulants": "p beta=2 n",
+                "gumbel": f"n draws=10000 seed={DEFAULT_SEED}",
+                "transition": "p window=0.45 step?"}),
     "fig": (_cmd_fig, "reproduce a figure data set", "number",
-            dict.fromkeys((1, 2, 3, 4), "n")),
+            {1: "n=250", 2: "n=250", 3: "n=50", 4: "n=50"}),
 }
 _COMMON = ("config", "out", "svg", "threads")
 
@@ -503,12 +476,22 @@ _COMMON = ("config", "out", "svg", "threads")
 _OUT_OPTIONAL = {("eq", None), ("exact", "moment")}
 
 
+def _names(specs: Sequence[str]) -> list[str]:
+    """The option names of read specs, without their =default or ? marks."""
+    return [spec.partition("=")[0].rstrip("?") for spec in specs]
+
+
+def _sizes(text: str) -> list[int]:
+    """verify mgf's --n: a comma list of sizes."""
+    return [int(k) for k in text.split(",")]
+
+
 def _flags(command: str) -> dict[str, Any]:
     """The options of a subcommand, in parser order (those its targets read,
     then _COMMON), each with its _OPTIONS kind; verify --n stays text: a
     size, or a comma list for verify mgf."""
     reads = _COMMANDS[command][3]
-    names = dict.fromkeys([*" ".join(reads.values()).split(), *_COMMON])
+    names = dict.fromkeys([*_names(" ".join(reads.values()).split()), *_COMMON])
     return {name: str if (command, name) == ("verify", "n") else _OPTIONS[name]
             for name in names}
 
@@ -590,7 +573,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ocp2d",
         description="Radial statistics of the trapped 2D log-gas: rate "
                     "functions, finite-n formulas, samplers, verification "
-                    "pipelines, and figure data sets.",
+                    "pipelines, and figure data sets.  A value that starts "
+                    "with '-' and is not a plain decimal (-1e3, -inf, a grid "
+                    "-3:5:4) must follow '=', as in --s=-1e3.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
     for name, (handler, help_text, positional, reads) in _COMMANDS.items():
@@ -617,17 +602,15 @@ def run(argv: Sequence[str]) -> int:
         except SystemExit as exc:
             return int(exc.code or 0)
     try:
-        res = _Resolver(args)
-        res.check_threads()
-        optional = (args.command, res.target) in _OUT_OPTIONAL
-        out = res.get("out") if optional else res.require("out")
+        opts = _resolve(args)
+        out = opts.out
         chart = os.path.splitext(out)[0] + ".svg" if args.svg and out else None
         if chart and os.path.abspath(chart) == os.path.abspath(out):
             raise DomainError(f"--svg would overwrite the CSV at {out}: "
                               "give --out a name that does not end in .svg")
-        table, message = args.handler(res, out)
+        table, message = args.handler(opts)
         svg = _svg_lines(table) if args.svg else None
-        if out or not optional:
+        if out or (opts.command, opts.target) not in _OUT_OPTIONAL:
             emit_csv(table, out)
             if svg:
                 _write_atomic(chart, svg)

@@ -241,24 +241,34 @@ def mgf_table(n: int, p: float, s_grid: Sequence[float]) -> LdpTable:
     magnified gap n (finite - limit), the same bits as n times the
     residual; its predicted limit (the 1/n coefficient at coupling 2, from
     one entropy grid); and the quadrature error estimate.  The 1/n fit of
-    extract_subleading and `verify mgf` computes the same gaps from one
-    exact pass per size and builds no table.
+    extract_subleading and `verify mgf` takes the same gaps from `_gaps`,
+    one exact pass per size, and builds no table.
     """
     n = check_size(n, "particle number n")
-    ss = sorted(float(s) for s in s_grid)
-    if not ss:
-        raise DomainError("empty tilt grid")
-    results = _mgf_grid(n, p, ss)
-    pairs = [(-res.log_value / (2.0 * n * n), energy_excess(p, s))
-             for res, s in zip(results, ss)]
+    ss, limit, (results,), (gaps,) = _gaps(p, s_grid, [n])
+    pairs = [(-res.log_value / (2.0 * n * n), e) for res, e in zip(results, limit)]
     return _table(
         "s", ss, pairs,
         {"n": n, "beta": 2.0, "p": float(p),
          "finite": "-(1/(2 n^2)) mgf_log", "prediction": "energy_excess"},
-        subleading_gap=[n * (fin - pred) for fin, pred in pairs],
+        subleading_gap=gaps,
         subleading_prediction=_subleading_grid(p, ss),
         quadrature_error=[res.estimated_relative_error for res in results],
     )
+
+
+def _gaps(p: float, s_grid: Sequence[float], sizes: Sequence[int]):
+    """The tilts of s_grid in ascending order (DomainError if there are
+    none), their limits E = energy_excess(p, s), and for each size n its
+    exact pass and its magnified gaps n (-ln M/(2 n^2) - E): one exact pass
+    per size, all before the one energy column."""
+    if not (ss := sorted(float(s) for s in s_grid)):
+        raise DomainError("empty tilt grid")
+    passes = [_mgf_grid(n, p, ss) for n in sizes]
+    limit = [energy_excess(p, s) for s in ss]
+    gaps = [[n * (-res.log_value / (2.0 * n * n) - e) for res, e in zip(results, limit)]
+            for n, results in zip(sizes, passes)]
+    return ss, limit, passes, gaps
 
 
 def _subleading_fit(p: float, s_grid: Sequence[float], n_list: Sequence[int]
@@ -269,12 +279,7 @@ def _subleading_fit(p: float, s_grid: Sequence[float], n_list: Sequence[int]
     sizes = [check_size(n, "size n") for n in n_list]
     if len(sizes) < 3 or sorted(set(sizes)) != sizes:
         raise DomainError("need at least three strictly increasing sizes")
-    if not (ss := sorted(float(s) for s in s_grid)):
-        raise DomainError("empty tilt grid")
-    passes = [(n, _mgf_grid(n, p, ss)) for n in sizes]
-    limit = [energy_excess(p, s) for s in ss]
-    gaps = [[n * (-res.log_value / (2.0 * n * n) - e) for res, e in zip(results, limit)]
-            for n, results in passes]
+    ss, _, _, gaps = _gaps(p, s_grid, sizes)
     a = [[1.0, 1.0 / n, 1.0 / n**2] for n in sizes]
     c1 = np.linalg.lstsq(a, gaps, rcond=None)[0][0]
     return c1.tolist(), tuple(_subleading_grid(p, ss))

@@ -378,24 +378,26 @@ class MetropolisChain:
         positions.  The accepted proposals are written once, at the end.
         """
         n, z = self.n, self.z
-        order = self.rng.permutation(n)
-        steps = (self.step * self.rng.standard_normal((n, 2))).view(complex)
-        old = z[order]
-        new = old + steps.ravel()
-        # [old; new] - old stacked over new - new; the three diagonals,
-        # each a particle against itself, get log 1 = 0.
-        diff = np.empty((3 * n, n), dtype=complex)
-        np.subtract(np.concatenate((old, new))[:, None], old, out=diff[:2 * n])
-        np.subtract(new[:, None], new, out=diff[2 * n:])
-        diff.reshape(3, n * n)[:, ::n + 1] = 1.0
-        confinement = 0.5 * n * (new.real ** 2 + new.imag ** 2
-                                 - old.real ** 2 - old.imag ** 2)
         running = np.zeros(n)
         accept = np.zeros(n, dtype=bool)
         beta, total = self.beta, 0.0
-        # Coincident points give infinite logs and inf - inf increments;
-        # random() can return 0.0.
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # Coincident points give infinite logs and inf - inf increments; a
+        # step so long that a proposal or its confinement energy overflows
+        # gives a dH of inf or nan, and the move is rejected; random() can
+        # return 0.0.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            order = self.rng.permutation(n)
+            steps = (self.step * self.rng.standard_normal((n, 2))).view(complex)
+            old = z[order]
+            new = old + steps.ravel()
+            # [old; new] - old stacked over new - new; the three diagonals,
+            # each a particle against itself, get log 1 = 0.
+            diff = np.empty((3 * n, n), dtype=complex)
+            np.subtract(np.concatenate((old, new))[:, None], old, out=diff[:2 * n])
+            np.subtract(new[:, None], new, out=diff[2 * n:])
+            diff.reshape(3, n * n)[:, ::n + 1] = 1.0
+            confinement = 0.5 * n * (new.real ** 2 + new.imag ** 2
+                                     - old.real ** 2 - old.imag ** 2)
             log_u = np.log(self.rng.random(n)).tolist()
             logs = np.log(np.abs(diff))
             a = logs[n:2 * n]

@@ -17,8 +17,9 @@ import pytest
 
 import ocp2d
 from ocp2d import exact_moment, left_rate
-from ocp2d.cli import (_COMMANDS, _HELP, DEFAULT_SEED, _flags, _format_column,
-                       _grid, _parse, build_parser, emit_csv, run)
+from ocp2d.cli import (_COMMANDS, _HELP, _OPTIONS, DEFAULT_SEED, _cast, _flags,
+                       _format_column, _grid, _parse, _resolve, build_parser,
+                       emit_csv, run)
 
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -419,6 +420,12 @@ def test_verify_mgf_rejects_other_couplings(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_verify_mgf_reads_its_options_before_the_coupling_check(tmp_path, capsys):
+    assert run(["verify", "mgf", "--p", "1", "--beta", "4",
+                "--out", str(tmp_path / "o.csv")]) == 1
+    assert "missing required option --n" in capsys.readouterr().err
+
+
 # --- config files ----------------------------------------------------------------
 
 def test_config_file_supplies_options(tmp_path, capsys):
@@ -474,6 +481,33 @@ def test_options_the_command_does_not_read_are_domain_errors(
     assert run(args + ["--out", str(out)]) == 1
     assert word in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_options_resolve_flag_then_config_then_default(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("draws = 30\nseed = 4\n")
+    gumbel = ["verify", "gumbel", "--n", "200", "--out", "o.csv"]
+    opts = _resolve(_parse(gumbel + ["--seed", "5", "--config", str(cfg)]))
+    assert (opts.n, opts.draws, opts.seed, opts.out) == (200, 30, 5, "o.csv")
+    opts = _resolve(_parse(gumbel))
+    assert (opts.draws, opts.seed, opts.threads) == (10_000, DEFAULT_SEED, None)
+    opts = _resolve(_parse(["verify", "mgf", "--n", "10,20,40", "--p", "1",
+                            "--grid", "0:1:3", "--out", "o.csv"]))
+    assert (opts.n, opts.grid, opts.beta) == ([10, 20, 40], [0.0, 0.5, 1.0], 2.0)
+
+
+def test_command_tables_read_known_options_with_defaults_that_cast():
+    # each read spec is name=default, name? or a bare (required) name
+    for command, (_, _, _, reads) in _COMMANDS.items():
+        for target, specs in reads.items():
+            for spec in specs.split():
+                name, eq, default = re.fullmatch(r"(\w+)(?:\?|(=)(.+))?", spec).groups()
+                assert name in _OPTIONS and name in _HELP, (command, target, spec)
+                if eq:
+                    _cast(_OPTIONS[name], default)
+        assert list(_flags(command)) == [*dict.fromkeys(
+            re.match(r"\w+", spec).group() for specs in reads.values()
+            for spec in specs.split()), "config", "out", "svg", "threads"]
 
 
 def test_config_file_that_is_not_utf8_is_domain_error(tmp_path, capsys):
@@ -717,6 +751,20 @@ def test_svg_that_draws_no_line_is_refused(tmp_path, capsys, args):
     assert run(args + ["--out", str(out), "--svg"]) == 1
     assert "--svg draws no line" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_values_like_minus_1e3_must_follow_equals(capsys, monkeypatch):
+    # argparse reads -1e3 (unlike -1000) as an option name, and so does the
+    # table parse; after '=' it is a value, and -h says so
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(["eq", "--p", "1", "--s", "-1e3"]) == 2
+    assert "argument --s: expected one argument" in capsys.readouterr().err
+    assert run(["eq", "--p", "1", "--s=-1e3"]) == 0
+    assert "s = -1000" in capsys.readouterr().out.splitlines()
+    assert run(["-h"]) == 0
+    assert "\nformulas, samplers, verification pipelines, and figure data sets. " \
+           "A value that\nstarts with '-' and is not a plain decimal (-1e3, -inf, " \
+           "a grid -3:5:4) must\nfollow '=', as in --s=-1e3.\n" in capsys.readouterr().out
 
 
 def test_parser_builds_help_without_side_effects():

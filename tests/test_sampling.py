@@ -496,6 +496,19 @@ def test_mcmc_proposal_onto_an_accepted_proposal_is_rejected():
         hamiltonian(chain.config()) - h0, abs=1e-12)
 
 
+def test_mcmc_proposals_that_overflow_are_rejected_without_a_warning():
+    # at a step of 1e308 every proposal's confinement energy overflows and
+    # some proposals are inf, so new - new holds inf - inf: each move is
+    # rejected, and no RuntimeWarning escapes
+    batch = sample_mcmc(3, 2.0, 30, 0, 1, math.inf, 1, 1e308)
+    assert batch.metadata["acceptance_rate"] == 0.0
+    assert len(set(batch.values.tolist())) == 1
+    chain = MetropolisChain(3, 2.0, np.random.default_rng(1), 1e200)
+    start = chain.positions.copy()
+    chain.sweep()
+    assert chain.accepted == 0 and (chain.positions == start).all()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_mcmc_degenerate_sizes_keep_their_bookkeeping(n):
     # the (3n, n) log array is (3, 1), (6, 2) and (9, 3) here
