@@ -23,23 +23,22 @@ tables (_COMMANDS) list the options each target reads, each with its
 default or marked required, and one pass (_resolve) gives every option its
 flag, else its config key, else that default: flag > config > default.  A
 flag or config key that the command does not read is an error (exit 1),
-and so is a required option that neither gives.  Plain argv (the command,
-its target, exact option names with a value each) is read straight from
-the command tables.  Anything else (help, abbreviations, '--', a usage
-error) goes to an argparse parser built from the same tables on first need
-and reused by every later call in the process, so help, usage errors and
-their exit code 2 are argparse's; parsing leaves no state in it.
+and so is a required option that neither gives, or an empty --out.  Every
+argv is read straight from the command tables: options by exact name (no
+abbreviations, no '--'), each value after '=' or as the next word unless
+that starts with '--', so -1e3 or a grid -3:5:4 is a value.  A bad argv is
+a usage error (exit 2) naming the word at fault; -h or --help, wherever it
+appears, prints help made from the same tables.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import sys
 from dataclasses import fields
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -55,9 +54,6 @@ from .equilibrium import (
 from .errors import DomainError, Ocp2dError, check_size
 from .exact import _mgf_grid, edge_cdf_log, edge_pdf_log, exact_moment
 from .sampling import sample_kostlan, sample_mcmc
-
-if TYPE_CHECKING:
-    import argparse
 
 __all__ = ["DEFAULT_SEED", "run", "main", "emit_csv"]
 
@@ -264,7 +260,7 @@ def _resolve(args: SimpleNamespace) -> SimpleNamespace:
     then the target's options are checked in that order; text is cast as
     in _OPTIONS, --grid by _grid and verify mgf's --n to a list of sizes.
     A flag or config key that the target does not read is a domain error,
-    and so is a required option that is absent."""
+    and so is a required option that is absent, or an empty --out."""
     config = _load_config(args.config)
     command = args.command
     _, _, positional, reads = _COMMANDS[command]
@@ -302,6 +298,8 @@ def _resolve(args: SimpleNamespace) -> SimpleNamespace:
         setattr(opts, name, value)
         if name == "threads":
             _check_threads(value)
+        elif name == "out" and value == "":
+            raise DomainError("--out is empty: give it a file path")
     return opts
 
 
@@ -487,7 +485,7 @@ def _sizes(text: str) -> list[int]:
 
 
 def _flags(command: str) -> dict[str, Any]:
-    """The options of a subcommand, in parser order (those its targets read,
+    """The options of a subcommand, in help order (those its targets read,
     then _COMMON), each with its _OPTIONS kind; verify --n stays text: a
     size, or a comma list for verify mgf."""
     reads = _COMMANDS[command][3]
@@ -497,8 +495,8 @@ def _flags(command: str) -> dict[str, Any]:
 
 
 def _cast(kind: Any, text: str) -> Any:
-    """text cast as the parser casts it: by kind, or to the type of a tuple
-    kind's values and then checked to be one of them; ValueError otherwise."""
+    """text cast by kind, or to the type of a tuple kind's values and then
+    checked to be one of them; ValueError otherwise."""
     if not isinstance(kind, tuple):
         return kind(text)
     value = type(kind[0])(text)
@@ -507,100 +505,96 @@ def _cast(kind: Any, text: str) -> Any:
     return value
 
 
-def _is_value(token: str) -> bool:
-    """Whether the parser reads token as a value: it does not start with
-    '-', or it is a negative number (-5, -.5, -0.4; no option looks like
-    one)."""
-    if not token.startswith("-"):
-        return True
-    whole, dot, frac = token[1:].partition(".")
-    if dot:
-        return frac.isdecimal() and (not whole or whole.isdecimal())
-    return whole.isdecimal()
+class _UsageError(Exception):
+    """An argv that the command tables do not read (exit 2)."""
 
 
-def _parse(argv: Sequence[str]) -> SimpleNamespace | None:
-    """Plain argv read from the command tables into the namespace the parser
-    would return; None for anything else: help, an unknown or abbreviated
-    name, '--', a value that starts with '-' and is not a number, --svg=...,
-    a failed cast or choice, or a positional too many or too few."""
+def _braces(values: Any) -> str:
+    return "{" + ",".join(map(str, values)) + "}"
+
+
+def _parse(argv: Sequence[str]) -> SimpleNamespace:
+    """argv read from the command tables: the command, its positional and
+    all its options (None or False when absent), each value after '=' or
+    as the next word unless that starts with '--'.  Anything else is a
+    _UsageError naming the word at fault: an unknown command or option ('--'
+    and abbreviations too), a missing value, a failed cast or choice, a
+    switch given '=', or a positional too many or too few."""
     if not argv or argv[0] not in _COMMANDS:
-        return None
-    command, *tokens = argv
+        what = f"unknown command {argv[0]!r}" if argv else "missing command"
+        raise _UsageError(f"{what} (choose from {_braces(_COMMANDS)})")
+    command, *words = argv
     handler, _, positional, reads = _COMMANDS[command]
     flags = _flags(command)
-    values = {name: False if kind is bool else None
-              for name, kind in flags.items()}
-    targets = []
-    stream = iter(tokens)
-    for token in stream:
-        if _is_value(token):
-            targets.append(token)
-            continue
-        name, eq, text = token[2:].partition("=")
-        kind = flags.get(name) if token.startswith("--") else None
-        if kind is bool and not eq:
-            values[name] = True
-            continue
-        if kind is None or kind is bool:
-            return None
-        if not eq:
-            text = next(stream, None)
-            if text is None or not _is_value(text):
-                return None
+    values = {name: False if kind is bool else None for name, kind in flags.items()}
+    stream = iter(words)
+    for word in stream:
+        if not word.startswith("--"):
+            if positional is None or positional in values:
+                raise _UsageError(f"unexpected argument {word!r}")
+            name, kind, text = positional, tuple(reads), word
+        else:
+            name, eq, text = word[2:].partition("=")
+            kind = flags.get(name)
+            if kind is None:
+                raise _UsageError(f"unknown option {word!r}")
+            if kind is bool:
+                if eq:
+                    raise _UsageError(f"switch {word!r} takes no value")
+                values[name] = True
+                continue
+            if not eq:
+                text = next(stream, None)
+                if text is None or text.startswith("--"):
+                    raise _UsageError(f"option {word!r} needs a value")
         try:
             values[name] = _cast(kind, text)
         except ValueError:
-            return None
-    if len(targets) != (positional is not None):
-        return None
-    args = SimpleNamespace(command=command, handler=handler, **values)
-    if positional:
-        try:
-            setattr(args, positional, _cast(tuple(reads), targets[0]))
-        except ValueError:
-            return None
-    return args
+            what = name if name == positional else f"--{name}"
+            hint = f" (choose from {_braces(kind)})" if isinstance(kind, tuple) else ""
+            raise _UsageError(f"bad value for {what}: {text!r}{hint}") from None
+    if positional and positional not in values:
+        raise _UsageError(f"missing {positional} (choose from {_braces(reads)})")
+    return SimpleNamespace(command=command, handler=handler, **values)
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The process's one parser, built on first need; every run that needs
-    it shares it, so callers must not modify it."""
-    import argparse
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: ocp2d {_braces(_COMMANDS)} ..."
+    reads = _COMMANDS[command][3]
+    return f"usage: ocp2d {command}{'' if None in reads else ' ' + _braces(reads)} ..."
 
-    parser = argparse.ArgumentParser(
-        prog="ocp2d",
-        description="Radial statistics of the trapped 2D log-gas: rate "
-                    "functions, finite-n formulas, samplers, verification "
-                    "pipelines, and figure data sets.  A value that starts "
-                    "with '-' and is not a plain decimal (-1e3, -inf, a grid "
-                    "-3:5:4) must follow '=', as in --s=-1e3.",
-    )
-    commands = parser.add_subparsers(dest="command", required=True)
-    for name, (handler, help_text, positional, reads) in _COMMANDS.items():
-        sub = commands.add_parser(name, help=help_text)
-        if positional:
-            choices = tuple(reads)
-            sub.add_argument(positional, type=type(choices[0]), choices=choices)
-        for flag, kind in _flags(name).items():
-            spec = ({"action": "store_true"} if kind is bool else
-                    {"choices": kind} if isinstance(kind, tuple) else {"type": kind})
-            sub.add_argument(f"--{flag}", help=_HELP[flag], **spec)
-        sub.set_defaults(handler=handler)
-    return parser
+
+def _help(command: str | None) -> str:
+    """The -h text: a usage line, then one line per command, or per option
+    of the command with its _HELP line."""
+    if command is None:
+        about = ("Radial statistics of the trapped 2D log-gas.\n"
+                 "'ocp2d <command> -h' lists the options of a command.")
+        rows = {name: entry[1] for name, entry in _COMMANDS.items()}
+    else:
+        about = _COMMANDS[command][1]
+        rows = {f"--{name}" + ("" if kind is bool else f" {_braces(kind)}"
+                               if isinstance(kind, tuple) else f" {name.upper()}"):
+                _HELP[name] for name, kind in _flags(command).items()}
+    width = max(map(len, rows)) + 2
+    return "\n".join([_usage(command), "", about, "",
+                      *(f"  {key:<{width}}{text}" for key, text in rows.items())])
 
 
 def run(argv: Sequence[str]) -> int:
-    """Execute one subcommand; 0 on success, 1 on domain/runtime/file
-    errors, 2 on usage errors.  Plain argv is read from the command tables;
-    the rest goes to build_parser(), which gives help and usage errors."""
-    args = _parse(argv)
-    if args is None:
-        try:
-            args = SimpleNamespace(**vars(build_parser().parse_args(list(argv))))
-        except SystemExit as exc:
-            return int(exc.code or 0)
+    """Execute one subcommand; 0 on success and for -h/--help, 1 on
+    domain/runtime/file errors, 2 on usage errors."""
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    if "-h" in argv or "--help" in argv:
+        print(_help(command))
+        return 0
+    try:
+        args = _parse(argv)
+    except _UsageError as exc:
+        prog = f"ocp2d {command}" if command else "ocp2d"
+        print(f"{_usage(command)}\n{prog}: error: {exc}", file=sys.stderr)
+        return 2
     try:
         opts = _resolve(args)
         out = opts.out

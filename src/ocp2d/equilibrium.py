@@ -98,7 +98,7 @@ class StabilityDomain:
             raise StabilityError(
                 f"tilt s={s} outside the stability domain for p={self.p}: "
                 f"{'(' if self.lower_open else '['}{self.lower}, inf)"
-            )
+                if math.isfinite(s) else f"the tilt must be finite, got s={s}")
         if self.p == 2.0 and s < _P2_GUARD:
             raise StabilityError(
                 f"tilt s={s} too close to the p=2 stability edge -1/2; "

@@ -1,8 +1,6 @@
 """Command-line interface: grammar, IO contracts, and reproducibility."""
 
-import contextlib
 import hashlib
-import io
 import json
 import math
 import os
@@ -15,10 +13,11 @@ import sys
 import numpy as np
 import pytest
 
+import argparse_oracle
 import ocp2d
 from ocp2d import exact_moment, left_rate
 from ocp2d.cli import (_COMMANDS, _HELP, _OPTIONS, DEFAULT_SEED, _cast, _flags,
-                       _format_column, _grid, _parse, _resolve, build_parser,
+                       _format_column, _grid, _parse, _resolve, _UsageError,
                        emit_csv, run)
 
 
@@ -738,6 +737,19 @@ def test_svg_that_would_overwrite_the_csv_is_refused(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("args", [["rate", "edge", "--grid", "0.3:0.9:3"],
+                                  ["eq", "--p", "1", "--s", "0"]])
+@pytest.mark.parametrize("out", [["--out", ""], ["--config", "../run.cfg"]])
+def test_empty_out_is_refused_before_any_work(tmp_path, capsys, monkeypatch, args, out):
+    # an empty path's temp file would be named after the working directory
+    (tmp_path / "run.cfg").write_text("out =\n")
+    (tmp_path / "work").mkdir()
+    monkeypatch.chdir(tmp_path / "work")
+    assert run(args + out) == 1
+    assert capsys.readouterr() == ("", "error: --out is empty: give it a file path\n")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["run.cfg", "work"]
+
+
 @pytest.mark.parametrize("args", [
     ["sample", "kostlan", "--n", "10", "--p", "2", "--count", "50"],
     ["sample", "mcmc", "--n", "5", "--sweeps", "20", "--p", "2"],
@@ -753,25 +765,32 @@ def test_svg_that_draws_no_line_is_refused(tmp_path, capsys, args):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_values_like_minus_1e3_must_follow_equals(capsys, monkeypatch):
-    # argparse reads -1e3 (unlike -1000) as an option name, and so does the
-    # table parse; after '=' it is a value, and -h says so
-    monkeypatch.setenv("COLUMNS", "80")
-    assert run(["eq", "--p", "1", "--s", "-1e3"]) == 2
-    assert "argument --s: expected one argument" in capsys.readouterr().err
-    assert run(["eq", "--p", "1", "--s=-1e3"]) == 0
-    assert "s = -1000" in capsys.readouterr().out.splitlines()
+def test_values_that_start_with_a_dash_are_values(tmp_path, capsys):
+    # after a value option the next word is its value unless it starts with '--'
+    for argv in (["--s", "-1e3"], ["--s=-1e3"], ["--s", "-1000"]):
+        assert run(["eq", "--p", "1", *argv]) == 0
+        assert "s = -1000" in capsys.readouterr().out.splitlines()
+    assert run(["eq", "--p", "1", "--s", "-inf"]) == 1
+    assert capsys.readouterr().err == "error: the tilt must be finite, got s=-inf\n"
+    out = tmp_path / "m.csv"
+    assert run(["rate", "moment", "--p", "1", "--grid", "-3:5:4", "--out", str(out)]) == 0
+    assert [float(row[0]) for row in read_csv(out)[1]] == _grid("-3:5:4")
+
+
+def test_parser_builds_help_without_side_effects(tmp_path, capsys, monkeypatch):
+    # -h anywhere prints help from the tables, the same each time, and no file
+    monkeypatch.chdir(tmp_path)
     assert run(["-h"]) == 0
-    assert "\nformulas, samplers, verification pipelines, and figure data sets. " \
-           "A value that\nstarts with '-' and is not a plain decimal (-1e3, -inf, " \
-           "a grid -3:5:4) must\nfollow '=', as in --s=-1e3.\n" in capsys.readouterr().out
-
-
-def test_parser_builds_help_without_side_effects():
-    parser = build_parser()
-    assert parser.prog
-    for command in _COMMANDS:
-        assert set(_flags(command)) <= set(_HELP)
+    top = capsys.readouterr().out
+    for command, (_, help_text, _, _) in _COMMANDS.items():
+        assert re.search(rf"^  {command} +{re.escape(help_text)}$", top, re.M)
+        assert run([command, "-h"]) == 0
+        text = capsys.readouterr().out
+        for name in _flags(command):
+            assert re.search(rf"^  --{name}\b.*  {re.escape(_HELP[name])}$", text, re.M)
+        assert run([command, "--bogus", "--help", "--out", ""]) == 0
+        assert capsys.readouterr() == (text, "")
+    assert list(tmp_path.iterdir()) == []
 
 
 # --- argv read from the command tables ----------------------------------------
@@ -816,17 +835,6 @@ def _fuzz_argv(rng):
     return [command, *(token for group in groups for token in group)]
 
 
-def _argparse_vars(argv):
-    """The namespace build_parser() returns for argv, or None where it
-    prints help or a usage error."""
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
-        try:
-            return vars(build_parser().parse_args(argv))
-        except SystemExit:
-            return None
-
-
 def _same_namespace(a, b):
     """Equal names, and values equal in type and value, NaN equal to NaN."""
     return a.keys() == b.keys() and all(
@@ -835,18 +843,26 @@ def _same_namespace(a, b):
 
 
 def test_table_parse_matches_argparse_wherever_it_accepts():
+    # the oracle also reads abbreviations and '--', but not values like -1e3
     rng = random.Random(20231)
-    accepted = refused_but_parsed = 0
+    both = only_table = 0
     for _ in range(4000):
         argv = _fuzz_argv(rng)
-        fast, slow = _parse(argv), _argparse_vars(argv)
-        if fast is None:
-            refused_but_parsed += slow is not None
-            continue
-        accepted += 1
-        assert slow is not None and _same_namespace(vars(fast), slow), argv
-    # Both routes are exercised: plain argv, and argv only argparse reads.
-    assert accepted > 400 and refused_but_parsed > 50
+        try:
+            table = vars(_parse(argv))
+        except _UsageError:
+            table = None
+        oracle = argparse_oracle.parse(argv)
+        if oracle is not None and all(
+                word[2:].partition("=")[0] in _flags(argv[0])
+                for word in argv[1:] if word.startswith("--")):
+            assert table is not None and _same_namespace(table, oracle), argv
+            both += 1
+        elif table is not None:
+            assert any(re.fullmatch(r"-[^-].*", word) for word in argv), argv
+            only_table += 1
+    # 607 argv that both read, 13 that only _parse reads (-1e3, -3:5:4, -h)
+    assert both > 500 and only_table > 5
 
 
 @pytest.mark.parametrize("argv", [
@@ -856,27 +872,36 @@ def test_table_parse_matches_argparse_wherever_it_accepts():
     ["fig", "03"],
 ])
 def test_table_parse_reads_repeats_equals_forms_and_negative_values(argv):
-    fast = _parse(argv)
-    assert fast is not None and _same_namespace(vars(fast), _argparse_vars(argv))
+    assert _same_namespace(vars(_parse(argv)), argparse_oracle.parse(argv))
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "left-tail", "--thin", "2"], ["eq", "--s=", "-0.4"],
-    ["rate", "edge", "--grid", "-3:5:4"], ["rate", "edge", "--svg=1"],
-    ["fig", "1", "--n", "1.5"], ["rate", "edge", "--side", "middle"],
-    ["fig", "1", "2"], ["fig"], ["eq", "1"], ["eq", "--", "--p", "1"],
-    ["fig", "-h"], ["verify", "gumbel", "--n"],
-])
-def test_table_parse_leaves_the_rest_to_argparse(argv):
-    assert _parse(argv) is None
+# Each argv that is a usage error, and the message that names its fault.
+_BAD_ARGV = [
+    (["verify", "left-tail", "--thin", "2"], "unknown option '--thin'"),
+    (["rate", "--gri", "0.3:0.9:3", "edge"], "unknown option '--gri'"),
+    (["eq", "--", "--p", "1"], "unknown option '--'"),
+    (["eq", "--s=", "-0.4"], "bad value for --s: ''"),
+    (["fig", "1", "--n", "1.5"], "bad value for --n: '1.5'"),
+    (["rate", "edge", "--side", "middle"],
+     "bad value for --side: 'middle' (choose from {left,right})"),
+    (["rate", "edge", "--svg=1"], "switch '--svg=1' takes no value"),
+    (["verify", "gumbel", "--n"], "option '--n' needs a value"),
+    (["rate", "edge", "--out", "--svg"], "option '--out' needs a value"),
+    (["fig", "9"], "bad value for number: '9' (choose from {1,2,3,4})"),
+    (["fig", "-n", "5"], "bad value for number: '-n' (choose from {1,2,3,4})"),
+    (["fig"], "missing number (choose from {1,2,3,4})"),
+    (["fig", "1", "2"], "unexpected argument '2'"),
+    (["eq", "1"], "unexpected argument '1'"),
+    ([], "missing command (choose from {rate,eq,exact,sample,verify,fig})"),
+]
 
 
-def test_pinned_argv_take_the_table_parse():
-    for command in _PINNED_OUTPUTS:
-        argv = command.split() + ["--out", "o.csv"]
-        fast = _parse(argv)
-        assert fast is not None, command
-        assert _same_namespace(vars(fast), _argparse_vars(argv)), command
+@pytest.mark.parametrize("argv,error", _BAD_ARGV,
+                         ids=[" ".join(argv) or "no-argv" for argv, _ in _BAD_ARGV])
+def test_usage_errors_name_the_word_at_fault(capsys, argv, error):
+    assert run(argv) == 2
+    usage, message = capsys.readouterr().err.splitlines()
+    assert usage.startswith("usage: ocp2d ") and message.endswith(f": error: {error}")
 
 
 # --- numpy-only runtime ----------------------------------------------------------
@@ -897,56 +922,25 @@ def test_cli_import_loads_no_scipy(tmp_path):
     assert r.stdout.split() == ["[]", "False"]
 
 
-def test_parser_is_built_on_the_first_usage_error_and_reused(tmp_path):
-    r = _python("import argparse, sys\n"
-                "built = []\n"
-                "init = argparse.ArgumentParser.__init__\n"
-                "def counting(self, *a, **k):\n"
-                "    built.append(1)\n"
-                "    init(self, *a, **k)\n"
-                "argparse.ArgumentParser.__init__ = counting\n"
-                "from ocp2d.cli import run\n"
-                "codes, counts = [], [len(built)]\n"
-                "plain, bad = ['eq', '--p', '1', '--s', '0'], ['eq', '--bogus']\n"
-                "for argv in (plain, plain, bad, bad, plain):\n"
-                "    codes.append(run(argv))\n"
-                "    counts.append(len(built))\n"
-                "print(codes, counts, file=sys.stderr)", tmp_path)
-    assert r.returncode == 0, r.stderr
-    codes, counts = r.stderr.splitlines()[-1].split("] [")
-    assert codes == "[0, 0, 2, 2, 0"
-    counts = [int(v) for v in counts.rstrip("]").split(", ")]
-    assert counts[0] == counts[1] == counts[2] == 0 < counts[3] == counts[4] == counts[5]
-
-
-# Exit code and stderr of argv that need argparse, as the parser gives them;
-# the last one reads --thin as --thinning and then lacks --out.
+# Exit code and stderr of a plain run, help and usage errors; the last one
+# spells --thinning as --thin.
 _USAGE_ERRORS = {
-    "frobnicate": (2, "usage: ocp2d [-h] {rate,eq,exact,sample,verify,fig} ...\n"
-                      "ocp2d: error: argument command: invalid choice: "
-                      "'frobnicate' (choose from 'rate', 'eq', 'exact', "
-                      "'sample', 'verify', 'fig')\n"),
-    "rate edge --bogus 1": (2, "usage: ocp2d [-h] {rate,eq,exact,sample,verify,fig} ...\n"
-                               "ocp2d: error: unrecognized arguments: --bogus 1\n"),
-    "fig 9": (2, "usage: ocp2d fig [-h] [--n N] [--config CONFIG] [--out OUT] [--svg]\n"
-                 "                 [--threads THREADS]\n"
-                 "                 {1,2,3,4}\n"
-                 "ocp2d fig: error: argument number: invalid choice: 9 "
-                 "(choose from 1, 2, 3, 4)\n"),
+    "eq --p 1 --s 0": (0, ""),
+    "-h": (0, ""),
     "fig -h": (0, ""),
+    "frobnicate": (2, "usage: ocp2d {rate,eq,exact,sample,verify,fig} ...\n"
+                      "ocp2d: error: unknown command 'frobnicate' "
+                      "(choose from {rate,eq,exact,sample,verify,fig})\n"),
     "verify left-tail --n 6 --beta 4 --grid 0.5:0.9:3 --thin 2 --sweeps 40 "
-    "--burnin 10": (1, "error: missing required option --out\n"),
+    "--burnin 10": (2, "usage: ocp2d verify {left-tail,right-tail,mgf,cumulants,"
+                       "gumbel,transition} ...\n"
+                       "ocp2d verify: error: unknown option '--thin'\n"),
 }
 
 
 def test_plain_runs_load_no_argparse_and_usage_errors_keep_their_text(tmp_path):
-    r = _python("import contextlib, io, json, os, sys\n"
-                "os.environ['COLUMNS'] = '80'\n"
+    r = _python("import contextlib, io, json, sys\n"
                 "from ocp2d.cli import run\n"
-                "with contextlib.redirect_stdout(io.StringIO()):\n"
-                "    assert run(['eq', '--p', '1', '--s', '0']) == 0\n"
-                "loaded = [m for m in ('argparse', 'gettext', 'locale')\n"
-                "          if m in sys.modules]\n"
                 "results = {}\n"
                 f"for command in {list(_USAGE_ERRORS)!r}:\n"
                 "    out, err = io.StringIO(), io.StringIO()\n"
@@ -954,13 +948,15 @@ def test_plain_runs_load_no_argparse_and_usage_errors_keep_their_text(tmp_path):
                 "        with contextlib.redirect_stderr(err):\n"
                 "            code = run(command.split())\n"
                 "    results[command] = [code, err.getvalue(), out.getvalue()]\n"
+                "loaded = [m for m in ('argparse', 'gettext', 'locale')\n"
+                "          if m in sys.modules]\n"
                 "print(json.dumps([loaded, results]))", tmp_path)
     assert r.returncode == 0, r.stderr
     loaded, results = json.loads(r.stdout)
     assert loaded == []
     for command, (code, err) in _USAGE_ERRORS.items():
         assert results[command][:2] == [code, err], command
-    assert "--n N              particle number" in results["fig -h"][2]
+    assert "  --n N              particle number" in results["fig -h"][2]
 
 
 def test_reused_parser_carries_no_state_between_runs(tmp_path, capsys):

@@ -52,6 +52,9 @@ def test_stability_domain_require_raises():
         stability_domain(2.0).require(-0.6)
     with pytest.raises(StabilityError):
         stability_domain(2.5).require(-0.1)
+    for p, s in ((3.0, math.inf), (1.0, -math.inf), (1.0, math.nan)):
+        with pytest.raises(StabilityError, match=f"the tilt must be finite, got s={s}$"):
+            stability_domain(p).require(s)
     assert stability_domain(1.0).require(-3.0) == -3.0
 
 
