@@ -1,5 +1,6 @@
 """Command-line interface: grammar, IO contracts, and reproducibility."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -765,20 +766,24 @@ def test_svg_that_draws_no_line_is_refused(tmp_path, capsys, args):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_values_that_start_with_a_dash_are_values(tmp_path, capsys):
+def test_values_that_start_with_a_dash_are_values(capsys):
     # after a value option the next word is its value unless it starts with '--'
     for argv in (["--s", "-1e3"], ["--s=-1e3"], ["--s", "-1000"]):
         assert run(["eq", "--p", "1", *argv]) == 0
         assert "s = -1000" in capsys.readouterr().out.splitlines()
     assert run(["eq", "--p", "1", "--s", "-inf"]) == 1
     assert capsys.readouterr().err == "error: the tilt must be finite, got s=-inf\n"
+
+
+def test_a_grid_that_starts_with_a_dash_is_a_value(tmp_path):
     out = tmp_path / "m.csv"
     assert run(["rate", "moment", "--p", "1", "--grid", "-3:5:4", "--out", str(out)]) == 0
     assert [float(row[0]) for row in read_csv(out)[1]] == _grid("-3:5:4")
 
 
 def test_parser_builds_help_without_side_effects(tmp_path, capsys, monkeypatch):
-    # -h anywhere prints help from the tables, the same each time, and no file
+    # help comes from the tables, one line per command and per option, and
+    # writes no file
     monkeypatch.chdir(tmp_path)
     assert run(["-h"]) == 0
     top = capsys.readouterr().out
@@ -788,6 +793,16 @@ def test_parser_builds_help_without_side_effects(tmp_path, capsys, monkeypatch):
         text = capsys.readouterr().out
         for name in _flags(command):
             assert re.search(rf"^  --{name}\b.*  {re.escape(_HELP[name])}$", text, re.M)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_anywhere_in_argv_prints_that_command_help(tmp_path, capsys, monkeypatch):
+    # -h or --help after any words, even bad ones, gives the command's help
+    monkeypatch.chdir(tmp_path)
+    for command in _COMMANDS:
+        assert run([command, "-h"]) == 0
+        text = capsys.readouterr().out
+        assert text.startswith(f"usage: ocp2d {command} ")
         assert run([command, "--bogus", "--help", "--out", ""]) == 0
         assert capsys.readouterr() == (text, "")
     assert list(tmp_path.iterdir()) == []
@@ -920,6 +935,18 @@ def test_cli_import_loads_no_scipy(tmp_path):
                 "print('ocp2d.specfun' in sys.modules)", tmp_path)
     assert r.returncode == 0, r.stderr
     assert r.stdout.split() == ["[]", "False"]
+
+
+def test_usage_errors_build_no_parser_and_repeat_the_same_text(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda *a, **k: built.append(1))
+    plain, bad = ["eq", "--p", "1", "--s", "0"], ["eq", "--bogus"]
+    results = [(run(argv), *capsys.readouterr()) for argv in (plain, plain, bad, bad, plain)]
+    assert built == [] and [code for code, _, _ in results] == [0, 0, 2, 2, 0]
+    assert results[0] == results[1] == results[4] and results[0][2] == ""
+    assert results[2] == results[3] and results[2][1] == ""
+    assert results[2][2].endswith("ocp2d eq: error: unknown option '--bogus'\n")
 
 
 # Exit code and stderr of a plain run, help and usage errors; the last one
