@@ -11,24 +11,24 @@ fig 1|2|3|4           canonical comparison data sets
 
 Every data-producing command writes one table, an ordered dict of columns,
 as CSV (17 significant digits, atomic rename) and optionally as a small
-self-contained SVG chart;
---svg is an error (exit 1) when the chart would draw no line, or would
-overwrite the CSV (an --out ending in .svg).  Numeric
+self-contained SVG chart; --svg is an error (exit 1) when the chart would
+draw no line, or would overwrite the CSV (an --out ending in .svg).  Numeric
 output depends only on argv and the config file.  --threads (or
 OCP_THREADS) is accepted and checked to be an integer >= 1, but has no
-effect: every command runs serially.
-Grids are given as min:max:steps (steps = number of points, inclusive
-endpoints, finite bounds); config files hold key=value lines.  The command
-tables (_COMMANDS) list the options each target reads, each with its
-default or marked required, and one pass (_resolve) gives every option its
-flag, else its config key, else that default: flag > config > default.  A
-flag or config key that the command does not read is an error (exit 1),
-and so is a required option that neither gives, or an empty --out.  Every
-argv is read straight from the command tables: options by exact name (no
-abbreviations, no '--'), each value after '=' or as the next word unless
-that starts with '--', so -1e3 or a grid -3:5:4 is a value.  A bad argv is
-a usage error (exit 2) naming the word at fault; -h or --help, wherever it
-appears, prints help made from the same tables.
+effect: every command runs serially.  Grids are given as min:max:steps
+(steps = number of points, inclusive endpoints, finite bounds); config
+files hold key=value lines.  The tables _OPTIONS (each option's type and
+help) and _COMMANDS (the options each target reads, each with its default
+or marked required) are the only option rules.  One pass, _resolve, gives
+every option its flag, else its config key, else that default, and records
+which.  A flag or config key that the command does not read is an error
+(exit 1), and so is a required option that neither gives, or an empty
+--out or --config.  Every argv is read straight from the command tables:
+options by exact name (no abbreviations, no '--'), each value after '=' or
+as the next word unless that starts with '--', so -1e3 or a grid -3:5:4 is
+a value.  A bad argv, a flag that does not cast included, is a usage error
+(exit 2) naming the word at fault; -h or --help, wherever it appears,
+prints help made from the same tables.
 """
 
 from __future__ import annotations
@@ -174,51 +174,48 @@ def _rows_table(cls, rows: Sequence[Any]) -> dict[str, list]:
 # --- option resolution --------------------------------------------------------
 
 
-# Every option and the type its text is cast to, on the command line and in
-# config files alike.  A tuple lists the allowed values; bool is a switch.
-# --grid stays text until _grid parses it, so that a bad grid is a domain
-# error (exit 1), not a usage error (exit 2).
-_OPTIONS: dict[str, Any] = {
-    "n": int, "p": float, "s": float, "side": ("left", "right"), "grid": str,
-    "count": int, "beta": float, "sweeps": int, "burnin": int, "thinning": int,
-    "step": float, "seed": int, "draws": int, "window": float,
-    "config": str, "out": str, "svg": bool, "threads": int,
-}
-
-_HELP = {
-    "n": "particle number (verify mgf: comma list of sizes)",
-    "p": "exponent of the statistic (1/n) sum r_k^p (inf: the maximum)",
-    "s": "tilt s of the equilibrium measure",
-    "side": "tail of the edge rate function: left or right",
-    "grid": "min:max:steps, steps points with both ends included",
-    "count": "number of draws",
-    "beta": "coupling (default 2)",
-    "sweeps": "MCMC sweeps of n moves each, burn-in included",
-    "burnin": "MCMC sweeps that adapt the step and record nothing",
-    "thinning": "record the statistic every k-th sweep",
-    "step": "MCMC initial proposal step; verify transition: difference step",
-    "seed": f"random seed (default {DEFAULT_SEED})",
-    "draws": "number of maxima drawn",
-    "window": "half-width of the scanned tilt window around s = 0",
-    "config": "key=value file; flags take precedence",
-    "out": "output CSV path",
-    "svg": "also write an SVG chart next to the CSV",
-    "threads": "no effect; accepted for compatibility, as is OCP_THREADS",
+# Every option: the type its text is cast to, on the command line and in
+# config files alike, and its one help line.  A tuple lists the allowed
+# values; bool is a switch.  --grid stays text until _grid parses it, so
+# that a bad grid is a domain error (exit 1), not a usage error (exit 2).
+_OPTIONS: dict[str, tuple[Any, str]] = {
+    "n": (int, "particle number"),
+    "p": (float, "exponent of the statistic (1/n) sum r_k^p (inf: the maximum)"),
+    "s": (float, "tilt s of the equilibrium measure"),
+    "side": (("left", "right"), "tail of the edge rate function: left or right"),
+    "grid": (str, "min:max:steps, steps points with both ends included"),
+    "count": (int, "number of draws"),
+    "beta": (float, "coupling (default 2)"),
+    "sweeps": (int, "MCMC sweeps of n moves each, burn-in included"),
+    "burnin": (int, "MCMC sweeps that adapt the step and record nothing"),
+    "thinning": (int, "record the statistic every k-th sweep"),
+    "step": (float, "MCMC initial proposal step; verify transition: difference step"),
+    "seed": (int, f"random seed (default {DEFAULT_SEED})"),
+    "draws": (int, "number of maxima drawn"),
+    "window": (float, "half-width of the scanned tilt window around s = 0"),
+    "config": (str, "key=value file; flags take precedence"),
+    "out": (str, "output CSV path"),
+    "svg": (bool, "also write an SVG chart next to the CSV"),
+    "threads": (int, "no effect; accepted for compatibility, as is OCP_THREADS"),
 }
 
 
 def _load_config(path: str | None) -> dict[str, str]:
-    if not path:
+    """The key = value lines of a config file, skipping blank lines and lines
+    that start with '#'; a '#' anywhere else is part of the key or value."""
+    if path is None:
         return {}
+    if not path:
+        raise DomainError("--config is empty: give it a file path")
     config: dict[str, str] = {}
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             for raw in fh:
-                line = raw.split("#", 1)[0].strip()
-                if not line:
+                line = raw.strip()
+                if not line or line.startswith("#"):
                     continue
                 if "=" not in line:
-                    raise DomainError(f"config line without '=': {raw.strip()!r}")
+                    raise DomainError(f"config line without '=': {line!r}")
                 key, value = line.split("=", 1)
                 config[key.strip()] = value.strip()
     except UnicodeDecodeError:
@@ -241,61 +238,67 @@ def _grid(text: str) -> list[float]:
 
 
 def _check_threads(value: int | None) -> None:
-    """--threads or OCP_THREADS must be an integer >= 1 when given;
+    """--threads, else OCP_THREADS, must be an integer >= 1 when given;
     both are accepted for compatibility and change nothing."""
-    name, env = "--threads", os.environ.get("OCP_THREADS")
-    if value is None and env:
-        name = "OCP_THREADS"
-        try:
-            value = int(env)
-        except ValueError:
-            raise DomainError(f"bad value for {name}: {env!r}") from None
+    env = os.environ.get("OCP_THREADS")
     if value is not None:
-        check_size(value, name)
+        check_size(value, "--threads")
+    elif env:
+        check_size(env, "OCP_THREADS")
+
+
+def _typed(command: str, target: Any, name: str, text: Any, error: type) -> Any:
+    """An option's value cast as in _OPTIONS, --grid by _grid and verify mgf's
+    --n to a list of sizes; error, naming option and text, if it does not."""
+    kind = _grid if name == "grid" else _OPTIONS[name][0]
+    try:
+        if (command, target, name) == ("verify", "mgf", "n"):
+            return [int(k) for k in text.split(",")]
+        return _cast(kind, text)
+    except Ocp2dError:
+        raise
+    except ValueError as exc:
+        raise error(f"bad value for --{name}: {text!r}") from exc
 
 
 def _resolve(args: SimpleNamespace) -> SimpleNamespace:
     """The typed options of args' command and target: each one's flag, else
-    its config key, else its default in _COMMANDS.  --threads, --out and
-    then the target's options are checked in that order; text is cast as
-    in _OPTIONS, --grid by _grid and verify mgf's --n to a list of sizes.
-    A flag or config key that the target does not read is a domain error,
-    and so is a required option that is absent, or an empty --out."""
-    config = _load_config(args.config)
+    its config key, else its default in _COMMANDS, and in opts.sources where
+    each came from: 'flag', 'config' or 'default'.  Flags are cast first (one
+    that does not cast is a _UsageError), then --threads, --out and the
+    target's options are checked in order.  Any other fault is a domain
+    error: a flag or config key the target does not read, a config value
+    that does not cast, an absent required option, an empty --out or --config."""
     command = args.command
     _, _, positional, reads = _COMMANDS[command]
     target = getattr(args, positional) if positional else None
     what = " ".join(str(v) for v in (command, target) if v)
-    specs = reads[target].split()
+    out = "out?" if (command, target) in _OUT_OPTIONAL else "out"
+    specs = ["threads?", out, *reads[target].split()]
     names = _names(specs)
+    flags = {name: _typed(command, target, name, getattr(args, name), _UsageError)
+             for name in names if getattr(args, name) is not None}
+    config = _load_config(args.config)
     for name in _OPTIONS:
         if (name not in names and name not in _COMMON
                 and getattr(args, name, None) is not None):
             raise DomainError(f"{what} does not read --{name}")
     for key in config:
-        if key not in names and key not in ("out", "threads"):
+        if key not in names:
             raise DomainError(f"config key {key!r} is not an option of {what}")
-    out = "out?" if (command, target) in _OUT_OPTIONAL else "out"
-    opts = SimpleNamespace(command=command, target=target, svg=args.svg)
-    for spec in ("threads?", out, *specs):
+    opts = SimpleNamespace(command=command, target=target, svg=args.svg,
+                           sources={"svg": "flag" if args.svg else "default"})
+    for spec in specs:
         name, eq, default = spec.partition("=")
         optional, name = eq or name.endswith("?"), name.rstrip("?")
-        value = getattr(args, name)
-        if value is None:
-            value = config.get(name, default if eq else None)
+        source = "flag" if name in flags else "config" if name in config else "default"
+        value = flags.get(name, config.get(name, default if eq else None))
         if value is None and not optional:
             raise DomainError(f"missing required option --{name}")
-        if isinstance(value, str):
-            kind = (_grid if name == "grid"
-                    else _sizes if (command, target, name) == ("verify", "mgf", "n")
-                    else _OPTIONS[name])
-            try:
-                value = _cast(kind, value)
-            except Ocp2dError:
-                raise
-            except ValueError as exc:
-                raise DomainError(f"bad value for --{name}: {value!r}") from exc
+        if source != "flag" and value is not None:
+            value = _typed(command, target, name, value, DomainError)
         setattr(opts, name, value)
+        opts.sources[name] = source
         if name == "threads":
             _check_threads(value)
         elif name == "out" and value == "":
@@ -362,18 +365,17 @@ def _cmd_verify(o: SimpleNamespace):
     which = o.target
 
     if which == "left-tail":
-        # The chain's options and their defaults, read only at beta != 2.
-        chain = {"sweeps": 4000, "burnin": 500, "thinning": 2, "seed": DEFAULT_SEED}
-        given = {name: getattr(o, name) for name in chain
-                 if getattr(o, name) is not None}
         if o.beta == 2.0:
-            if given:
-                raise DomainError(f"verify left-tail at beta 2 is exact and "
-                                  f"does not read --{next(iter(given))}")
+            # the chain's options are read only at beta != 2
+            for name in ("sweeps", "burnin", "thinning", "seed"):
+                if o.sources[name] != "default":
+                    raise DomainError(f"verify left-tail at beta 2 is exact and "
+                                      f"does not read --{name}")
             table, note = harness.left_tail_table(o.n, o.grid), ""
         else:
-            table = harness.left_tail_mcmc_table(o.n, o.beta, o.grid,
-                                                 *{**chain, **given}.values())
+            table = harness.left_tail_mcmc_table(
+                o.n, o.beta, o.grid, sweeps=o.sweeps, burn_in=o.burnin,
+                thinning=o.thinning, seed=o.seed)
             note = (f"; ESS {table.metadata['ess']:.0f} of "
                     f"{table.metadata['draws']} draws")
         worst = max(abs(r.residual) for r in table.rows)
@@ -458,8 +460,10 @@ _COMMANDS: dict[str, tuple[Callable, str, str | None, dict[Any, str]]] = {
                {"kostlan": f"n p seed={DEFAULT_SEED} count",
                 "mcmc": f"n p seed={DEFAULT_SEED} beta=2 sweeps burnin=0 "
                         "thinning=1 step=0.25"}),
-    "verify": (_cmd_verify, "run a verification pipeline", "target",
-               {"left-tail": "n grid beta=2 sweeps? burnin? thinning? seed?",
+    "verify": (_cmd_verify, "run a verification pipeline; verify mgf reads "
+                            "--n as a comma list of sizes", "target",
+               {"left-tail": "n grid beta=2 sweeps=4000 burnin=500 thinning=2 "
+                             f"seed={DEFAULT_SEED}",
                 "right-tail": "n grid",
                 "mgf": "p beta=2 n grid",
                 "cumulants": "p beta=2 n",
@@ -479,18 +483,12 @@ def _names(specs: Sequence[str]) -> list[str]:
     return [spec.partition("=")[0].rstrip("?") for spec in specs]
 
 
-def _sizes(text: str) -> list[int]:
-    """verify mgf's --n: a comma list of sizes."""
-    return [int(k) for k in text.split(",")]
-
-
 def _flags(command: str) -> dict[str, Any]:
     """The options of a subcommand, in help order (those its targets read,
-    then _COMMON), each with its _OPTIONS kind; verify --n stays text: a
-    size, or a comma list for verify mgf."""
+    then _COMMON), each with its _OPTIONS kind; verify --n stays text."""
     reads = _COMMANDS[command][3]
     names = dict.fromkeys([*_names(" ".join(reads.values()).split()), *_COMMON])
-    return {name: str if (command, name) == ("verify", "n") else _OPTIONS[name]
+    return {name: str if (command, name) == ("verify", "n") else _OPTIONS[name][0]
             for name in names}
 
 
@@ -567,7 +565,7 @@ def _usage(command: str | None) -> str:
 
 def _help(command: str | None) -> str:
     """The -h text: a usage line, then one line per command, or per option
-    of the command with its _HELP line."""
+    of the command with its help line in _OPTIONS."""
     if command is None:
         about = ("Radial statistics of the trapped 2D log-gas.\n"
                  "'ocp2d <command> -h' lists the options of a command.")
@@ -576,7 +574,7 @@ def _help(command: str | None) -> str:
         about = _COMMANDS[command][1]
         rows = {f"--{name}" + ("" if kind is bool else f" {_braces(kind)}"
                                if isinstance(kind, tuple) else f" {name.upper()}"):
-                _HELP[name] for name, kind in _flags(command).items()}
+                _OPTIONS[name][1] for name, kind in _flags(command).items()}
     width = max(map(len, rows)) + 2
     return "\n".join([_usage(command), "", about, "",
                       *(f"  {key:<{width}}{text}" for key, text in rows.items())])
@@ -591,25 +589,24 @@ def run(argv: Sequence[str]) -> int:
         return 0
     try:
         args = _parse(argv)
-    except _UsageError as exc:
-        prog = f"ocp2d {command}" if command else "ocp2d"
-        print(f"{_usage(command)}\n{prog}: error: {exc}", file=sys.stderr)
-        return 2
-    try:
         opts = _resolve(args)
         out = opts.out
-        chart = os.path.splitext(out)[0] + ".svg" if args.svg and out else None
+        chart = os.path.splitext(out)[0] + ".svg" if opts.svg and out else None
         if chart and os.path.abspath(chart) == os.path.abspath(out):
             raise DomainError(f"--svg would overwrite the CSV at {out}: "
                               "give --out a name that does not end in .svg")
         table, message = args.handler(opts)
-        svg = _svg_lines(table) if args.svg else None
-        if out or (opts.command, opts.target) not in _OUT_OPTIONAL:
+        svg = _svg_lines(table) if opts.svg else None
+        if out:  # _resolve refuses a missing --out where one is required
             emit_csv(table, out)
             if svg:
                 _write_atomic(chart, svg)
         print(message)
         return 0
+    except _UsageError as exc:
+        prog = f"ocp2d {command}" if command else "ocp2d"
+        print(f"{_usage(command)}\n{prog}: error: {exc}", file=sys.stderr)
+        return 2
     except (Ocp2dError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,7 +1,7 @@
 """An argparse parser built from the CLI's command tables, as an oracle.
 
 ``ocp2d.cli._parse`` reads every argv itself.  This parser reads the same
-tables (``_COMMANDS``, ``_flags``, ``_HELP``) with argparse's own grammar,
+tables (``_COMMANDS``, ``_flags``, ``_OPTIONS``) with argparse's own grammar,
 so the tests can check that both give the same namespace wherever argparse
 accepts an argv that spells every option name in full and has no '--'.
 """
@@ -11,7 +11,7 @@ import contextlib
 import functools
 import io
 
-from ocp2d.cli import _COMMANDS, _HELP, _flags
+from ocp2d.cli import _COMMANDS, _OPTIONS, _flags
 
 
 @functools.cache
@@ -26,7 +26,7 @@ def build_parser():
         for flag, kind in _flags(name).items():
             spec = ({"action": "store_true"} if kind is bool else
                     {"choices": kind} if isinstance(kind, tuple) else {"type": kind})
-            sub.add_argument(f"--{flag}", help=_HELP[flag], **spec)
+            sub.add_argument(f"--{flag}", help=_OPTIONS[flag][1], **spec)
         sub.set_defaults(handler=handler)
     return parser
 

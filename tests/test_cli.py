@@ -17,7 +17,7 @@ import pytest
 import argparse_oracle
 import ocp2d
 from ocp2d import exact_moment, left_rate
-from ocp2d.cli import (_COMMANDS, _HELP, _OPTIONS, DEFAULT_SEED, _cast, _flags,
+from ocp2d.cli import (_COMMANDS, _OPTIONS, DEFAULT_SEED, _cast, _flags,
                        _format_column, _grid, _parse, _resolve, _UsageError,
                        emit_csv, run)
 
@@ -494,6 +494,33 @@ def test_options_resolve_flag_then_config_then_default(tmp_path):
     opts = _resolve(_parse(["verify", "mgf", "--n", "10,20,40", "--p", "1",
                             "--grid", "0:1:3", "--out", "o.csv"]))
     assert (opts.n, opts.grid, opts.beta) == ([10, 20, 40], [0.0, 0.5, 1.0], 2.0)
+    opts = _resolve(_parse(gumbel + ["--config", str(cfg)]))
+    assert opts.sources == {"svg": "default", "threads": "default", "out": "flag",
+                            "n": "flag", "draws": "config", "seed": "config"}
+
+
+# Values for the options that some target requires, so that each target
+# resolves from its required flags and --out alone.
+_REQUIRED_VALUES = {"n": "10", "p": "1", "s": "0", "grid": "0.3:0.9:3",
+                    "count": "3", "sweeps": "5"}
+
+
+@pytest.mark.parametrize("command,target", [
+    (command, target) for command, entry in _COMMANDS.items() for target in entry[3]])
+def test_every_table_default_resolves_and_is_tagged_default(command, target):
+    # a default that moves out of _COMMANDS, or one that does not cast, fails here
+    specs = _COMMANDS[command][3][target].split()
+    required = [spec for spec in specs if re.fullmatch(r"\w+", spec)]
+    flags = [word for name in required for word in (f"--{name}", _REQUIRED_VALUES[name])]
+    argv = [command, *([] if target is None else [str(target)]), *flags, "--out", "o.csv"]
+    # only verify transition leaves an option without a value: the scan picks its step
+    assert [spec for spec in specs if spec.endswith("?")] == \
+        (["step?"] if (command, target) == ("verify", "transition") else [])
+    opts = _resolve(_parse(argv))
+    for name, eq, _ in (spec.partition("=") for spec in specs):
+        if eq:
+            assert getattr(opts, name) is not None and opts.sources[name] == "default"
+    assert all(opts.sources[name] == "flag" for name in [*required, "out"])
 
 
 def test_command_tables_read_known_options_with_defaults_that_cast():
@@ -502,9 +529,9 @@ def test_command_tables_read_known_options_with_defaults_that_cast():
         for target, specs in reads.items():
             for spec in specs.split():
                 name, eq, default = re.fullmatch(r"(\w+)(?:\?|(=)(.+))?", spec).groups()
-                assert name in _OPTIONS and name in _HELP, (command, target, spec)
+                assert name in _OPTIONS, (command, target, spec)
                 if eq:
-                    _cast(_OPTIONS[name], default)
+                    _cast(_OPTIONS[name][0], default)
         assert list(_flags(command)) == [*dict.fromkeys(
             re.match(r"\w+", spec).group() for specs in reads.values()
             for spec in specs.split()), "config", "out", "svg", "threads"]
@@ -530,6 +557,45 @@ def test_config_file_may_start_with_a_byte_order_mark(tmp_path, capsys):
         assert run(["eq", "--config", str(cfg), "--out", str(out)]) == 0
         outputs.append((capsys.readouterr().out, out.read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+def test_config_hash_is_a_comment_only_at_the_start_of_a_line(tmp_path, capsys,
+                                                              monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("# whole-line comment\n  # indented\np = 1\n"
+                                      "s = 0\nout = run#1.csv\n")
+    assert run(["eq", "--config", "run.cfg"]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run#1.csv", "run.cfg"]
+    (tmp_path / "run.cfg").write_text("p = 1  # trailing\ns = 0\n")
+    assert run(["eq", "--config", "run.cfg"]) == 1
+    assert "bad value for --p: '1  # trailing'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [["eq", "--p", "1", "--s", "0"],
+                                  ["rate", "edge", "--grid", "0.3:0.9:3",
+                                   "--out", "r.csv"]])
+def test_empty_config_is_refused_before_any_work(tmp_path, capsys, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    assert run(args + ["--config", ""]) == 1
+    assert capsys.readouterr() == ("",
+                                   "error: --config is empty: give it a file path\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args,n", [
+    (["verify", "right-tail", "--grid", "1.2:2:3"], "abc"),
+    (["verify", "mgf", "--p", "2", "--grid", "0.2:1:3"], "10,x"),
+])
+def test_verify_n_that_does_not_cast_is_a_usage_error_only_as_a_flag(
+        tmp_path, capsys, args, n):
+    out = tmp_path / "o.csv"
+    assert run(args + ["--out", str(out), "--n", n]) == 2
+    assert capsys.readouterr().err.endswith(f": error: bad value for --n: {n!r}\n")
+    (tmp_path / "run.cfg").write_text(f"n = {n}\n")
+    assert run(args + ["--out", str(out), "--config", str(tmp_path / "run.cfg")]) == 1
+    assert capsys.readouterr().err == f"error: bad value for --n: {n!r}\n"
+    assert not out.exists()
 
 
 def test_config_file_malformed_line(tmp_path, capsys):
@@ -792,8 +858,18 @@ def test_parser_builds_help_without_side_effects(tmp_path, capsys, monkeypatch):
         assert run([command, "-h"]) == 0
         text = capsys.readouterr().out
         for name in _flags(command):
-            assert re.search(rf"^  --{name}\b.*  {re.escape(_HELP[name])}$", text, re.M)
+            assert re.search(rf"^  --{name}\b.*  {re.escape(_OPTIONS[name][1])}$",
+                             text, re.M)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_comma_list_note_is_only_in_verify_help(capsys):
+    for command in _COMMANDS:
+        assert run([command, "-h"]) == 0
+        text = capsys.readouterr().out
+        assert ("comma list of sizes" in text) == (command == "verify"), command
+        assert all(line.endswith("  particle number") for line in text.splitlines()
+                   if line.startswith("  --n "))
 
 
 def test_help_anywhere_in_argv_prints_that_command_help(tmp_path, capsys, monkeypatch):
@@ -901,6 +977,8 @@ _BAD_ARGV = [
      "bad value for --side: 'middle' (choose from {left,right})"),
     (["rate", "edge", "--svg=1"], "switch '--svg=1' takes no value"),
     (["verify", "gumbel", "--n"], "option '--n' needs a value"),
+    (["verify", "right-tail", "--n", "abc"], "bad value for --n: 'abc'"),
+    (["verify", "mgf", "--n", "10,x"], "bad value for --n: '10,x'"),
     (["rate", "edge", "--out", "--svg"], "option '--out' needs a value"),
     (["fig", "9"], "bad value for number: '9' (choose from {1,2,3,4})"),
     (["fig", "-n", "5"], "bad value for number: '-n' (choose from {1,2,3,4})"),
