@@ -196,6 +196,43 @@ def _modes(ell: np.ndarray, c: np.ndarray, q: float, start: np.ndarray,
                          + locate(moving))
 
 
+def _log_axis_terms(u: np.ndarray, ell: np.ndarray, e_mode: np.ndarray,
+                    c_mode: np.ndarray, q: float) -> np.ndarray:
+    """e^{phi(u)}, phi(u) = h(mode + u) - h(mode) = l u - E (e^u - 1) -
+    C (e^{qu} - 1), E = e^mode, C = c e^{q mode}.  Far out, inf - inf stands
+    for a vanishing tail (nan to 0), while an overflow stays inf and fails
+    the check in _mgf_rows."""
+    grow = np.expm1(u)
+    tilt = grow if q == 1.0 else np.expm1(q * u)
+    g = ell * u
+    g -= e_mode * grow
+    g -= c_mode * tilt
+    return np.fmax(np.exp(g, out=g), 0.0, out=g)
+
+
+def _support(ell: np.ndarray, e_mode: np.ndarray, c_mode: np.ndarray,
+             width: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, [x_lo, x_hi] in x = u / width outside which phi(u) < -800,
+    so that e^phi is 0.0 in doubles (exp underflows below -745.1).
+
+    With F(z) = e^z - 1 - z >= 0: left of the mode, e^u - 1 and e^{qu} - 1
+    lie in (-1, 0), so phi <= E + max(C, 0) - l |u|.  Right of it, the mode
+    equation l = E + q C gives phi = -E F(u) - C F(qu) <= -A F(u), with
+    A = E - q^2 max(-C, 0): F(qu) <= q^2 F(u) for u > 0 and q <= 1, and
+    C >= 0 wherever q > 1 (the stability domain).  Where C < 0, A = l +
+    q (1 - q) |C| >= l, so it does not cancel.  F(u) >= e^u / 2 for
+    u >= 1.68, so u > max(1.68, ln(1600 / A)) will do.  Rows with E or |C|
+    above 2^40, where the rounding of the peak terms could eat the 55 nats
+    between -800 and -745.1, and rows with A <= 0 (or nan) keep every node:
+    (-inf, inf)."""
+    left = (e_mode + np.maximum(c_mode, 0.0) + 800.0) / ell
+    a = e_mode - q * q * np.maximum(-c_mode, 0.0)
+    x_lo = -left / width
+    x_hi = np.maximum(1.68, np.log(1600.0 / a)) / width
+    sure = (e_mode <= 2.0 ** 40) & (np.abs(c_mode) <= 2.0 ** 40) & (a > 0.0)
+    return np.where(sure, x_lo, -math.inf), np.where(sure, x_hi, math.inf)
+
+
 @dataclass(frozen=True)
 class MgfResult:
     """Log of the tilted partition ratio <exp(-2 n^2 s moment_p)> at
@@ -262,19 +299,20 @@ def _mgf_rows(n: int, p: float, tilts: list[float]) -> list[tuple[float, float]]
         c_mode = c * np.exp(q * mode)
         peak = ell * mode - e_mode - c_mode
         width = 1.0 / np.sqrt(e_mode + q * q * c_mode)      # 1/sqrt(-h''(mode))
+        x_lo, x_hi = _support(ell, e_mode, c_mode, width, q)
+        # Each block evaluates only the nodes inside the union of its rows'
+        # supports, and writes exact zeros elsewhere, where every row's
+        # integrand underflows to 0.0: the rule sums the same terms.
         for b in range(0, len(ell), _MGF_BLOCK):
             blk = slice(b, b + _MGF_BLOCK)
             el, e, cm, wd = (a[blk, None] for a in (ell, e_mode, c_mode, width))
+            lo, hi = x_lo[blk].min(), x_hi[blk].max()
 
             def factor(x: np.ndarray) -> np.ndarray:
-                # e^{h(mode + u) - h(mode)} on u = width x; far out in x,
-                # inf - inf stands for a vanishing tail, while an overflow
-                # stays inf and fails the check below
-                u = wd * x
-                grow = np.expm1(u)
-                tilt = grow if q == 1.0 else np.expm1(q * u)
-                g = np.exp(el * u - e * grow - cm * tilt)
-                return np.fmax(g, 0.0, out=g)     # nan to 0; g >= 0 and inf stay
+                inside = (x >= lo) & (x <= hi)
+                g = np.zeros((len(el), len(x)))
+                g[:, inside] = _log_axis_terms(wd * x[inside], el, e, cm, q)
+                return g
 
             value, error = integrate(factor, -math.inf, math.inf, _TOL)
             main[blk], err[blk] = width[blk] * value, width[blk] * error
@@ -306,11 +344,15 @@ def mgf_log(n: int, p: float, s: float) -> MgfResult:
     Newton finds all n modes at once, from ln n + ln R^2 + 1, R the outer
     radius of the tilted equilibrium measure; one sinh-sinh walk in
     x = (v - mode) / width takes the factors _MGF_BLOCK at a time, so memory
-    stays O(_MGF_BLOCK x nodes).  A tilt whose R^2 or tilt term 2 s n^{1-p/2}
-    leaves the doubles (at n = 40, p = 1.999, s = -2.6, or s = 1e308), or a
-    mode too far out for h to resolve its peak (v near 333 at p = 1.99), is
-    a NumericalError.  This is _mgf_grid at one tilt.  Whole grids take
-    _mgf_grid itself: `exact mgf`, mgf_table (fig 3 and fig 4) and the 1/n
-    fit of extract_subleading and `verify mgf`, one pass per size.
+    stays O(_MGF_BLOCK x nodes).  A block skips the nodes outside every
+    row's support, beyond which h(v) - h(mode) < -800 and the integrand is
+    0.0 in doubles (_support), and writes exact zeros there: the rule sums
+    the same terms, so no bit of a result changes.  A tilt whose R^2 or
+    tilt term 2 s n^{1-p/2} leaves the doubles (at n = 40, p = 1.999,
+    s = -2.6, or s = 1e308), or a mode too far out for h to resolve its
+    peak (v near 333 at p = 1.99), is a NumericalError.  This is _mgf_grid
+    at one tilt.  Whole grids take _mgf_grid itself: `exact mgf`, mgf_table
+    (fig 3 and fig 4) and the 1/n fit of extract_subleading and `verify
+    mgf`, one pass per size.
     """
     return _mgf_grid(n, p, [s])[0]

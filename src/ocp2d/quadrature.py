@@ -32,6 +32,9 @@ _EPS = float(np.finfo(float).eps)
 _T = np.concatenate([np.arange(-end, end + 1, step) for end, step in
                      ((448, 16), (456, 16), (460, 8), (458, 4), (459, 2))]) / 128.0
 _U, _DU = 0.5 * math.pi * np.sinh(_T), 0.5 * math.pi * np.cosh(_T)
+# the sinh-sinh nodes and weights, handed to integrands as read-only views
+_X, _DX = np.sinh(_U), np.cosh(_U) * _DU
+_X.flags.writeable = _DX.flags.writeable = False
 _STEPS = ((0, 57, 115, 231), (231, 461), (461, 921))
 
 
@@ -42,7 +45,7 @@ def _rule(lo: float | np.ndarray, hi: float | np.ndarray,
     u, du = _U[part], _DU[part]
     if np.ndim(hi) == 0 and hi == math.inf:
         if lo == -math.inf:
-            return np.sinh(u), np.cosh(u) * du
+            return _X[part], _DX[part]
         grow = np.exp(u)
         return lo + grow, grow * du
     half, cosh = 0.5 * (hi - lo), np.cosh(u)

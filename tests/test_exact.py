@@ -1,5 +1,6 @@
 """Exact determinantal formulas: edge law, moments, and the tilted partition ratio."""
 
+import hashlib
 import math
 import random
 import re
@@ -17,6 +18,7 @@ from ocp2d import (
     exact,
     exact_moment,
     mgf_log,
+    quadrature,
 )
 
 from scalar_gamma import scalar_log_p
@@ -424,6 +426,83 @@ def test_mgf_grid_errors_name_the_failing_tilts(monkeypatch):
     with pytest.raises(NumericalError,
                        match=r"did not converge at n = 12, p = 1.0, s = 0.5, 2.0$"):
         exact._mgf_grid(12, 1.0, [0.5, 0.0, 2.0])
+
+
+# The pinned grids: disk and annulus tilts, far-out and tiny ones, at n up to
+# 400.  The digest is that of every node evaluated, so a skipped node whose
+# integrand was not an exact zero would move it.
+_PINNED_MGF_GRIDS = {
+    0.5: (-1e6, -3.7, -1e-10, 1e-10, 0.8, 1e8),
+    1.0: (-1e4, -2.5, -1e-10, 1e-10, 1.3, 1e8),
+    1.9: (-2.0, -0.3, -1e-10, 1e-10, 0.6, 1e8),
+    2.0: (-0.4999, -0.2, -1e-10, 1e-10, 0.9, 1e8),
+    4.0: (1e-10, 0.05, 2.0, 1e8),
+}
+_PINNED_MGF_DIGEST = "df45131eca2afb83164260eb1eae78a83e6afa528ed73f8a07c1f7e24ef7eaa6"
+
+
+def test_mgf_grid_results_are_pinned():
+    lines = [repr((r.log_value, r.estimated_relative_error))
+             for p, tilts in _PINNED_MGF_GRIDS.items() for n in (1, 12, 90, 400)
+             for r in exact._mgf_grid(n, p, tilts)]
+    assert len(lines) == 112
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == _PINNED_MGF_DIGEST
+
+
+def test_mgf_support_leaves_out_only_exact_zeros(monkeypatch):
+    # every row's integrand, at all 921 nodes of the three steps, is 0.0
+    # outside the row's [x_lo, x_hi], and so outside its block's union
+    rows = []
+
+    def spy(ell, e_mode, c_mode, width, q):
+        x_lo, x_hi = support(ell, e_mode, c_mode, width, q)
+        rows.append((ell, e_mode, c_mode, width, q, x_lo, x_hi))
+        return x_lo, x_hi
+
+    support = exact._support
+    monkeypatch.setattr(exact, "_support", spy)
+    cases = [(400, 1.0, [0.7, 1e8]), (120, 0.5, [-1e6, -3.7]), (40, 1.9, [-2.0]),
+             (60, 4.0, [1e-10, 2.0, 1e8]), (30, 50.0, [3.0]),
+             (200, 2.0, [-0.499999, -0.4999]), (10, 2.0, [1e200]),
+             (25, 0.05, [1e8]), (40, 0.5, [-1e22]), (252, 1.903, [-6.734])]
+    rng = random.Random(38)
+    for _ in range(20):
+        p = 10.0 ** rng.uniform(-1.3, 1.7)
+        sign = 1.0 if p >= 2.0 or rng.random() < 0.5 else -1.0
+        cases.append((rng.randint(1, 400), p, [sign * 10.0 ** rng.uniform(-10, 3)]))
+    for n, p, tilts in cases:
+        exact._mgf_grid(n, p, tilts)
+    nodes = quadrature._X
+    skipped = past_cut = 0
+    for ell, e_mode, c_mode, width, q, x_lo, x_hi in rows:
+        with np.errstate(all="ignore"):
+            full = exact._log_axis_terms(width[:, None] * nodes, ell[:, None],
+                                         e_mode[:, None], c_mode[:, None], q)
+        outside = (nodes < x_lo[:, None]) | (nodes > x_hi[:, None])
+        assert (full[outside] == 0.0).all()
+        skipped += outside.sum()
+        # rows past the 2^40 cut keep every node
+        big = (e_mode > 2.0 ** 40) | (np.abs(c_mode) > 2.0 ** 40)
+        assert (x_lo[big] == -math.inf).all() and (x_hi[big] == math.inf).all()
+        past_cut += big.sum()
+    assert nodes.size == 921
+    assert skipped > 10 ** 6
+    assert past_cut > 0
+
+
+def test_mgf_factor_evaluates_only_nodes_in_support(monkeypatch):
+    # the fig 3 --n 12 grid took 192,128 node-rows when every node was
+    # evaluated; a loosened bound or a bypassed skip shows here
+    count = []
+
+    def counted(u, *args):
+        count.append(u.size)
+        return terms(u, *args)
+
+    terms = exact._log_axis_terms
+    monkeypatch.setattr(exact, "_log_axis_terms", counted)
+    exact._mgf_grid(12, 1.0, np.linspace(-3.0, 5.0, 65).tolist())
+    assert sum(count) <= 110_000
 
 
 def test_mgf_log_validation():
